@@ -6,6 +6,11 @@ is the order comparison, so the hot loops touch only ints and dicts.  Free
 modules use (component, packed_key) term keys with Schreyer-style component
 comparison data supplied by the caller.
 
+Buchberger autoreduces its inputs in one ascending pass, keeps its S-pairs in
+a heap in normal order, and prunes them by Gebauer-Moeller.  On prime fields
+every stored coefficient is in [1, p): no path stores a negative residue or
+a zero term.
+
 Everything here is internal; the public API wraps it in ring.py, groebner.py
 and resolution.py.
 """
@@ -13,6 +18,7 @@ and resolution.py.
 from __future__ import annotations
 
 import heapq
+import itertools
 from fractions import Fraction
 
 _DIV_THRESHOLDS = (1, 2, 4, 8)
@@ -181,37 +187,6 @@ def normal_form(ctx, f, reducers, track=False):
     return rem, quots
 
 
-def _monic(ctx, pdict):
-    leadkey = max(pdict)
-    lc = pdict[leadkey]
-    if lc == ctx.field(1):
-        return pdict
-    inv = ctx.field.inv(lc)
-    if ctx.p is not None:
-        return {k: c * inv % ctx.p for k, c in pdict.items()}
-    return {k: c * inv for k, c in pdict.items()}
-
-
-def interreduce(ctx, pdicts):
-    """Mutually reduce a list of packed polys; returns monic survivors."""
-    polys = [_monic(ctx, dict(d)) for d in pdicts if d]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            if polys[i] is None:
-                continue
-            reducers = [Reducer.from_packed(ctx, polys[j], index=j)
-                        for j in range(len(polys)) if j != i and polys[j] is not None]
-            if not reducers:
-                continue
-            rem, _ = normal_form(ctx, polys[i], reducers)
-            if rem != polys[i]:
-                changed = True
-                polys[i] = _monic(ctx, rem) if rem else None
-    return [d for d in polys if d is not None]
-
-
 def _mono_lcm_exps(a, b):
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
@@ -223,7 +198,7 @@ def _divides(a, b):
     return True
 
 
-def _spair(gi, gj, lcmkey):
+def _spair(gi, gj, lcmkey, p):
     h = {}
     si = lcmkey - gi.leadkey
     for k, c in gi.tail:
@@ -232,98 +207,116 @@ def _spair(gi, gj, lcmkey):
     for k, c in gj.tail:
         nk = k + sj
         prev = h.get(nk)
-        if prev is None:
-            h[nk] = -c
+        v = -c if prev is None else prev - c
+        if p is not None:
+            v %= p
+        if v:
+            h[nk] = v
         else:
-            v = prev - c
-            if v:
-                h[nk] = v
-            else:
-                del h[nk]
+            del h[nk]
     return h
 
 
 def buchberger(ctx, pdicts, max_pairs=2_000_000):
     """Reduced Groebner basis of the ideal generated by packed polys.
 
-    Uses Gebauer-Moeller pair elimination, normal (min lcm degree) selection
-    with sugar tiebreak, and a final minimalize-and-interreduce pass.  Returns
-    (basis, stats) with the basis monic and sorted descending by lead.
+    The inputs are autoreduced in one pass in ascending lead order: each is
+    reduced against the survivors before it, and its monic remainder, if
+    any, survives.  A survivor whose lead the new lead divides goes back in
+    the queue; that happens only when a lead drops, which a homogeneous input
+    under a degree order never does.  Pairs are pruned by Gebauer-Moeller and
+    taken from a heap in normal order (min lcm degree, then sugar, then lcm
+    key); a final minimalize-and-tail-reduce pass gives the reduced basis.
+    Returns (basis, stats) with the basis monic and sorted descending by lead.
     """
-    field = ctx.field
     p = ctx.p
+    pack = ctx.pack
     stats = {"pairs_processed": 0, "zero_reductions": 0}
-    start = interreduce(ctx, pdicts)
-    if not start:
-        return [], stats
-    start.sort(key=max)
-    if any(max(d) == 0 for d in start):
-        one = 1 if p is not None else Fraction(1)
-        return [{0: one}], stats
-
     G = []
+    lme = []
     pairs = {}
+    queue = []
+    push = heapq.heappush
 
     def update(newred):
         # Gebauer-Moeller update of the pair set for a newly appended element.
         t = newred.index
         lmf = newred.leadexps
-        lme = [g.leadexps for g in G]
-        drop = []
-        for (i, j), data in pairs.items():
-            gam = data[3]
-            if (_divides(lmf, gam) and gam != _mono_lcm_exps(lme[i], lmf)
-                    and gam != _mono_lcm_exps(lme[j], lmf)):
-                drop.append((i, j))
-        for ij in drop:
-            del pairs[ij]
+        for i, j in [(i, j) for (i, j), gam in pairs.items()
+                     if _divides(lmf, gam) and gam != _mono_lcm_exps(lme[i], lmf)
+                     and gam != _mono_lcm_exps(lme[j], lmf)]:
+            del pairs[(i, j)]
         groups = {}
         for i in range(t):
-            gam = _mono_lcm_exps(lme[i], lmf)
-            groups.setdefault(gam, []).append(i)
+            groups.setdefault(_mono_lcm_exps(lme[i], lmf), []).append(i)
         kept = []
-        for gam in sorted(groups, key=lambda g: (sum(g), ctx.pack(g))):
+        # A proper divisor has lower degree, so a degree sort settles the chain
+        # criterion, and only the surviving classes need a packed heap key.
+        for gam in sorted(groups, key=sum):
             if any(_divides(k, gam) for k in kept):
                 continue
             kept.append(gam)
+            members = groups[gam]
             # Product criterion: a coprime member retires the whole lcm class.
-            if any(tuple(a + b for a, b in zip(lme[i], lmf)) == gam for i in groups[gam]):
+            if any(tuple(a + b for a, b in zip(lme[m], lmf)) == gam for m in members):
                 continue
-            i = groups[gam][0]
-            sug = max(G[i].sugar + sum(gam) - sum(lme[i]), newred.sugar + sum(gam) - sum(lmf))
-            pairs[(i, t)] = (sum(gam), sug, ctx.pack(gam), gam)
+            i = members[0]
+            deg = sum(gam)
+            sug = max(G[i].sugar + deg - sum(lme[i]), newred.sugar + deg - sum(lmf))
+            pairs[(i, t)] = gam
+            push(queue, (deg, sug, pack(gam), (i, t)))
 
-    for d in start:
-        red = Reducer.from_packed(ctx, d, index=len(G))
+    def add(red):
+        red.index = len(G)
         G.append(red)
+        lme.append(red.leadexps)
         update(red)
 
-    while pairs:
-        (i, j) = min(pairs, key=lambda ij: (pairs[ij][0], pairs[ij][1], pairs[ij][2], ij))
-        deg, sug, lcmkey, gam = pairs.pop((i, j))
+    tick = itertools.count()
+    todo = [(max(d), next(tick), d) for d in pdicts if d]
+    heapq.heapify(todo)
+    start = []
+    while todo:
+        rem, _ = normal_form(ctx, heapq.heappop(todo)[2], start)
+        if not rem:
+            continue
+        red = Reducer.from_packed(ctx, rem)
+        if red.leadkey == 0:
+            return [{0: 1 if p is not None else Fraction(1)}], stats
+        for s in [s for s in start if _divides(red.leadexps, s.leadexps)]:
+            start.remove(s)
+            push(todo, (s.leadkey, next(tick), reducer_dict(s)))
+        start.append(red)
+    for red in start:
+        add(red)
+
+    while queue:
+        deg, sug, lcmkey, ij = heapq.heappop(queue)
+        if pairs.pop(ij, None) is None:
+            continue
         stats["pairs_processed"] += 1
         if stats["pairs_processed"] > max_pairs:
             raise RuntimeError("Groebner basis computation exceeded the pair budget")
-        s = _spair(G[i], G[j], lcmkey)
+        s = _spair(G[ij[0]], G[ij[1]], lcmkey, p)
         rem, _ = normal_form(ctx, s, G)
         if not rem:
             stats["zero_reductions"] += 1
             continue
-        red = Reducer.from_packed(ctx, _monic(ctx, rem), index=len(G), sugar=sug)
-        G.append(red)
-        update(red)
+        add(Reducer.from_packed(ctx, rem, sugar=sug))
 
+    if not G:
+        return [], stats
     # Minimalize leads, then one tail-reduction pass gives the reduced basis.
     order_idx = sorted(range(len(G)), key=lambda i: G[i].leadkey)
     kept = []
     for i in order_idx:
         if not any(_divides(G[j].leadexps, G[i].leadexps) for j in kept):
             kept.append(i)
+    # Leads are now minimal, so each monic lead survives its tail reduction.
     final = []
     for i in kept:
         others = [G[j] for j in kept if j != i]
-        rem, _ = normal_form(ctx, reducer_dict(G[i]), others)
-        final.append(_monic(ctx, rem))
+        final.append(normal_form(ctx, reducer_dict(G[i]), others)[0])
     final.sort(key=max, reverse=True)
     stats["basis_size"] = len(final)
     return final, stats

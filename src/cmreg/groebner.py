@@ -145,7 +145,7 @@ def buchberger(ideal_or_gens, order=None):
     packed = [_kernel.to_packed(ctx, g) for g in gens if not g.is_zero()]
     basis, stats = _kernel.buchberger(ctx, packed)
     polys = [_kernel.from_packed(ctx, d, ring) for d in basis]
-    reducers = [_kernel.Reducer.from_packed(ctx, d, index=i) for i, d in enumerate(basis)]
+    reducers = [_kernel.Reducer.from_packed(ctx, d, index=i, sugar=0) for i, d in enumerate(basis)]
     return GroebnerBasis(ring, order, polys, stats, ctx, reducers)
 
 

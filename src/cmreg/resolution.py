@@ -16,6 +16,7 @@ lead terms.  Any failure is a hard error, not a warning.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -183,7 +184,9 @@ def _syzygies(ctx, meta_prev, meta_new, elems, leads):
                 for (cc, kk), coef in elems[j].items():
                     t = (cc, kk + sj)
                     prev = v.get(t)
-                    val = -coef if prev is None else (prev - coef) % p if p is not None else prev - coef
+                    val = -coef if prev is None else prev - coef
+                    if p is not None:
+                        val %= p
                     if val:
                         v[t] = val
                     else:
@@ -232,31 +235,28 @@ def _is_unit_entry(pd):
 
 
 def _minimize(ctx, cols_by_level, top_level):
-    """Cancel unit entries with exact column operations; mutates in place."""
+    """Cancel unit entries with exact column operations; mutates in place.
+
+    A heap worklist holds (level, col, row) of unit entries: seeded once,
+    pushed whenever a column operation leaves a unit, and checked again when
+    popped.  So each step cancels the smallest unit entry left, as a full
+    rescan would.
+    """
     field = ctx.field
+    work = [(lvl, ci, ri)
+            for lvl in range(1, top_level + 1)
+            for ci, col in cols_by_level.get(lvl, {}).items()
+            for ri, pd in col.items() if _is_unit_entry(pd)]
+    heapq.heapify(work)
     cancelled = 0
-    while True:
-        found = None
-        for lvl in range(1, top_level + 1):
-            cols = cols_by_level.get(lvl)
-            if not cols:
-                continue
-            for ci in sorted(cols):
-                for ri in sorted(cols[ci]):
-                    if _is_unit_entry(cols[ci][ri]):
-                        found = (lvl, ci, ri)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            return cancelled
-        lvl, ci, ri = found
+    while work:
+        lvl, ci, ri = heapq.heappop(work)
         cols = cols_by_level[lvl]
-        pivot_col = cols.pop(ci)
-        u = pivot_col[ri][0]
-        uinv = field.inv(u)
+        pivot_col = cols.get(ci)
+        if pivot_col is None or not _is_unit_entry(pivot_col.get(ri, {})):
+            continue
+        del cols[ci]
+        uinv = field.inv(pivot_col[ri][0])
         for cj, col in cols.items():
             v = col.get(ri)
             if v is None:
@@ -268,6 +268,8 @@ def _minimize(ctx, cols_by_level, top_level):
                 _kernel.pdict_add_scaled(ctx, tgt, field(1), prod)
                 if not tgt:
                     del col[r2]
+                elif _is_unit_entry(tgt):
+                    heapq.heappush(work, (lvl, cj, r2))
         above = cols_by_level.get(lvl + 1)
         if above:
             for col in above.values():
@@ -275,6 +277,7 @@ def _minimize(ctx, cols_by_level, top_level):
         if lvl >= 2:
             cols_by_level[lvl - 1].pop(ri, None)
         cancelled += 1
+    return cancelled
 
 
 def _compose_is_zero(ctx, lower_cols, upper_cols):

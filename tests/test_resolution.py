@@ -7,9 +7,13 @@ import random
 
 import pytest
 
+from cmreg import _kernel
+from cmreg._kernel import Context
+from cmreg.families import build_family
 from cmreg.groebner import Ideal
 from cmreg.hilbert import hilbert_series
-from cmreg.resolution import (BettiTable, a0, a1_via_sequence, betti,
+from cmreg.resolution import (BettiTable, _column_form, _is_unit_entry, _minimize,
+                              _schreyer_levels, a0, a1_via_sequence, betti,
                               minimal_resolution, pdim, regularity,
                               regularity_ideal)
 from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ
@@ -170,3 +174,52 @@ def test_rejects_inhomogeneous(ring3f):
     x, y, _ = ring3f.gens()
     with pytest.raises(ValueError):
         minimal_resolution(Ideal(ring3f, [x * x - y]))
+
+
+def _minimize_by_rescan(ctx, cols_by_level, top_level):
+    """The rescan minimization: cancel the smallest unit entry, rescan, repeat.
+
+    Returns the pivots (level, col, row) in the order they were cancelled.
+    """
+    field, pivots = ctx.field, []
+    while True:
+        units = [(lvl, ci, ri) for lvl in range(1, top_level + 1)
+                 for ci, col in cols_by_level.get(lvl, {}).items()
+                 for ri, pd in col.items() if _is_unit_entry(pd)]
+        if not units:
+            return pivots
+        lvl, ci, ri = min(units)
+        pivots.append((lvl, ci, ri))
+        cols = cols_by_level[lvl]
+        pivot_col = cols.pop(ci)
+        uinv = field.inv(pivot_col[ri][0])
+        for col in cols.values():
+            if ri in col:
+                factor = _kernel.pdict_scale(ctx, col[ri], field.neg(uinv))
+                for r2, pd in pivot_col.items():
+                    tgt = col.setdefault(r2, {})
+                    _kernel.pdict_add_scaled(ctx, tgt, 1, _kernel.pdict_mul(ctx, factor, pd))
+                    if not tgt:
+                        del col[r2]
+        for col in cols_by_level.get(lvl + 1, {}).values():
+            col.pop(ci, None)
+        if lvl >= 2:
+            cols_by_level[lvl - 1].pop(ri, None)
+
+
+@pytest.mark.parametrize("m,n,primed,creates_unit", [
+    (2, 2, False, False), (1, 2, True, False), (2, 2, True, True)])
+def test_minimize_worklist_matches_rescan(m, n, primed, creates_unit):
+    I = build_family(m, n, primed=primed).almost_complete_intersection
+    ctx = Context(GREVLEX.bind(I.ring.nvars), I.ring.field)
+    gb = [_kernel.to_packed(ctx, g) for g in I.groebner(GREVLEX).polys]
+    levels, _ = _schreyer_levels(ctx, gb, I.ring.nvars)
+    worklist, rescan = _column_form(levels), _column_form(levels)
+    seeded = {(lvl, ci, ri) for lvl, cols in rescan.items() for ci, col in cols.items()
+              for ri, pd in col.items() if _is_unit_entry(pd)}
+    cancelled = _minimize(ctx, worklist, len(levels))
+    pivots = _minimize_by_rescan(ctx, rescan, len(levels))
+    assert worklist == rescan
+    assert cancelled == len(pivots) > 0
+    # A unit that only a column operation produced was cancelled too.
+    assert any(piv not in seeded for piv in pivots) == creates_unit
