@@ -1,54 +1,50 @@
-"""Dense reduced row echelon form over an exact field.
+"""Sparse reduced row echelon form over an exact field.
 
 Only what the graded-piece computations need: deterministic RREF of a list
-of coefficient rows, smallest pivot column first, pivots normalized to 1.
+of sparse rows (``{column: coefficient}`` dicts), smallest pivot column
+first, pivots normalized to 1.
 """
 
 from __future__ import annotations
 
 
 def rref(rows, field):
-    """Reduced row echelon form of `rows` (lists of field elements).
+    """Reduced row echelon form of `rows` (dicts from column to nonzero entry).
 
-    Returns the nonzero reduced rows ordered by pivot column.  Input rows are
-    not mutated.  Works for any exact field object exposing __call__ on ints,
+    Returns the nonzero reduced rows as new dicts, ordered by pivot column.
+    Input rows are not mutated.  Works for any exact field object exposing
     inv, mul, sub (the conventions of the ring module's field classes).
+
+    Each row is first reduced on its leading column against the pivots found
+    so far; then back-substitution runs from the largest pivot column down,
+    so every row's tail meets only pivot rows that are already reduced.
     """
-    if not rows:
-        return []
-    width = len(rows[0])
-    work = [list(r) for r in rows]
-    out = []
-    col = 0
-    rank = 0
-    while col < width and rank < len(work):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                pivot_row = r
+    inv, mul, sub = field.inv, field.mul, field.sub
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                scale = inv(row[col])
+                if scale != 1:
+                    row = {j: mul(c, scale) for j, c in row.items()}
+                pivots[col] = row
                 break
-        if pivot_row is None:
-            col += 1
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = field.inv(work[rank][col])
-        row = work[rank]
-        if inv != 1:
-            for j in range(col, width):
-                if row[j] != 0:
-                    row[j] = field.mul(row[j], inv)
-        for r in range(len(work)):
-            if r == rank:
-                continue
-            factor = work[r][col]
-            if factor == 0:
-                continue
-            other = work[r]
-            for j in range(col, width):
-                if row[j] != 0:
-                    other[j] = field.sub(other[j], field.mul(factor, row[j]))
-        rank += 1
-        col += 1
-    for row in work[:rank]:
-        out.append(row)
-    return out
+            _subtract(row, row[col], piv, mul, sub)
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for j in [j for j in row if j != col and j in pivots]:
+            _subtract(row, row[j], pivots[j], mul, sub)
+    return [pivots[col] for col in sorted(pivots)]
+
+
+def _subtract(row, factor, piv, mul, sub):
+    """row -= factor * piv in place, dropping the entries that cancel."""
+    for j, c in piv.items():
+        v = sub(row.get(j, 0), mul(factor, c))
+        if v == 0:
+            del row[j]
+        else:
+            row[j] = v

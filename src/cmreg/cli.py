@@ -183,7 +183,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"cmreg: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

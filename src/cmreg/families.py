@@ -2,16 +2,16 @@
 
 Each instance is indexed by integers (m, n) and a primed flag.  The primed
 ambient ring has m + 3 variables, the unprimed one m + 2; the smooth monomial
-curve is parametrized by an explicit exponent list starting 0, 1 and its
-ideal comes from eliminating the parameters of the graph ideal, followed by
-saturation with respect to the product of the variables (a stability check,
-since the elimination of a toric graph already lands on the saturated prime).
+curve is parametrized by an explicit exponent list starting 0, 1.  The curve
+is toric: its ideal is the lattice-basis ideal of the binomials
+X_j X_0^(a_j - 1) - X_1^(a_j), saturated by X_0 alone.
 
 On top of the curve ideal the builder assembles a complete intersection of
 binomial forms inside it, the residual ideal (the colon by the curve), and a
 canonically chosen extra form of prescribed degree from the residual that
 avoids the curve, giving the almost complete intersection whose regularity
-the verification layer studies.
+the verification layer studies.  Graded pieces are echelonized as sparse
+rows: every row is a monomial shift of a Groebner basis element.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import hilbert
 from .groebner import Ideal
 from .idealops import colon, colon_by_variable_power
-from .ring import Block, PolyRing, Polynomial, field_of_characteristic, transport
+from .ring import PolyRing, Polynomial, field_of_characteristic
 from ._linalg import rref
 
 
@@ -47,9 +47,11 @@ def curve_ideal(exponents, char=32003):
     """(ring, ideal) of the projective monomial curve with the given exponents.
 
     The parametrization sends X_i to s^(D - a_i) t^(a_i) with D the largest
-    exponent; the ideal is the kernel, obtained by eliminating s and t from
-    the graph ideal with a block order, then saturating by the product of the
-    variables (verified stable).
+    exponent.  The kernel is toric: the lattice of the map has the basis
+    e_j + (a_j - 1) e_0 - a_j e_1 (j >= 2), and inverting X_0 turns the
+    quotient by the lattice-basis binomials into the domain k[X_0^+-1, X_1],
+    so one saturation by X_0 gives the prime.  Stability under every
+    variable and the (dim, deg) of the result are asserted.
     """
     exponents = tuple(exponents)
     if len(exponents) < 3 or exponents[0] != 0 or exponents[1] != 1:
@@ -58,23 +60,14 @@ def curve_ideal(exponents, char=32003):
         raise ValueError("exponents must be distinct")
     field = field_of_characteristic(char)
     nv = len(exponents)
-    names = tuple(f"X{i}" for i in range(nv))
-    ring = PolyRing(names, field)
+    ring = PolyRing(tuple(f"X{i}" for i in range(nv)), field)
     D = max(exponents)
-    graph = PolyRing(("s_par", "t_par") + names, field, Block(2))
-    s, t = graph.gen(0), graph.gen(1)
     gens = []
-    for i, a in enumerate(exponents):
-        gens.append(graph.gen(2 + i) - s ** (D - a) * t ** a)
-    gb = Ideal(graph, gens).groebner()
-    down = [None, None] + list(range(nv))
-    kernel_gens = []
-    for g in gb:
-        if all(e[0] == 0 and e[1] == 0 for e, _ in g.terms):
-            kernel_gens.append(transport(g, ring, down))
-    cand = Ideal(ring, kernel_gens)
-    for i in range(nv):
-        cand = colon_by_variable_power(cand, i)
+    for j, a in enumerate(exponents[2:], start=2):
+        lead = [0] * nv
+        lead[j], lead[0] = 1, a - 1
+        gens.append(ring.monomial(lead) - ring.gen(1) ** a)
+    cand = colon_by_variable_power(Ideal(ring, gens), 0)
     for i in range(nv):
         sat_i = colon_by_variable_power(cand, i)
         if not sat_i.same_ideal(cand):
@@ -190,35 +183,24 @@ def residual_ideal(ci, curve, pivot):
 def graded_piece_basis(ideal, d):
     """Canonical echelon basis of the degree-d piece of an ideal.
 
-    Rows are reduced-echelon coefficient vectors over the degree-d monomials
-    sorted descending in the ring order; the row order is by descending
-    leading monomial, so the output is deterministic.
+    The rows are the degree-d monomial shifts of the Groebner basis, as
+    sparse rows over the degree-d monomials sorted descending in the ring
+    order, brought to reduced echelon form; the output is ordered by
+    descending leading monomial, so it is deterministic.
     """
     ring = ideal.ring
-    gb = ideal.groebner()
     monomials = _monomials_of_degree(ring, d)
     col_of = {e: i for i, e in enumerate(monomials)}
     rows = []
-    for g in gb.polys:
+    for g in ideal.groebner().polys:
         dg = g.degree()
         if dg > d:
             continue
         for shift in _monomials_of_degree(ring, d - dg):
-            prod_terms = {}
-            for e, c in g.terms:
-                prod_terms[tuple(x + y for x, y in zip(e, shift))] = c
-            row = [ring.field(0)] * len(monomials)
-            for e, c in prod_terms.items():
-                row[col_of[e]] = c
-            rows.append(row)
-    reduced = rref(rows, ring.field)
-    out = []
-    for row in reduced:
-        data = {}
-        for i, c in enumerate(row):
-            if c != 0:
-                data[monomials[i]] = c
-        out.append(Polynomial(ring, data))
+            rows.append({col_of[tuple(x + y for x, y in zip(e, shift))]: c
+                         for e, c in g.terms})
+    out = [Polynomial(ring, {monomials[j]: c for j, c in row.items()})
+           for row in rref(rows, ring.field)]
     expected = (math.comb(d + ring.nvars - 1, ring.nvars - 1)
                 - hilbert.hilbert_function(ideal, d))
     if len(out) != expected:

@@ -105,3 +105,22 @@ def test_verify_csv_format(capsys):
     assert code == 0
     assert out.splitlines()[0] == "claim,m,n,primed,subcheck,status,values,note"
     assert any("remark33" in line for line in out.splitlines()[1:])
+
+
+@pytest.mark.parametrize("case", ["family-m1", "missing-file", "bad-header"])
+def test_errors_are_one_line_with_exit_code_2(case, tmp_path, capsys):
+    if case == "family-m1":
+        argv, needle = ["family", "--m", "1", "--n", "2"], "m >= 2"
+    elif case == "missing-file":
+        path = tmp_path / "absent.txt"
+        argv, needle = ["betti", "--in", str(path)], "absent.txt"
+    else:
+        path = tmp_path / "bad.txt"
+        path.write_text("ring: vars=[x,y]\ngens:\nx\n")
+        argv, needle = ["reg", "--in", str(path)], "bad header line"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("cmreg: error: ") and needle in lines[0]

@@ -11,7 +11,28 @@ from cmreg.families import (build_family, ci_forms, curve_exponents,
                             residual_pivot)
 from cmreg.groebner import Ideal, member
 from cmreg.hilbert import dim_deg
-from cmreg.ring import GREVLEX, PolyRing, QQ
+from cmreg.idealops import colon_by_variable_power
+from cmreg.resolution import regularity_ideal
+from cmreg.ring import (GREVLEX, Block, PolyRing, QQ, field_of_characteristic,
+                        transport)
+
+
+def _curve_ideal_by_elimination(exponents, char):
+    """Oracle: the curve ideal as the s, t elimination of the graph ideal of
+    X_i - s^(D - a_i) t^(a_i), then saturated by each variable in turn."""
+    ring = PolyRing(tuple(f"X{i}" for i in range(len(exponents))),
+                    field_of_characteristic(char))
+    graph = PolyRing(("s_par", "t_par") + ring.names, ring.field, Block(2))
+    s, t = graph.gen(0), graph.gen(1)
+    D = max(exponents)
+    gb = Ideal(graph, [graph.gen(2 + i) - s ** (D - a) * t ** a
+                       for i, a in enumerate(exponents)]).groebner()
+    down = [None, None] + list(range(ring.nvars))
+    cand = Ideal(ring, [transport(g, ring, down) for g in gb
+                        if all(e[0] == e[1] == 0 for e, _ in g.terms)])
+    for i in range(ring.nvars):
+        cand = colon_by_variable_power(cand, i)
+    return cand
 
 
 def test_curve_exponents_values():
@@ -33,6 +54,20 @@ def test_curve_ideal_twisted_cubic():
                             X1 * X3 - X2 * X2])
     assert I.same_ideal(expected)
     assert dim_deg(I) == (2, 3)
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("exponents", [
+    (0, 1, 2, 3),
+    curve_exponents(2, 2), curve_exponents(2, 3), curve_exponents(3, 2),
+    curve_exponents(1, 2, primed=True), curve_exponents(2, 2, primed=True),
+    curve_exponents(2, 3, primed=True),
+], ids=lambda e: ",".join(map(str, e)))
+def test_curve_ideal_matches_elimination_oracle(exponents, char):
+    _, I = curve_ideal(exponents, char=char)
+    oracle = _curve_ideal_by_elimination(exponents, char)
+    assert [str(g) for g in I.groebner().polys] == \
+        [str(g) for g in oracle.groebner().polys]
 
 
 def test_curve_ideal_input_validation():
@@ -135,6 +170,31 @@ def test_graded_piece_basis_echelon(fam22):
     for f in basis:
         assert f.degree() == 3
         assert member(f, fam22.curve)
+
+
+@pytest.mark.parametrize("which", ["curve", "residual"])
+def test_graded_piece_basis_rows_are_normal_form_differences(fam22, which):
+    """Each echelon row is u - NF(u) for u in in(I)_d, in descending order."""
+    if which == "curve":
+        ideal, d = fam22.curve, 3
+    else:
+        ideal, d = fam22.residual, fam22.extra_degree
+    ring = ideal.ring
+    gb = ideal.groebner()
+    leads = gb.leading_exps()
+    initial = [u for u in families._monomials_of_degree(ring, d)
+               if any(all(x >= y for x, y in zip(u, lead)) for lead in leads)]
+    assert initial
+    expected = [ring.monomial(u) - gb.normal_form(ring.monomial(u)) for u in initial]
+    assert graded_piece_basis(ideal, d) == expected
+
+
+@pytest.mark.parametrize("m, n, reg", [(4, 2, 26), (4, 3, 95)])
+def test_regularity_at_m4_equals_remark33_formula(m, n, reg):
+    """reg(I) at m = 4 equals n^m + m n + 2^(m-2) - 2 (remark 3.3)."""
+    inst = build_family(m, n)
+    assert reg == n ** m + m * n + 2 ** (m - 2) - 2
+    assert regularity_ideal(inst.almost_complete_intersection) == reg
 
 
 def test_build_family_deterministic():

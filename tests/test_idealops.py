@@ -56,7 +56,7 @@ def _colon_oracle_rank(I, f, d, ring):
             row[col[e]] = c
         rows.append(row)
     # kernel dimension = len(mons) - rank
-    rank = len(rref([r[:] for r in rows], ring.field))
+    rank = len(rref([{j: c for j, c in enumerate(r) if c} for r in rows], ring.field))
     return len(mons) - rank
 
 
