@@ -4,6 +4,7 @@ free resolutions and Castelnuovo-Mumford regularity — plus the construction
 and claim-by-claim verification of a family of almost complete intersections
 supported on monomial curves."""
 
+from ._kernel import BudgetExceeded
 from .ring import (GREVLEX, LEX, Block, Grevlex, Lex, PermutedGrevlex,
                    PolyRing, Polynomial, PrimeField, QQ, RationalField,
                    Weighted, field_of_characteristic, reduce, spoly,

@@ -11,6 +11,14 @@ a heap in normal order, and prunes them by Gebauer-Moeller.  On prime fields
 every stored coefficient is in [1, p): no path stores a negative residue or
 a zero term.
 
+Over Q the Groebner work runs on Python ints.  A Reducer holds the primitive
+integer multiple of its polynomial, and a normal form carries one common
+denominator for all its terms and reduces fraction-free (see _reduce), so
+Buchberger's S-pairs and remainders never leave the integers.  Fractions
+appear only at the boundary: normal_form returns them and the reduced basis
+is monic in them.  The free-module normal form (mod_normal_form) and the
+pdict_* helpers that resolutions use still work on Fractions over Q.
+
 Everything here is internal; the public API wraps it in ring.py, groebner.py
 and resolution.py.
 """
@@ -20,8 +28,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 _DIV_THRESHOLDS = (1, 2, 4, 8)
+
+
+class BudgetExceeded(RuntimeError):
+    """A computation ran past its work budget (pairs or saturation steps)."""
 
 
 class Context:
@@ -67,14 +80,21 @@ def from_packed(ctx, pdict, ring):
 
 
 class Reducer:
-    """A monic reducer: lead data plus tail terms, ready for the NF loop."""
+    """A reducer: lead data plus tail terms, ready for the NF loop.
 
-    __slots__ = ("index", "leadkey", "leadexps", "mask", "tail", "sugar")
+    Over F_p the reducer is monic: lc is 1 and every coefficient is in
+    [1, p).  Over Q it holds the primitive integer multiple of the
+    polynomial: denominators cleared, content divided out, and the integer
+    lead coefficient lc positive.
+    """
 
-    def __init__(self, index, leadkey, leadexps, mask, tail, sugar=0):
+    __slots__ = ("index", "leadkey", "leadexps", "lc", "mask", "tail", "sugar")
+
+    def __init__(self, index, leadkey, leadexps, mask, tail, sugar=0, lc=1):
         self.index = index
         self.leadkey = leadkey
         self.leadexps = leadexps
+        self.lc = lc
         self.mask = mask
         self.tail = tail
         self.sugar = sugar
@@ -84,28 +104,39 @@ class Reducer:
         if not pdict:
             raise ValueError("zero polynomial cannot reduce")
         leadkey = max(pdict)
-        lc = pdict[leadkey]
-        field = ctx.field
-        if lc != field(1):
-            inv = field.inv(lc)
-            if ctx.p is not None:
+        if ctx.p is not None:
+            lc = pdict[leadkey]
+            field = ctx.field
+            if lc != field(1):
+                inv = field.inv(lc)
                 pdict = {k: c * inv % ctx.p for k, c in pdict.items()}
-            else:
-                pdict = {k: c * inv for k, c in pdict.items()}
+            lc = 1
+        else:
+            pdict, _ = _integral(pdict)
+            content = gcd(*pdict.values())
+            if pdict[leadkey] < 0:
+                content = -content
+            pdict = {k: c // content for k, c in pdict.items()}
+            lc = pdict[leadkey]
         leadexps = ctx.unpack(leadkey)
         tail = tuple((k, c) for k, c in pdict.items() if k != leadkey)
         if sugar is None:
             sugar = max(sum(ctx.unpack(k)) for k in pdict)
-        return cls(index, leadkey, leadexps, mask=ctx.divmask(leadexps), tail=tail, sugar=sugar)
+        return cls(index, leadkey, leadexps, mask=ctx.divmask(leadexps), tail=tail,
+                   sugar=sugar, lc=lc)
+
 
 def reducer_dict(red):
-    """The reducer's full packed dict (monic lead plus tail)."""
-    d = {red.leadkey: 1}
-    for k, c in red.tail:
-        d[k] = c
-    if red.tail and isinstance(red.tail[0][1], Fraction):
-        d[red.leadkey] = Fraction(1)
+    """The reducer's packed dict: monic over F_p, primitive integers over Q."""
+    d = {red.leadkey: red.lc}
+    d.update(red.tail)
     return d
+
+
+def _integral(f):
+    """(h, den) with integer h and h / den == f, for a packed dict over Q."""
+    den = lcm(*[c.denominator for c in f.values()])
+    return {k: c.numerator * (den // c.denominator) for k, c in f.items()}, den
 
 
 def _find_reducer(reducers, exps, mask):
@@ -122,17 +153,39 @@ def _find_reducer(reducers, exps, mask):
 
 
 def normal_form(ctx, f, reducers, track=False):
-    """Full normal form of packed f against monic reducers.
+    """Full normal form of packed f against the reducers.
 
     Returns (remainder, quotients); quotients maps reducer.index to a packed
-    quotient dict with f == sum(q * reducer) + remainder.  The highest term is
-    rewritten first and the first reducer in list order wins, so the result is
-    deterministic in the given reducer order.
+    quotient dict with f == sum(q * monic reducer) + remainder.  The highest
+    term is rewritten first and the first reducer in list order wins, so the
+    result is deterministic in the given reducer order.  Over Q the work is
+    done on integers (see _reduce); only the results are Fractions.
+    """
+    if ctx.p is not None:
+        rem, _, quots = _reduce(ctx, dict(f), reducers, track)
+        return rem, quots
+    h, den = _integral(f)
+    rem, den, quots = _reduce(ctx, h, reducers, track, den)
+    return _fractions(rem, den), quots
+
+
+def _fractions(h, den):
+    return {k: Fraction(c, den) for k, c in h.items()}
+
+
+def _reduce(ctx, h, reducers, track=False, den=1):
+    """The normal-form loop; returns (rem, den, quots), the remainder rem / den.
+
+    h is consumed.  Over F_p, den stays 1 and the loop is field arithmetic.
+    Over Q, h holds ints and stands for h / den, and each step is a
+    fraction-free pseudo-reduction: for top coefficient c and reducer lead
+    lc, with g = gcd(c, lc) and a = lc / g, the pending terms, the remainder
+    and den are multiplied by a, and (c / g) * x^shift * tail is subtracted.
+    The quotient term of that step is c / den.
     """
     p = ctx.p
     unpack = ctx.unpack
     divmask = ctx.divmask
-    h = dict(f)
     heap = [-k for k in h]
     heapq.heapify(heap)
     rem = {}
@@ -150,11 +203,11 @@ def normal_form(ctx, f, reducers, track=False):
             rem[k] = c
             continue
         shift = k - red.leadkey
-        if track:
-            qd = quots.setdefault(red.index, {})
-            prev = qd.get(shift)
-            qd[shift] = c if prev is None else (prev + c) % p if p is not None else prev + c
         if p is not None:
+            if track:
+                qd = quots.setdefault(red.index, {})
+                prev = qd.get(shift)
+                qd[shift] = c if prev is None else (prev + c) % p
             for tk, tc in red.tail:
                 nk = tk + shift
                 prev = h.get(nk)
@@ -170,21 +223,33 @@ def normal_form(ctx, f, reducers, track=False):
                     else:
                         del h[nk]
         else:
+            if track:
+                q = Fraction(c, den)
+                qd = quots.setdefault(red.index, {})
+                prev = qd.get(shift)
+                qd[shift] = q if prev is None else prev + q
+            lc = red.lc
+            if lc != 1:
+                g = gcd(c, lc)
+                a = lc // g
+                if a != 1:
+                    h = {t: v * a for t, v in h.items()}
+                    rem = {t: v * a for t, v in rem.items()}
+                    den *= a
+                c //= g
             for tk, tc in red.tail:
                 nk = tk + shift
                 prev = h.get(nk)
                 if prev is None:
-                    v = -c * tc
-                    if v:
-                        h[nk] = v
-                        push(heap, -nk)
+                    h[nk] = -c * tc
+                    push(heap, -nk)
                 else:
                     v = prev - c * tc
                     if v:
                         h[nk] = v
                     else:
                         del h[nk]
-    return rem, quots
+    return rem, den, quots
 
 
 def _mono_lcm_exps(a, b):
@@ -199,15 +264,23 @@ def _divides(a, b):
 
 
 def _spair(gi, gj, lcmkey, p):
+    """The S-polynomial of two reducers, leads cancelled, up to a scalar.
+
+    Over F_p both reducers are monic.  Over Q it is the integer combination
+    (lc_j / g) * x^si * gi - (lc_i / g) * x^sj * gj with g = gcd(lc_i, lc_j).
+    """
+    g = gcd(gi.lc, gj.lc)
+    ai = gj.lc // g
+    aj = gi.lc // g
     h = {}
     si = lcmkey - gi.leadkey
     for k, c in gi.tail:
-        h[k + si] = c
+        h[k + si] = ai * c
     sj = lcmkey - gj.leadkey
     for k, c in gj.tail:
         nk = k + sj
         prev = h.get(nk)
-        v = -c if prev is None else prev - c
+        v = -aj * c if prev is None else prev - aj * c
         if p is not None:
             v %= p
         if v:
@@ -273,11 +346,12 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
         update(red)
 
     tick = itertools.count()
-    todo = [(max(d), next(tick), d) for d in pdicts if d]
+    todo = [(max(d), next(tick), dict(d) if p is not None else _integral(d)[0])
+            for d in pdicts if d]
     heapq.heapify(todo)
     start = []
     while todo:
-        rem, _ = normal_form(ctx, heapq.heappop(todo)[2], start)
+        rem = _reduce(ctx, heapq.heappop(todo)[2], start)[0]
         if not rem:
             continue
         red = Reducer.from_packed(ctx, rem)
@@ -296,9 +370,10 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
             continue
         stats["pairs_processed"] += 1
         if stats["pairs_processed"] > max_pairs:
-            raise RuntimeError("Groebner basis computation exceeded the pair budget")
+            raise BudgetExceeded(
+                f"Groebner basis computation exceeded the pair budget ({max_pairs} pairs)")
         s = _spair(G[ij[0]], G[ij[1]], lcmkey, p)
-        rem, _ = normal_form(ctx, s, G)
+        rem = _reduce(ctx, s, G)[0]
         if not rem:
             stats["zero_reductions"] += 1
             continue
@@ -316,7 +391,8 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     final = []
     for i in kept:
         others = [G[j] for j in kept if j != i]
-        final.append(normal_form(ctx, reducer_dict(G[i]), others)[0])
+        rem, den, _ = _reduce(ctx, reducer_dict(G[i]), others, den=G[i].lc)
+        final.append(rem if p is not None else _fractions(rem, den))
     final.sort(key=max, reverse=True)
     stats["basis_size"] = len(final)
     return final, stats

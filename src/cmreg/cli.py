@@ -9,6 +9,9 @@ then a ``gens:`` line followed by one polynomial per line in the same syntax
 the parser accepts (integer or a/b coefficients, ^ powers, optional *).
 Blank lines and lines starting with ``#`` are ignored, so emitted files can
 carry their metadata inline as comments.
+
+Errors are one line on stderr, ``cmreg: error: <message>``: exit code 2 for
+bad input, 3 for an exhausted budget or a failed genericity search.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import re
 import sys
 
 from . import families, resolution, verify
+from ._kernel import BudgetExceeded
 from .groebner import Ideal
 from .ring import GREVLEX, PolyRing, field_of_characteristic
+from .sections import GenericityFailure
 
 _HEADER_RE = re.compile(
     r"^ring:\s*char=(\d+)\s+vars=\[([^\]]*)\]\s+order=(\w+)\s*$")
@@ -188,6 +193,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"cmreg: error: {exc}", file=sys.stderr)
         return 2
+    except (BudgetExceeded, GenericityFailure) as exc:
+        print(f"cmreg: error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ._kernel import BudgetExceeded
 from .groebner import Ideal, member
 from .ring import Block, PermutedGrevlex, PolyRing, transport
 from . import hilbert
@@ -111,7 +112,7 @@ def saturate(I, f, max_steps=200):
             return current, q
         current = nxt
         q += 1
-    raise RuntimeError("saturation chain did not stabilize within the step budget")
+    raise BudgetExceeded(f"saturation chain did not stabilize within {max_steps} steps")
 
 
 def saturate_ideal(I, J, max_steps=200):
@@ -127,7 +128,7 @@ def saturate_ideal(I, J, max_steps=200):
         if nxt.same_ideal(current):
             return current
         current = nxt
-    raise RuntimeError("saturation chain did not stabilize within the step budget")
+    raise BudgetExceeded(f"saturation chain did not stabilize within {max_steps} steps")
 
 
 def _variable_indices(J):
@@ -234,13 +235,17 @@ def eliminate(I, variables):
 
 
 def membership_exponent(I, l, g, jmax):
-    """min j with l^j * g in I, scanning j = 0..jmax; None if not reached."""
+    """min j with l^j * g in I, scanning j = 0..jmax; None if not reached.
+
+    Iterates normal forms, NF(l * NF(l^(j-1) * g)) == NF(l^j * g), so each
+    step multiplies a remainder by l instead of carrying the growing power.
+    """
     gb = I.groebner()
-    cur = g
+    cur = gb.normal_form(g)
     for j in range(jmax + 1):
-        if gb.reduces_to_zero(cur):
+        if cur.is_zero():
             return j
-        cur = cur * l
+        cur = gb.normal_form(cur * l)
     return None
 
 

@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+from cmreg import _kernel, families
 from cmreg.cli import format_ideal_file, main, parse_ideal_file
 from cmreg.groebner import Ideal
 from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ
+from cmreg.sections import GenericityFailure
 
 
 def test_ideal_file_roundtrip():
@@ -119,6 +121,32 @@ def test_errors_are_one_line_with_exit_code_2(case, tmp_path, capsys):
         path.write_text("ring: vars=[x,y]\ngens:\nx\n")
         argv, needle = ["reg", "--in", str(path)], "bad header line"
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("cmreg: error: ") and needle in lines[0]
+
+
+@pytest.mark.parametrize("case", ["pair-budget", "genericity"])
+def test_exhausted_budgets_are_one_line_with_exit_code_3(case, tmp_path, capsys,
+                                                         monkeypatch):
+    if case == "pair-budget":
+        path = tmp_path / "cubic.txt"
+        path.write_text("ring: char=32003 vars=[x,y,z,w] order=grevlex\ngens:\n"
+                        "x*z - y^2\nx*w - y*z\ny*w - z^2\n")
+        kernel_buchberger = _kernel.buchberger
+        monkeypatch.setattr(_kernel, "buchberger",
+                            lambda ctx, pdicts: kernel_buchberger(ctx, pdicts, max_pairs=0))
+        argv, needle = ["reg", "--in", str(path)], "exceeded the pair budget"
+    else:
+        def no_section(*args, **kwargs):
+            raise GenericityFailure("no stable general section after 5 rounds; "
+                                    "seeds tried: [5, 6]")
+
+        monkeypatch.setattr(families, "build_family", no_section)
+        argv, needle = ["family", "--m", "2", "--n", "2"], "no stable general section"
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

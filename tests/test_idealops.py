@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from cmreg._kernel import BudgetExceeded
 from cmreg.groebner import Ideal, member
 from cmreg.hilbert import hilbert_function, indeg
 from cmreg.idealops import (colon, colon_by_variable_power, colon_ideal,
@@ -252,6 +253,45 @@ def test_membership_exponent():
     assert membership_exponent(I, y, x, 5) == 1
     assert membership_exponent(I, y, y, 5) is None
     assert membership_exponent(I, y, x * x, 5) == 0
+
+
+def _membership_exponent_by_products(I, l, g, jmax):
+    """The product route: reduce each l^j * g from scratch."""
+    gb = I.groebner()
+    cur = g
+    for j in range(jmax + 1):
+        if gb.reduces_to_zero(cur):
+            return j
+        cur = cur * l
+    return None
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("primed", [False, True], ids=["unprimed", "primed"])
+def test_membership_exponent_matches_product_route(primed, char):
+    from cmreg.families import build_family
+    from cmreg.sections import random_linear_form
+    from cmreg.verify import DEFAULT_SEED
+
+    fam = build_family(2, 2, primed=primed, char=char)
+    aci = fam.almost_complete_intersection
+    sat_gens = saturate_irrelevant(aci).groebner().polys
+    exponents = []
+    for k in range(2):  # the first draw of lemma12's rounds 0 and 1
+        l = random_linear_form(fam.ring, DEFAULT_SEED + 9973 * k)
+        for g in sat_gens:
+            j = membership_exponent(aci, l, g, 6)
+            assert j == _membership_exponent_by_products(aci, l, g, 6)
+            exponents.append(j)
+    assert None not in exponents and max(exponents) > 0
+
+
+def test_saturation_step_budget_raises_budget_exceeded():
+    R = PolyRing(("x", "y"), PrimeField(32003), GREVLEX)
+    x, y = R.gens()
+    I = Ideal(R, [x * x, x * y])  # I : y = (x) != I, so one step cannot settle
+    with pytest.raises(BudgetExceeded, match="within 1 steps"):
+        saturate(I, y, max_steps=1)
 
 
 def test_saturation_exponent_bound_two_vars():

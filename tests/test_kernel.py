@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +14,7 @@ from cmreg.groebner import Ideal
 from cmreg.hilbert import dim_deg
 from cmreg.idealops import colon
 from cmreg.resolution import _schreyer_levels, regularity_ideal
-from cmreg.ring import GREVLEX, LEX, PolyRing, PrimeField, field_of_characteristic
+from cmreg.ring import GREVLEX, LEX, PolyRing, PrimeField, QQ, field_of_characteristic, reduce
 
 
 def test_colon_at_4_3_keeps_prime_field_coefficients_reduced():
@@ -29,12 +31,12 @@ def test_colon_at_4_3_keeps_prime_field_coefficients_reduced():
     assert dim_deg(J) == (dim_i, deg_i - 192)
 
 
-def _random_form(rng, ring, degree, nterms):
+def _random_form(rng, ring, degree, nterms, coeff=None):
     terms = {}
     for _ in range(nterms):
         cuts = sorted(rng.randrange(degree + 1) for _ in range(ring.nvars - 1))
         exps = tuple(b - a for a, b in zip((0,) + tuple(cuts), tuple(cuts) + (degree,)))
-        terms[exps] = rng.randrange(1, ring.field.p)
+        terms[exps] = coeff() if coeff else rng.randrange(1, ring.field.p)
     return ring.poly(terms)
 
 
@@ -62,14 +64,19 @@ def test_prime_field_coefficients_in_range_on_random_ideals(p):
 
 # Pairs and zero reductions summed over every Groebner basis computed by a
 # cold build_family(2, 2) and the regularity of its almost complete
-# intersection, as measured with the fixed-point start autoreduction.  The
-# counts do not depend on the machine, so a change that inflates the work
-# fails here even when timings are too noisy to show it.
-FAMILY_22_WORK = {"pairs_processed": 221, "zero_reductions": 178}
+# intersection.  The F_32003 ceiling was measured with the fixed-point start
+# autoreduction; the rational counts were measured with the Fraction normal
+# form, and the fraction-free one matches them exactly, because the pair
+# order depends only on leads and sugar.  The counts do not depend on the
+# machine, so a change that inflates the work fails here even when timings
+# are too noisy to show it.
+FAMILY_22_WORK = {32003: {"pairs_processed": 221, "zero_reductions": 178},
+                  0: {"pairs_processed": 93, "zero_reductions": 75}}
 
 
-def test_groebner_work_of_family_22_does_not_grow(monkeypatch):
-    totals = dict.fromkeys(FAMILY_22_WORK, 0)
+@pytest.mark.parametrize("char", sorted(FAMILY_22_WORK))
+def test_groebner_work_of_family_22_does_not_grow(monkeypatch, char):
+    totals = dict.fromkeys(FAMILY_22_WORK[char], 0)
     kernel_buchberger = _kernel.buchberger
 
     def counted(ctx, pdicts, *args, **kwargs):
@@ -80,7 +87,129 @@ def test_groebner_work_of_family_22_does_not_grow(monkeypatch):
 
     monkeypatch.setattr(_kernel, "buchberger", counted)
     monkeypatch.setattr(families, "_FAMILY_CACHE", {})
-    fam = build_family(2, 2)
+    fam = build_family(2, 2, char=char)
     assert regularity_ideal(fam.almost_complete_intersection) == 7
-    for name, recorded in FAMILY_22_WORK.items():
+    for name, recorded in FAMILY_22_WORK[char].items():
         assert totals[name] <= recorded, (name, totals[name])
+
+
+# --- the rational kernel against the Fraction normal form it replaced -------
+
+def _fraction_reducers(ctx, pdicts):
+    """Monic reducers with Fraction tails, as the reference loop wants them."""
+    out = []
+    for i, d in enumerate(pdicts):
+        lead = max(d)
+        exps = ctx.unpack(lead)
+        tail = tuple((k, c / d[lead]) for k, c in d.items() if k != lead)
+        out.append(_kernel.Reducer(i, lead, exps, ctx.divmask(exps), tail))
+    return out
+
+
+def _fraction_normal_form(ctx, f, reducers, track=False):
+    """The rational normal form on Fractions, one Fraction per tail term."""
+    h = dict(f)
+    heap = [-k for k in h]
+    heapq.heapify(heap)
+    rem = {}
+    quots = {} if track else None
+    while heap:
+        k = -heapq.heappop(heap)
+        c = h.pop(k, None)
+        if c is None:
+            continue
+        exps = ctx.unpack(k)
+        red = _kernel._find_reducer(reducers, exps, ctx.divmask(exps))
+        if red is None:
+            rem[k] = c
+            continue
+        shift = k - red.leadkey
+        if track:
+            qd = quots.setdefault(red.index, {})
+            qd[shift] = qd.get(shift, 0) + c
+        for tk, tc in red.tail:
+            nk = tk + shift
+            if nk not in h:
+                heapq.heappush(heap, -nk)
+            v = h.get(nk, 0) - c * tc
+            if v:
+                h[nk] = v
+            else:
+                h.pop(nk, None)
+    return rem, quots
+
+
+def _random_rational_ideals(order, count, seed):
+    """Seeded ideals over Q with non-monic fractional coefficients, packed."""
+    rng = random.Random(seed)
+    R = PolyRing(("a", "b", "c"), QQ, GREVLEX)
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 7))
+
+    ctx = _kernel.Context(order.bind(R.nvars), R.field)
+    for _ in range(count):
+        gens = [_random_form(rng, R, rng.randrange(2, 4), rng.randrange(2, 4), coeff)
+                for _ in range(rng.randrange(2, 4))]
+        mults = [_random_form(rng, R, 1, 2, coeff) for _ in gens]
+        members = sum((m * g for m, g in zip(mults, gens)), R.zero)
+        others = [members + _random_form(rng, R, d, 3, coeff) for d in (2, 3, 4)]
+        yield ctx, [_kernel.to_packed(ctx, g) for g in gens], [
+            _kernel.to_packed(ctx, f) for f in [members] + others]
+
+
+@pytest.mark.parametrize("order", [LEX, GREVLEX], ids=["lex", "grevlex"])
+def test_rational_normal_form_matches_fraction_reference(order):
+    cases = 0
+    for ctx, gens, targets in _random_rational_ideals(order, 8, 20261019):
+        basis, _ = _kernel.buchberger(ctx, gens)
+        for divisors in (gens, basis):
+            reducers = [_kernel.Reducer.from_packed(ctx, d, index=i)
+                        for i, d in enumerate(divisors)]
+            reference = _fraction_reducers(ctx, divisors)
+            for f in targets:
+                for track in (False, True):
+                    got = _kernel.normal_form(ctx, f, reducers, track)
+                    assert got == _fraction_normal_form(ctx, f, reference, track)
+                    assert all(type(c) is Fraction for c in got[0].values())
+                    cases += bool(got[0])
+    assert cases  # some targets leave a remainder
+
+
+def _mod_p(d, p):
+    return {k: c.numerator * pow(c.denominator, -1, p) % p
+            for k, c in d.items() if c.numerator % p}
+
+
+@pytest.mark.parametrize("order", [LEX, GREVLEX], ids=["lex", "grevlex"])
+def test_rational_buchberger_basis_is_monic_fractions(order):
+    # The basis reduced mod p must be the prime-field basis of the generators
+    # reduced mod p: a second route through the F_p branch of the kernel.
+    p = 32003
+    pctx = _kernel.Context(order.bind(3), PrimeField(p))
+    for ctx, gens, _ in _random_rational_ideals(order, 8, 20261020):
+        basis, _ = _kernel.buchberger(ctx, gens)
+        assert basis
+        for d in basis:
+            assert d[max(d)] == 1
+            assert all(type(c) is Fraction and c for c in d.values()), d
+        prime_basis, _ = _kernel.buchberger(pctx, [_mod_p(g, p) for g in gens])
+        assert [_mod_p(d, p) for d in basis] == prime_basis
+
+
+def test_rational_reduce_reconstructs_f():
+    rng = random.Random(20261021)
+    R = PolyRing(("x", "y", "z"), QQ, GREVLEX)
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 7))
+
+    for _ in range(20):
+        gens = [_random_form(rng, R, rng.randrange(1, 4), rng.randrange(1, 4), coeff)
+                for _ in range(rng.randrange(1, 4))]
+        f = sum((_random_form(rng, R, d, 4, coeff) for d in range(5)), R.zero)
+        for divisors in (gens, Ideal(R, gens).groebner().polys):
+            r, quots = reduce(f, divisors)
+            assert f == sum((q * g for q, g in zip(quots, divisors)), r)
+            leads = [g.lm() for g in divisors]
+            assert not any(all(a <= b for a, b in zip(lm, e)) for e, _ in r.terms for lm in leads)
