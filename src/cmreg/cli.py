@@ -12,6 +12,8 @@ carry their metadata inline as comments.
 
 Errors are one line on stderr, ``cmreg: error: <message>``: exit code 2 for
 bad input, 3 for an exhausted budget or a failed genericity search.
+``verify`` checks its characteristic and instance before any claim runs, so
+its exit code 1 always means a failed claim.
 """
 
 from __future__ import annotations
@@ -121,8 +123,10 @@ def _cmd_reg(args):
 def _cmd_verify(args):
     claims = None if args.claim == "all" else [args.claim]
     if (args.m is None) != (args.n is None):
-        raise SystemExit("--m and --n must be given together")
+        raise ValueError("--m and --n must be given together")
+    field_of_characteristic(args.char)
     if args.m is not None:
+        families.check_parameters(args.m, args.n, args.primed)
         if args.claim == "all":
             if args.primed:
                 wanted = ["prop22", "lemma21", "thm11", "lemma12", "cor13"]

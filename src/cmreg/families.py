@@ -270,18 +270,23 @@ class FamilyInstance:
 _FAMILY_CACHE = {}
 
 
-def build_family(m, n, primed=False, char=32003):
-    """Build and validate a family instance; cached per (m, n, primed, char)."""
-    key = (m, n, bool(primed), char)
-    cached = _FAMILY_CACHE.get(key)
-    if cached is not None:
-        return cached
+def check_parameters(m, n, primed):
+    """Raise ValueError unless (m, n, primed) names a family instance."""
     if primed and m < 1:
         raise ValueError("primed instances need m >= 1")
     if not primed and m < 2:
         raise ValueError("unprimed instances need m >= 2")
     if n < 2:
         raise ValueError("need n >= 2")
+
+
+def build_family(m, n, primed=False, char=32003):
+    """Build and validate a family instance; cached per (m, n, primed, char)."""
+    key = (m, n, bool(primed), char)
+    cached = _FAMILY_CACHE.get(key)
+    if cached is not None:
+        return cached
+    check_parameters(m, n, primed)
     exps = curve_exponents(m, n, primed)
     ring, curve = curve_ideal(exps, char)
     forms = ci_forms(m, n, ring, primed)

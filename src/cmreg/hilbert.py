@@ -6,10 +6,12 @@ recursion on the monomial generators (split on the most frequent variable).
 Dimension is the pole order at t = 1 and the degree (multiplicity) is the
 value of the cancelled numerator there.
 
-finite_length compares two ideals through the exact series identity: the
-difference of their series is a polynomial exactly when the quotient
-I_big/I_small has finite length, and then its coefficients are the graded
-pieces.  No truncation is involved anywhere.
+series_difference compares two Hilbert series exactly: their difference is
+a polynomial exactly when the Hilbert polynomials agree, which for I_small
+inside I_big means the quotient I_big/I_small has finite length.
+finite_length reads the graded pieces of that quotient off the coefficients,
+and saturate_irrelevant certifies a saturation with it.  No truncation is
+involved anywhere.
 """
 
 from __future__ import annotations
@@ -202,6 +204,23 @@ class FiniteLengthData:
     coefficients: tuple  # graded dimensions of I_big/I_small by degree
 
 
+def series_difference(data_a, data_b):
+    """HS_a - HS_b of two HilbertData as coefficients when it is a
+    polynomial, else None.
+
+    The difference is (N_a - N_b) / (1-t)^n for the numerators N; it is a
+    polynomial exactly when the two Hilbert polynomials agree.
+    """
+    diff = _trim(_poly_add(data_a.numerator, tuple(-c for c in data_b.numerator)))
+    for _ in range(data_a.nvars):
+        if not diff:
+            break
+        diff = _divide_by_one_minus_t(diff)
+        if diff is None:
+            return None
+    return diff
+
+
 def finite_length(ideal_small, ideal_big):
     """Length data of I_big/I_small when it is finite; error otherwise.
 
@@ -214,18 +233,9 @@ def finite_length(ideal_small, ideal_big):
         raise ValueError("ideals from different rings")
     if not ideal_big.contains_ideal(ideal_small):
         raise ValueError("finite_length requires I_small contained in I_big")
-    n = ideal_small.ring.nvars
-    ns = hilbert_series(ideal_small).numerator
-    nb = hilbert_series(ideal_big).numerator
-    diff = _trim(_poly_add(ns, tuple(-c for c in nb)))
-    for _ in range(n):
-        if not diff:
-            break
-        q = _divide_by_one_minus_t(diff)
-        if q is None:
-            raise ValueError("quotient is not finite length")
-        diff = q
-    coeffs = _trim(diff)
+    coeffs = series_difference(hilbert_series(ideal_small), hilbert_series(ideal_big))
+    if coeffs is None:
+        raise ValueError("quotient is not finite length")
     if any(c < 0 for c in coeffs):
         raise ValueError("series difference has negative coefficients; containment is not proper")
     if not coeffs:

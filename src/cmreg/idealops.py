@@ -10,14 +10,21 @@ Saturation by an ideal generated by variables (the irrelevant ideal, or the
 coordinate-subspace primes used by the residual checks) has an exact fast
 path: I : (x_i, i in S)^inf equals the intersection over S of I : x_i^inf,
 and each of those comes from one Groebner basis in a grevlex order with x_i
-moved last, dividing every basis element by its x_i power.  That shortcut
-requires homogeneous input and is checked against the literal route in the
-test suite.
+moved last, dividing every basis element by its x_i power (Bayer-Stillman:
+in(I : x_i) = in(I) : x_i for revlex with x_i last).  That shortcut requires
+homogeneous input and is checked against the literal route in the test
+suite.
+
+The irrelevant saturation I^sat usually needs only one of those colons.
+Each J = I : x_i^inf contains I^sat, and J = I^sat exactly when J/I^sat has
+finite length, which the Hilbert series certify: HS(A/I) - HS(A/J) is a
+polynomial.  saturate_irrelevant returns the first certified colon and
+intersects all of them only when none is certified.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 from ._kernel import BudgetExceeded
@@ -169,12 +176,32 @@ def colon_by_variable_power(I, i):
 
 
 def saturate_irrelevant(I):
-    """I^sat = I : (x_0,...,x_n)^inf, cached on the ideal."""
+    """I^sat = I : (x_0,...,x_n)^inf, cached on the ideal.
+
+    For homogeneous I each colon J = I : x_i^inf contains I^sat.  When
+    HS(A/I) - HS(A/J) is a polynomial, J and I^sat share a Hilbert
+    polynomial, so J/I^sat has finite length; A/I^sat has no m-torsion, so
+    then J = I^sat.  The colons are tried from the last variable down (the
+    last one reuses the grevlex basis of I) and the first that passes is the
+    answer.  When none passes, I^sat is the intersection of all of them.
+    Non-homogeneous input goes through saturate_ideal.
+    """
     cached = I._cache.get("sat")
     if cached is None:
         ring = I.ring
-        J = Ideal(ring, [ring.gen(i) for i in range(ring.nvars)])
-        cached = saturate_ideal(I, J)
+        if I.is_homogeneous():
+            hs = hilbert.hilbert_series(I)
+            parts = []
+            for i in range(ring.nvars - 1, -1, -1):
+                J = colon_by_variable_power(I, i)
+                if hilbert.series_difference(hs, hilbert.hilbert_series(J)) is not None:
+                    cached = J
+                    break
+                parts.append(J)
+            else:
+                cached = functools.reduce(intersect, reversed(parts))
+        else:
+            cached = saturate_ideal(I, Ideal(ring, ring.gens()))
         I._cache["sat"] = cached
     return cached
 

@@ -325,7 +325,9 @@ class PermutedGrevlex(MonomialOrder):
     perm lists source variable indices in the order the comparison reads
     them; perm[-1] plays the role of the last grevlex variable.  Used
     internally for colon and saturation shortcuts; not part of the order
-    grammar accepted in ideal files.
+    grammar accepted in ideal files.  The identity permutation is grevlex
+    itself: the same repr and the grevlex packers, so a basis cached under
+    either order is found under the other.
     """
 
     name = "permuted-grevlex"
@@ -335,10 +337,13 @@ class PermutedGrevlex(MonomialOrder):
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"not a permutation: {perm!r}")
         self.perm = perm
+        self._identity = perm == tuple(range(len(perm)))
 
     def _build(self, n):
         if len(self.perm) != n:
             raise ValueError(f"permutation of {len(self.perm)} entries for {n} variables")
+        if self._identity:
+            return GREVLEX._build(n)
         perm = self.perm
         inv = [0] * n
         for pos, src in enumerate(perm):
@@ -356,6 +361,8 @@ class PermutedGrevlex(MonomialOrder):
         return _Bound(n, pack, unpack)
 
     def __repr__(self):
+        if self._identity:
+            return "grevlex"
         return f"permuted-grevlex({','.join(map(str, self.perm))})"
 
 

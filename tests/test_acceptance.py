@@ -7,6 +7,7 @@ cache hits from other test files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -24,8 +25,9 @@ from cmreg.idealops import colon, saturate
 from cmreg.resolution import a0, betti, regularity, regularity_ideal
 from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ, reduce
 from cmreg.sections import general_section, thm11_rhs
-from cmreg.verify import (PRIMED_GRID, UNPRIMED_GRID, check_lemma12,
-                          check_lemma_decomp, check_thm11)
+from cmreg.verify import (DEFAULT_SEED, PRIMED_GRID, UNPRIMED_GRID, check_lemma12,
+                          check_lemma_decomp, check_thm11, grid_reports,
+                          render_json)
 
 FULL_GRID = tuple((m, n, False) for m, n in UNPRIMED_GRID) + \
             tuple((m, n, True) for m, n in PRIMED_GRID)
@@ -219,6 +221,13 @@ def test_criterion_09_unprimed_instance_bounds():
         assert reg_curve <= n ** m + n * (n + 1) ** (m - 2) - 1
 
 
+# sha256 of `cmreg verify all --format json` (seed 2026) at each characteristic.
+VERIFY_ALL_SHA256 = {
+    32003: "c5d447cf146c4a564d6daec300bf4c29bd0c3f36bacec8920bb3e57e5889934b",
+    0: "a1df0209101e14ec4abbecf569513a19cda3523f436500d4c14cadde3f2029f3",
+}
+
+
 def test_criterion_10_verify_all_is_byte_deterministic():
     cmd = [sys.executable, "-m", "cmreg.cli", "verify", "all", "--format", "json"]
     runs = []
@@ -227,5 +236,11 @@ def test_criterion_10_verify_all_is_byte_deterministic():
         assert proc.returncode == 0, proc.stderr.decode()
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
+    assert hashlib.sha256(runs[0]).hexdigest() == VERIFY_ALL_SHA256[32003]
     obj = json.loads(runs[0])
     assert obj["verdict"] == "pass"
+
+
+def test_criterion_10_verify_all_char_zero_digest():
+    text = render_json(grid_reports(char=0, seed=DEFAULT_SEED), char=0, seed=DEFAULT_SEED)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SHA256[0]

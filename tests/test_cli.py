@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cmreg import _kernel, families
+from cmreg import _kernel, families, verify
 from cmreg.cli import format_ideal_file, main, parse_ideal_file
 from cmreg.groebner import Ideal
 from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ
@@ -96,8 +96,38 @@ def test_verify_all_for_one_instance(capsys):
 
 
 def test_verify_requires_m_and_n_together(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "prop32", "--m", "2"])
+    assert main(["verify", "prop32", "--m", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cmreg: error: --m and --n must be given together\n"
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "prop32", "--m", "2", "--n", "2", "--char", "4"], "odd prime"),
+    (["verify", "all", "--char", "4"], "odd prime"),
+    (["verify", "prop32", "--m", "0", "--n", "2"], "unprimed instances need m >= 2"),
+    (["verify", "all", "--m", "0", "--n", "2", "--primed"], "primed instances need m >= 1"),
+    (["verify", "thm11", "--m", "2", "--n", "1"], "need n >= 2"),
+], ids=["char-4", "grid-char-4", "m0", "primed-m0", "n1"])
+def test_verify_bad_input_exits_2_before_any_claim(argv, needle, capsys, monkeypatch):
+    def no_claims(*args, **kwargs):
+        raise AssertionError("a claim ran on bad input")
+
+    monkeypatch.setattr(verify, "run_claim", no_claims)
+    monkeypatch.setattr(verify, "grid_reports", no_claims)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("cmreg: error: ") and needle in lines[0]
+
+
+def test_run_claim_reports_a_build_failure_as_a_failed_report():
+    report = verify.run_claim("prop32", 0, 2, False)
+    assert report.verdict == "fail"
+    assert [s.name for s in report.subchecks] == ["unexpected-error"]
+    assert "unprimed instances need m >= 2" in report.subchecks[0].note
 
 
 def test_verify_csv_format(capsys):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from cmreg import idealops
 from cmreg._kernel import BudgetExceeded
 from cmreg.groebner import Ideal, member
 from cmreg.hilbert import hilbert_function, indeg
@@ -211,13 +212,48 @@ def test_saturate_ideal_variable_fast_path():
     assert S.same_ideal(cur)
 
 
-def test_saturate_irrelevant_removes_embedded_component():
+def _fresh(I):
+    return Ideal(I.ring, I.gens)
+
+
+def _saturate_traced(I, monkeypatch):
+    """saturate_irrelevant(I), plus the variables whose colons it built and
+    whether it fell back to intersecting them."""
+    tried, intersected = [], []
+    colon_var, meet = idealops.colon_by_variable_power, idealops.intersect
+
+    def traced_colon(J, i):
+        tried.append(i)
+        return colon_var(J, i)
+
+    def traced_intersect(A, B):
+        intersected.append(True)
+        return meet(A, B)
+
+    monkeypatch.setattr(idealops, "colon_by_variable_power", traced_colon)
+    monkeypatch.setattr(idealops, "intersect", traced_intersect)
+    S = saturate_irrelevant(I)
+    monkeypatch.undo()
+    return S, tried, bool(intersected)
+
+
+def _assert_matches_oracle(I):
+    """saturate_irrelevant agrees with the all-variables route as reduced bases."""
+    got = saturate_irrelevant(_fresh(I))
+    oracle = saturate_ideal(_fresh(I), Ideal(I.ring, I.ring.gens()))
+    assert got.groebner().polys == oracle.groebner().polys
+    return got
+
+
+def test_saturate_irrelevant_removes_embedded_component(monkeypatch):
     R = PolyRing(("x", "y", "z"), QQ, GREVLEX)
     x, y, z = R.gens()
     # (x) meet (x^2, y, z): the second component is irrelevant-primary
     I = intersect(Ideal(R, [x]), Ideal(R, [x * x, y, z]))
-    S = saturate_irrelevant(I)
+    S, tried, fell_back = _saturate_traced(I, monkeypatch)
+    assert tried == [2] and not fell_back  # certified by the last variable
     assert S.same_ideal(Ideal(R, [x]))
+    _assert_matches_oracle(I)
 
 
 def test_eliminate_twisted_cubic_implicitization():
@@ -314,3 +350,53 @@ def test_saturation_exponent_bound_saturated_case():
     assert res.status == "saturated"
     assert res.q == 0
     assert res.holds
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("primed", [False, True], ids=["unprimed", "primed"])
+def test_saturate_irrelevant_matches_oracle_on_aci_and_sections(primed, char):
+    from cmreg.families import build_family
+    from cmreg.sections import random_linear_form, substitute_linear
+    from cmreg.verify import DEFAULT_SEED
+
+    fam = build_family(2, 2, primed=primed, char=char)
+    aci = fam.almost_complete_intersection
+    _assert_matches_oracle(aci)
+    for k in range(2):
+        _, J = substitute_linear(aci, random_linear_form(fam.ring, DEFAULT_SEED + k))
+        _assert_matches_oracle(J)
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["p", "q"])
+def test_saturate_irrelevant_fallback_intersects_the_colons(field, monkeypatch):
+    R = PolyRing(("x", "y", "z"), field, GREVLEX)
+    x, y, z = R.gens()
+    points = Ideal(R, [x * y, x * z, y * z])  # the three coordinate points
+    I = Ideal(R, [g * v for g in points.gens for v in (x, y, z)])  # points meet m^3
+    S, tried, fell_back = _saturate_traced(I, monkeypatch)
+    assert tried == [2, 1, 0] and fell_back
+    assert S.same_ideal(points) and not I.same_ideal(points)
+    _assert_matches_oracle(I)
+
+
+def test_saturate_irrelevant_rejects_a_colon_with_another_hilbert_polynomial(monkeypatch):
+    # I = (x2) meet (x0, x1) is saturated, but I : x2^inf = (x0, x1) drops the line
+    R = PolyRing(("x0", "x1", "x2"), PrimeField(32003), GREVLEX)
+    x0, x1, x2 = R.gens()
+    I = Ideal(R, [x2 * x0, x2 * x1])
+    assert colon_by_variable_power(I, 2).same_ideal(Ideal(R, [x0, x1]))
+    S, tried, fell_back = _saturate_traced(I, monkeypatch)
+    assert tried == [2, 1, 0] and fell_back
+    assert S.same_ideal(I)
+    _assert_matches_oracle(I)
+
+
+def test_saturate_irrelevant_of_m_primary_zero_and_nonhomogeneous_ideals():
+    R = PolyRing(("x", "y", "z"), PrimeField(32003), GREVLEX)
+    x, y, z = R.gens()
+    assert _assert_matches_oracle(Ideal(R, [x * x, y * y, z * z, x * y])).is_unit()
+    assert _assert_matches_oracle(Ideal(R, [])).is_zero()
+    f = x - y * y  # (f) meet m^2 = f * m, not homogeneous
+    I = Ideal(R, [v * f for v in (x, y, z)])
+    assert not I.is_homogeneous()
+    assert _assert_matches_oracle(I).same_ideal(Ideal(R, [f]))

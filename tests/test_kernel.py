@@ -12,9 +12,11 @@ from cmreg import _kernel, families
 from cmreg.families import build_family, ci_forms, residual_pivot
 from cmreg.groebner import Ideal
 from cmreg.hilbert import dim_deg
-from cmreg.idealops import colon
+from cmreg.idealops import colon, colon_by_variable_power, saturate_irrelevant
 from cmreg.resolution import _schreyer_levels, regularity_ideal
 from cmreg.ring import GREVLEX, LEX, PolyRing, PrimeField, QQ, field_of_characteristic, reduce
+from cmreg.sections import general_section
+from cmreg.verify import DEFAULT_SEED
 
 
 def test_colon_at_4_3_keeps_prime_field_coefficients_reduced():
@@ -74,23 +76,57 @@ FAMILY_22_WORK = {32003: {"pairs_processed": 221, "zero_reductions": 178},
                   0: {"pairs_processed": 93, "zero_reductions": 75}}
 
 
-@pytest.mark.parametrize("char", sorted(FAMILY_22_WORK))
-def test_groebner_work_of_family_22_does_not_grow(monkeypatch, char):
-    totals = dict.fromkeys(FAMILY_22_WORK[char], 0)
+# Calls, pairs and zero reductions of general_section plus
+# saturate_irrelevant on the (2,2) almost complete intersection at F_32003,
+# its grevlex basis already known, as build_family leaves it.
+SECTION_22_WORK = {"calls": 18, "pairs_processed": 141, "zero_reductions": 99}
+
+
+def _count_kernel_work(monkeypatch):
+    """Running totals of _kernel.buchberger calls, pairs and zero reductions."""
+    totals = {"calls": 0, "pairs_processed": 0, "zero_reductions": 0}
     kernel_buchberger = _kernel.buchberger
 
     def counted(ctx, pdicts, *args, **kwargs):
         basis, stats = kernel_buchberger(ctx, pdicts, *args, **kwargs)
-        for name in totals:
-            totals[name] += stats[name]
+        totals["calls"] += 1
+        totals["pairs_processed"] += stats["pairs_processed"]
+        totals["zero_reductions"] += stats["zero_reductions"]
         return basis, stats
 
     monkeypatch.setattr(_kernel, "buchberger", counted)
+    return totals
+
+
+@pytest.mark.parametrize("char", sorted(FAMILY_22_WORK))
+def test_groebner_work_of_family_22_does_not_grow(monkeypatch, char):
+    totals = _count_kernel_work(monkeypatch)
     monkeypatch.setattr(families, "_FAMILY_CACHE", {})
     fam = build_family(2, 2, char=char)
     assert regularity_ideal(fam.almost_complete_intersection) == 7
     for name, recorded in FAMILY_22_WORK[char].items():
         assert totals[name] <= recorded, (name, totals[name])
+
+
+def test_section_and_saturation_work_of_family_22_does_not_grow(monkeypatch):
+    aci = build_family(2, 2).almost_complete_intersection
+    I = Ideal(aci.ring, aci.gens)
+    I.groebner()
+    totals = _count_kernel_work(monkeypatch)
+    general_section(I, DEFAULT_SEED)
+    saturate_irrelevant(I)
+    for name, recorded in SECTION_22_WORK.items():
+        assert totals[name] <= recorded, (name, totals[name])
+
+
+def test_last_variable_colon_reuses_the_grevlex_basis(monkeypatch):
+    R = PolyRing(("x", "y", "z", "w"), PrimeField(32003), GREVLEX)
+    x, y, z, w = R.gens()
+    I = Ideal(R, [x * z - y * y, x * w - y * z, y * w - z * z])
+    I.groebner()
+    totals = _count_kernel_work(monkeypatch)
+    colon_by_variable_power(I, R.nvars - 1)
+    assert totals["calls"] == 0
 
 
 # --- the rational kernel against the Fraction normal form it replaced -------

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from cmreg.ring import (GREVLEX, LEX, Block, PolyRing, PrimeField, QQ,
-                        Weighted, field_of_characteristic, transport)
+from cmreg import ring
+from cmreg.ring import (GREVLEX, LEX, Block, PermutedGrevlex, PolyRing, PrimeField,
+                        QQ, Weighted, field_of_characteristic, transport)
 
 
 def test_prime_field_basics():
@@ -157,3 +158,20 @@ def test_ring_equality_and_order_cache():
     R3 = PolyRing(("x", "y"), QQ, LEX)
     assert R1 == R2
     assert R1 != R3
+
+
+@pytest.mark.parametrize("first", ["grevlex", "identity"])
+def test_identity_permutation_is_grevlex(first, monkeypatch):
+    monkeypatch.setattr(ring, "_BOUND_CACHE", {})
+    n = 4
+    ident = PermutedGrevlex(range(n))
+    assert ident == GREVLEX and repr(ident) == "grevlex"
+    assert PermutedGrevlex((1, 0, 2, 3)) != GREVLEX
+    bound = (GREVLEX if first == "grevlex" else ident).bind(n)
+    assert GREVLEX.bind(n) is bound and ident.bind(n) is bound
+    grevlex_pack, _ = ring._grevlex_pack_unpack(n)
+    assert bound.pack.__code__ is grevlex_pack.__code__
+    rng = random.Random(7)
+    for _ in range(50):
+        e = tuple(rng.randrange(0, 6) for _ in range(n))
+        assert ident.bind(n).pack(e) == GREVLEX.bind(n).pack(e) == grevlex_pack(e)
