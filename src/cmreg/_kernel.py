@@ -6,6 +6,14 @@ is the order comparison, so the hot loops touch only ints and dicts.  Free
 modules use (component, packed_key) term keys with Schreyer-style component
 comparison data supplied by the caller.
 
+Monomial tests run on exponent words, derived from a key when a term is
+popped: a reducer's lead word divides w when (w - lead) & guards == 0, the
+Gebauer-Moeller update keeps lcm words and reads their degrees off by one
+multiply, and a pair's heap key is key(lcm word), which equals the packed
+lcm, so the pair order is that of the exponent tuples.  A popped word with
+a guard bit set is a term whose exponent passed the cap; the normal-form
+loops raise OverflowError for it rather than reduce a term that is not there.
+
 Buchberger autoreduces its inputs in one ascending pass, keeps its S-pairs in
 a heap in normal order, and prunes them by Gebauer-Moeller.  On prime fields
 every stored coefficient is in [1, p): no path stores a negative residue or
@@ -30,7 +38,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-_DIV_THRESHOLDS = (1, 2, 4, 8)
+from .ring import MAX_EXP, Polynomial, word_lcm
 
 
 class BudgetExceeded(RuntimeError):
@@ -38,44 +46,37 @@ class BudgetExceeded(RuntimeError):
 
 
 class Context:
-    """A bound order plus field, with divisibility-mask helpers."""
+    """A bound order plus field, with the order's key and word maps."""
 
-    __slots__ = ("bound", "field", "p", "n", "pack", "unpack")
+    __slots__ = ("bound", "field", "p", "unpack", "word", "key", "degree", "guards")
 
     def __init__(self, bound, field):
         self.bound = bound
         self.field = field
         self.p = getattr(field, "p", None)
-        self.n = bound.n
-        self.pack = bound.pack
         self.unpack = bound.unpack
+        self.word = bound.word
+        self.key = bound.key
+        self.degree = bound.degree
+        self.guards = bound.guards
 
-    def divmask(self, exps):
-        m = 0
-        bit = 1
-        for x in exps:
-            if x:
-                m |= bit
-                if x >= 2:
-                    m |= bit << 1
-                    if x >= 4:
-                        m |= bit << 2
-                        if x >= 8:
-                            m |= bit << 3
-            bit <<= 4
-        return m
 
-    def deg(self, key):
-        return sum(self.unpack(key))
+def _overflow(ctx, k):
+    return OverflowError(f"exponent overflow in a reduction: term {ctx.unpack(k)} "
+                         f"has an exponent above {MAX_EXP}")
 
 
 def to_packed(ctx, poly):
-    pack = ctx.pack
-    return {pack(e): c for e, c in poly.terms}
+    raw = ctx.bound.raw
+    return {raw(e): c for e, c in poly.terms}
 
 
 def from_packed(ctx, pdict, ring):
+    """The ring polynomial of a packed dict of field elements; zero entries are dropped."""
     unpack = ctx.unpack
+    if ctx.bound is ring.bound:
+        return Polynomial._from_sorted(ring, tuple(
+            (unpack(k), pdict[k]) for k in sorted(pdict, reverse=True) if pdict[k]))
     return ring.poly({unpack(k): c for k, c in pdict.items()})
 
 
@@ -88,14 +89,13 @@ class Reducer:
     lead coefficient lc positive.
     """
 
-    __slots__ = ("index", "leadkey", "leadexps", "lc", "mask", "tail", "sugar")
+    __slots__ = ("index", "leadkey", "leadword", "lc", "tail", "sugar")
 
-    def __init__(self, index, leadkey, leadexps, mask, tail, sugar=0, lc=1):
+    def __init__(self, index, leadkey, leadword, tail, sugar=0, lc=1):
         self.index = index
         self.leadkey = leadkey
-        self.leadexps = leadexps
+        self.leadword = leadword
         self.lc = lc
-        self.mask = mask
         self.tail = tail
         self.sugar = sugar
 
@@ -118,12 +118,11 @@ class Reducer:
                 content = -content
             pdict = {k: c // content for k, c in pdict.items()}
             lc = pdict[leadkey]
-        leadexps = ctx.unpack(leadkey)
         tail = tuple((k, c) for k, c in pdict.items() if k != leadkey)
         if sugar is None:
-            sugar = max(sum(ctx.unpack(k)) for k in pdict)
-        return cls(index, leadkey, leadexps, mask=ctx.divmask(leadexps), tail=tail,
-                   sugar=sugar, lc=lc)
+            word, degree = ctx.word, ctx.degree
+            sugar = max(degree(word(k)) for k in pdict)
+        return cls(index, leadkey, ctx.word(leadkey), tail, sugar=sugar, lc=lc)
 
 
 def reducer_dict(red):
@@ -137,19 +136,6 @@ def _integral(f):
     """(h, den) with integer h and h / den == f, for a packed dict over Q."""
     den = lcm(*[c.denominator for c in f.values()])
     return {k: c.numerator * (den // c.denominator) for k, c in f.items()}, den
-
-
-def _find_reducer(reducers, exps, mask):
-    for r in reducers:
-        if r.mask & ~mask:
-            continue
-        re = r.leadexps
-        for a, b in zip(re, exps):
-            if a > b:
-                break
-        else:
-            return r
-    return None
 
 
 def normal_form(ctx, f, reducers, track=False):
@@ -184,8 +170,8 @@ def _reduce(ctx, h, reducers, track=False, den=1):
     The quotient term of that step is c / den.
     """
     p = ctx.p
-    unpack = ctx.unpack
-    divmask = ctx.divmask
+    word = ctx.word
+    guards = ctx.guards
     heap = [-k for k in h]
     heapq.heapify(heap)
     rem = {}
@@ -197,9 +183,13 @@ def _reduce(ctx, h, reducers, track=False, den=1):
         c = h.pop(k, None)
         if c is None:
             continue
-        exps = unpack(k)
-        red = _find_reducer(reducers, exps, divmask(exps))
-        if red is None:
+        w = word(k)
+        if w & guards:
+            raise _overflow(ctx, k)
+        for red in reducers:
+            if not (w - red.leadword) & guards:
+                break
+        else:
             rem[k] = c
             continue
         shift = k - red.leadkey
@@ -252,17 +242,6 @@ def _reduce(ctx, h, reducers, track=False, den=1):
     return rem, den, quots
 
 
-def _mono_lcm_exps(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
 def _spair(gi, gj, lcmkey, p):
     """The S-polynomial of two reducers, leads cancelled, up to a scalar.
 
@@ -303,7 +282,7 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     Returns (basis, stats) with the basis monic and sorted descending by lead.
     """
     p = ctx.p
-    pack = ctx.pack
+    key, degree, guards = ctx.key, ctx.degree, ctx.guards
     stats = {"pairs_processed": 0, "zero_reductions": 0}
     G = []
     lme = []
@@ -314,35 +293,38 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     def update(newred):
         # Gebauer-Moeller update of the pair set for a newly appended element.
         t = newred.index
-        lmf = newred.leadexps
+        lmf = newred.leadword
         for i, j in [(i, j) for (i, j), gam in pairs.items()
-                     if _divides(lmf, gam) and gam != _mono_lcm_exps(lme[i], lmf)
-                     and gam != _mono_lcm_exps(lme[j], lmf)]:
+                     if not (gam - lmf) & guards and gam != word_lcm(lme[i], lmf, guards)
+                     and gam != word_lcm(lme[j], lmf, guards)]:
             del pairs[(i, j)]
         groups = {}
         for i in range(t):
-            groups.setdefault(_mono_lcm_exps(lme[i], lmf), []).append(i)
+            groups.setdefault(word_lcm(lme[i], lmf, guards), []).append(i)
         kept = []
         # A proper divisor has lower degree, so a degree sort settles the chain
-        # criterion, and only the surviving classes need a packed heap key.
-        for gam in sorted(groups, key=sum):
-            if any(_divides(k, gam) for k in kept):
+        # criterion, and only the surviving classes need a heap key.
+        fsug = newred.sugar - degree(lmf)
+        for gam in sorted(groups, key=degree):
+            if any(not (gam - k) & guards for k in kept):
                 continue
             kept.append(gam)
             members = groups[gam]
             # Product criterion: a coprime member retires the whole lcm class.
-            if any(tuple(a + b for a, b in zip(lme[m], lmf)) == gam for m in members):
+            if any(lme[m] + lmf == gam for m in members):
                 continue
             i = members[0]
-            deg = sum(gam)
-            sug = max(G[i].sugar + deg - sum(lme[i]), newred.sugar + deg - sum(lmf))
+            deg = degree(gam)
+            if deg > MAX_EXP:
+                raise OverflowError(f"S-pair lcm of total degree {deg} exceeds {MAX_EXP}")
+            sug = deg + max(G[i].sugar - degree(lme[i]), fsug)
             pairs[(i, t)] = gam
-            push(queue, (deg, sug, pack(gam), (i, t)))
+            push(queue, (deg, sug, key(gam), (i, t)))
 
     def add(red):
         red.index = len(G)
         G.append(red)
-        lme.append(red.leadexps)
+        lme.append(red.leadword)
         update(red)
 
     tick = itertools.count()
@@ -357,7 +339,7 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
         red = Reducer.from_packed(ctx, rem)
         if red.leadkey == 0:
             return [{0: 1 if p is not None else Fraction(1)}], stats
-        for s in [s for s in start if _divides(red.leadexps, s.leadexps)]:
+        for s in [s for s in start if not (s.leadword - red.leadword) & guards]:
             start.remove(s)
             push(todo, (s.leadkey, next(tick), reducer_dict(s)))
         start.append(red)
@@ -385,7 +367,7 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     order_idx = sorted(range(len(G)), key=lambda i: G[i].leadkey)
     kept = []
     for i in order_idx:
-        if not any(_divides(G[j].leadexps, G[i].leadexps) for j in kept):
+        if not any(not (G[i].leadword - G[j].leadword) & guards for j in kept):
             kept.append(i)
     # Leads are now minimal, so each monic lead survives its tail reduction.
     final = []
@@ -430,13 +412,12 @@ def mod_lead(basis, el):
 
 
 class ModReducer:
-    __slots__ = ("index", "comp", "leadkey", "leadexps", "mask", "tail")
+    __slots__ = ("index", "comp", "leadkey", "leadword", "tail")
 
     def __init__(self, ctx, index, el, lead):
         self.index = index
         self.comp, self.leadkey = lead
-        self.leadexps = ctx.unpack(self.leadkey)
-        self.mask = ctx.divmask(self.leadexps)
+        self.leadword = ctx.word(self.leadkey)
         self.tail = tuple((t, c) for t, c in el.items() if t != lead)
 
 
@@ -448,8 +429,8 @@ def mod_normal_form(ctx, basis, f, reducers_by_comp, track=False):
     reducer index holding packed ring-polynomial factors.
     """
     p = ctx.p
-    unpack = ctx.unpack
-    divmask = ctx.divmask
+    word = ctx.word
+    guards = ctx.guards
     imgkeys = basis.imgkeys
     chains = basis.chains
     h = dict(f)
@@ -464,9 +445,13 @@ def mod_normal_form(ctx, basis, f, reducers_by_comp, track=False):
         cc = h.pop((c, k), None)
         if cc is None:
             continue
-        exps = unpack(k)
-        red = _find_reducer(reducers_by_comp.get(c, ()), exps, divmask(exps))
-        if red is None:
+        w = word(k)
+        if w & guards:
+            raise _overflow(ctx, k)
+        for red in reducers_by_comp.get(c, ()):
+            if not (w - red.leadword) & guards:
+                break
+        else:
             rem[(c, k)] = cc
             continue
         shift = k - red.leadkey

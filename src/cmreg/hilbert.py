@@ -3,6 +3,10 @@
 The Hilbert series of A/I is read off the lead-term ideal of a Groebner
 basis: HS(t) = N(t) / (1-t)^n with N the numerator computed by a pivot
 recursion on the monomial generators (split on the most frequent variable).
+The recursion runs on exponent words (see ring.py), packed once from the
+lead exponents: divisibility in the minimalization is a guarded subtraction,
+a generator's support a guarded decrement, and the variable counts of the
+pivot rule one sum of supports (Bigatti, JPAA 119, 1997).
 Dimension is the pole order at t = 1 and the degree (multiplicity) is the
 value of the cancelled numerator there.
 
@@ -20,17 +24,21 @@ import math
 from dataclasses import dataclass
 
 from .groebner import Ideal
-from .ring import mono_divides
+from .ring import LEX, word_support
 
 
-def _minimalize(gens):
-    """Minimal generating monomials: drop anything a kept one divides."""
-    gens = sorted(set(gens), key=lambda e: (sum(e), e))
+def _minimalize(gens, bound):
+    """Minimal generating words: drop anything a kept one divides."""
+    guards = bound.guards
     kept = []
-    for g in gens:
-        if not any(mono_divides(h, g) for h in kept):
+    # By degree, ties by word: one tuple per generator set, for the memo.
+    for g in sorted(sorted(set(gens)), key=bound.degree):
+        for h in kept:
+            if not (g - h) & guards:
+                break
+        else:
             kept.append(g)
-    return kept
+    return tuple(kept)
 
 
 def _poly_add(a, b):
@@ -59,32 +67,31 @@ def _trim(a):
     return tuple(a)
 
 
-def _pairwise_coprime(gens):
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if any(x and y for x, y in zip(gens[i], gens[j])):
-                return False
+def _pairwise_coprime(gens, guards):
+    seen = 0
+    for g in gens:
+        s = word_support(g, guards)
+        if s & seen:
+            return False
+        seen |= s
     return True
 
 
-def _split(gens):
+def _split(gens, bound):
     """Children of the pivot recursion: (gens + (x), gens : x)."""
-    counts = [0] * len(gens[0])
-    for g in gens:
-        for i, x in enumerate(g):
-            if x:
-                counts[i] += 1
-    piv = max(range(len(counts)), key=lambda i: (counts[i], -i))
-    xg = tuple(1 if i == piv else 0 for i in range(len(counts)))
-    plus = tuple(_minimalize([xg] + [g for g in gens if g[piv] == 0]))
-    colon = tuple(_minimalize(
-        [tuple(x - 1 if i == piv and x else x for i, x in enumerate(g)) for g in gens]))
+    supports = [word_support(g, bound.guards) for g in gens]
+    counts = bound.unpack(sum(supports))
+    piv = max(range(bound.n), key=lambda i: (counts[i], -i))
+    xg = bound.raw(tuple(int(i == piv) for i in range(bound.n)))
+    plus = _minimalize([xg] + [g for g, s in zip(gens, supports) if not s & xg], bound)
+    colon = _minimalize([g - xg if s & xg else g for g, s in zip(gens, supports)], bound)
     return plus, colon
 
 
 def monomial_numerator(lead_exps, nvars):
     """Numerator of HS of A/(monomial ideal) over (1-t)^nvars, as coefficients."""
-    root = tuple(_minimalize(list(lead_exps)))
+    bound = LEX.bind(nvars)
+    root = _minimalize([bound.pack(e) for e in lead_exps], bound)
     memo = {}
     stack = [root]
     while stack:
@@ -96,15 +103,15 @@ def monomial_numerator(lead_exps, nvars):
             memo[gens] = (1,)
             stack.pop()
             continue
-        if _pairwise_coprime(gens):
+        if _pairwise_coprime(gens, bound.guards):
             val = (1,)
             for g in gens:
-                d = sum(g)
+                d = bound.degree(g)
                 val = _poly_mul(val, (1,) + (0,) * (d - 1) + (-1,)) if d else (0,)
             memo[gens] = _trim(val) if val != (0,) else ()
             stack.pop()
             continue
-        plus, colon = _split(gens)
+        plus, colon = _split(gens, bound)
         pending = [c for c in (plus, colon) if c not in memo]
         if pending:
             stack.extend(pending)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import _kernel, hilbert
 from ._kernel import Context, ModBasis, ModReducer, mod_lead, mod_normal_form
 from .groebner import Ideal
-from .ring import GREVLEX, Polynomial
+from .ring import GREVLEX, Polynomial, word_lcm
 
 NEG_INF = float("-inf")
 
@@ -129,6 +129,7 @@ def _schreyer_levels(ctx, gb_packed, nvars):
     for d in sorted(gb_packed, key=max, reverse=True):
         current.append({(0, k): c for k, c in d.items()})
     levels = []
+    word, degree = ctx.word, ctx.degree
     while current:
         meta_prev = metas[-1]
         leads = [mod_lead(meta_prev, el) for el in current]
@@ -137,7 +138,7 @@ def _schreyer_levels(ctx, gb_packed, nvars):
         for i, (c, k) in enumerate(leads):
             imgkeys.append(k + meta_prev.imgkeys[c])
             chains.append(meta_prev.chains[c] + (i,))
-            degs.append(sum(ctx.unpack(k)) + meta_prev.degs[c])
+            degs.append(degree(word(k)) + meta_prev.degs[c])
         meta_new = ModBasis(imgkeys, chains, degs)
         metas.append(meta_new)
         current = _syzygies(ctx, meta_prev, meta_new, current, leads)
@@ -157,25 +158,28 @@ def _syzygies(ctx, meta_prev, meta_new, elems, leads):
     for i, el in enumerate(elems):
         c = leads[i][0]
         reducers_by_comp.setdefault(c, []).append(ModReducer(ctx, i, el, leads[i]))
-    lead_exps = [ctx.unpack(k) for _, k in leads]
+    keyof, degree, guards = ctx.key, ctx.degree, ctx.guards
+    lead_words = [ctx.word(k) for _, k in leads]
     out = []
     for c, idxs in sorted(by_comp.items()):
         for i in idxs:
+            wi = lead_words[i]
             cands = []
             for j in idxs:
                 if j <= i:
                     continue
-                T = tuple(max(a, b) - a for a, b in zip(lead_exps[i], lead_exps[j]))
-                cands.append((sum(T), T, j))
+                T = word_lcm(wi, lead_words[j], guards) - wi
+                cands.append((degree(T), j, T))
+            # Sorted by degree, a candidate is dropped exactly when a proper
+            # divisor or an equal T of smaller j comes before it.
             cands.sort()
             kept = []
-            for _, T, j in cands:
-                if any(all(x <= y for x, y in zip(Tk, T)) for Tk, _ in kept):
+            for _, j, T in cands:
+                if any(not (T - Tk) & guards for Tk, _ in kept):
                     continue
                 kept.append((T, j))
             for T, j in kept:
-                lcm_exps = tuple(a + b for a, b in zip(T, lead_exps[i]))
-                lcmkey = ctx.pack(lcm_exps)
+                lcmkey = keyof(T + wi)
                 si = lcmkey - leads[i][1]
                 sj = lcmkey - leads[j][1]
                 v = {}

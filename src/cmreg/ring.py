@@ -11,9 +11,26 @@ order packs a monomial into a single integer key such that
     key(a) + key(b) == key(a * b)        (multiplication is int addition)
     key(a) <  key(b)  iff  a < b         (comparison is int comparison)
 
-which is what makes the reduction kernel fast.  Exponents and total degrees
-are capped at 2**20 - 1; packing checks the cap so overflow is an error, not
-a silent wraparound.
+which is what makes the reduction kernel fast.  Each exponent sits in a
+field of EXP_BITS = 21 bits: 20 value bits and a guard bit above them.
+
+Each bound order also maps a key to its exponent word, word(key), and back,
+key(word).  The word holds one field per variable, which makes the kernel's
+monomial tests integer operations on whole words:
+
+    v divides w           (w - v) & guards == 0      (a short field borrows)
+    lcm(v, w)             one guarded subtraction picks each field's max
+    total degree of w     one multiply sums the fields into the top one
+    v * w                 v + w
+
+The word is -key mod 2**(21 n) for grevlex, permuted grevlex and weighted
+orders, the key itself for lex, and the lex block above the grevlex word of
+the rest for block orders.  Exponents and total degrees are capped at
+MAX_EXP = 2**20 - 1.  The cap is checked where tuples enter (pack, which
+Polynomial construction, parsing and monomial use).  In the kernel, a product
+whose exponent passes the cap sets that field's guard bit, which the
+normal-form loops turn into an OverflowError rather than a silent carry into
+the next field; an S-pair whose lcm passes the degree cap raises one too.
 
 All values are immutable after construction and all operations are pure, so
 objects can be shared freely between threads.
@@ -24,8 +41,9 @@ from __future__ import annotations
 from fractions import Fraction
 import re
 
-EXP_BITS = 20
-MAX_EXP = (1 << EXP_BITS) - 1
+EXP_BITS = 21
+MAX_EXP = (1 << (EXP_BITS - 1)) - 1
+_FIELD = (1 << EXP_BITS) - 1
 
 
 def _is_probable_prime(n):
@@ -168,17 +186,42 @@ _BOUND_CACHE = {}
 class _Bound:
     """A monomial order bound to a fixed number of variables.
 
-    pack maps an exponent tuple to the integer key, unpack inverts it.
-    eliminates is the size of a leading lex block whose variables the order
-    is an elimination order for (0 when there is none).
+    word maps a key to its exponent word and key inverts word (see the module
+    docstring); shifts[i] is the bit offset of variable i's field in the
+    word.  pack maps an exponent tuple to its key, checking the cap, and
+    unpack inverts it; raw is pack without the check, for tuples that were
+    checked when they entered a Polynomial.  guards is the mask of the
+    words' guard bits and degree(word) the total degree.  eliminates is the
+    size of a leading lex block whose variables the order is an elimination
+    order for (0 when there is none).
     """
 
-    __slots__ = ("n", "pack", "unpack", "eliminates")
+    __slots__ = ("n", "word", "key", "raw", "pack", "unpack", "degree", "guards",
+                 "eliminates")
 
-    def __init__(self, n, pack, unpack, eliminates=0):
+    def __init__(self, n, shifts, word, key, eliminates=0):
+        def raw(e):
+            w = 0
+            for x, s in zip(e, shifts):
+                w += x << s
+            return key(w)
+
+        def pack(e):
+            _check_exps(e)
+            return raw(e)
+
+        def unpack(k):
+            w = word(k)
+            return tuple((w >> s) & _FIELD for s in shifts)
+
         self.n = n
+        self.word = word
+        self.key = key
+        self.raw = raw
         self.pack = pack
         self.unpack = unpack
+        self.degree = _word_degree(n)
+        self.guards = _guards(n)
         self.eliminates = eliminates
 
 
@@ -193,25 +236,72 @@ def _check_exps(e):
     return d
 
 
-def _grevlex_pack_unpack(n):
+def _guards(n):
+    """The guard bits of an n-field word: the top bit of every field."""
+    return sum(1 << (EXP_BITS * i + EXP_BITS - 1) for i in range(n))
+
+
+def _word_degree(n):
+    """Total degree of an n-field word: one multiply sums the fields into the top one.
+
+    Exact while the degree is below 2**EXP_BITS, so for every product of two
+    monomials within the cap.
+    """
+    if not n:
+        return lambda w: 0
+    ones = _guards(n) >> (EXP_BITS - 1)
+    top = EXP_BITS * (n - 1)
+
+    def degree(w):
+        return w * ones >> top & _FIELD
+
+    return degree
+
+
+def word_lcm(a, b, guards):
+    """The lcm of two exponent words.
+
+    Where a's field is at least b's, its guard bit survives (a | guards) - b;
+    those guards widen to a mask of a's fields, and b fills the rest.
+    """
+    m = ((a | guards) - b) & guards
+    m -= m >> (EXP_BITS - 1)
+    return b ^ ((a ^ b) & m)
+
+
+def word_support(w, guards):
+    """The word with a 1 in each nonzero field of w: a guarded decrement."""
+    ones = guards >> (EXP_BITS - 1)
+    return (((w | guards) - ones) & guards) >> (EXP_BITS - 1)
+
+
+def _identity(k):
+    return k
+
+
+def _grevlex_maps(n):
+    """(shifts, word, key) of grevlex on n variables.
+
+    The key is d * S - rp for the total degree d, S = 2**(EXP_BITS * n) and
+    rp the word, with variable i in field i; so the word is -key mod S.
+    """
     S = 1 << (EXP_BITS * n)
-    shifts = tuple(EXP_BITS * i for i in range(n))
+    M = S - 1
+    degree = _word_degree(n)
 
-    def pack(e):
-        d = _check_exps(e)
-        rp = 0
-        for x, s in zip(e, shifts):
-            rp += x << s
-        return d * S - rp
+    def word(key):
+        return -key & M
 
-    def unpack(key):
-        q, r = divmod(key, S)
-        if r:
-            q += 1
-            r = S - r
-        return tuple((r >> s) & MAX_EXP for s in shifts)
+    def key(w):
+        return degree(w) * S - w
 
-    return pack, unpack
+    return tuple(EXP_BITS * i for i in range(n)), word, key
+
+
+def _grevlex_pack_unpack(n):
+    """pack and unpack of grevlex on n variables, outside the bound-order cache."""
+    bound = _Bound(n, *_grevlex_maps(n))
+    return bound.pack, bound.unpack
 
 
 class Grevlex(MonomialOrder):
@@ -220,39 +310,31 @@ class Grevlex(MonomialOrder):
     name = "grevlex"
 
     def _build(self, n):
-        pack, unpack = _grevlex_pack_unpack(n)
-        return _Bound(n, pack, unpack)
+        return _Bound(n, *_grevlex_maps(n))
 
     def __repr__(self):
         return "grevlex"
 
 
 class Lex(MonomialOrder):
-    """Pure lexicographic order, first variable dominant."""
+    """Pure lexicographic order, first variable dominant; the key is the word."""
 
     name = "lex"
 
     def _build(self, n):
         shifts = tuple(EXP_BITS * (n - 1 - i) for i in range(n))
-
-        def pack(e):
-            _check_exps(e)
-            k = 0
-            for x, s in zip(e, shifts):
-                k += x << s
-            return k
-
-        def unpack(key):
-            return tuple((key >> s) & MAX_EXP for s in shifts)
-
-        return _Bound(n, pack, unpack, eliminates=n)
+        return _Bound(n, shifts, _identity, _identity, eliminates=n)
 
     def __repr__(self):
         return "lex"
 
 
 class Block(MonomialOrder):
-    """Lex on the first k variables, grevlex on the rest; eliminates the block."""
+    """Lex on the first k variables, grevlex on the rest; eliminates the block.
+
+    The key is the lex block above a grevlex key of the rest; the word puts
+    the block's fields above the grevlex word of the rest.
+    """
 
     name = "block"
 
@@ -265,23 +347,20 @@ class Block(MonomialOrder):
         k = self.k
         if k > n:
             raise ValueError(f"block size {k} exceeds {n} variables")
-        top_shifts = tuple(EXP_BITS * (k - 1 - i) for i in range(k))
-        hs = EXP_BITS * (n - k + 1)
-        gpack, gunpack = _grevlex_pack_unpack(n - k)
+        gshifts, gword, gkey = _grevlex_maps(n - k)
+        ws = EXP_BITS * (n - k)
+        hs = ws + EXP_BITS
+        low = (1 << hs) - 1
+        rest = (1 << ws) - 1
 
-        def pack(e):
-            _check_exps(e)
-            top = 0
-            for i, s in zip(range(k), top_shifts):
-                top += e[i] << s
-            return (top << hs) + gpack(e[k:])
+        def word(key):
+            return (key >> hs << ws) | gword(key & low)
 
-        def unpack(key):
-            top, rest = key >> hs, key & ((1 << hs) - 1)
-            head = tuple((top >> s) & MAX_EXP for s in top_shifts)
-            return head + gunpack(rest)
+        def key(w):
+            return (w >> ws << hs) + gkey(w & rest)
 
-        return _Bound(n, pack, unpack, eliminates=k)
+        shifts = tuple(ws + EXP_BITS * (k - 1 - i) for i in range(k)) + gshifts
+        return _Bound(n, shifts, word, key, eliminates=k)
 
     def __repr__(self):
         return f"block({self.k})"
@@ -301,19 +380,15 @@ class Weighted(MonomialOrder):
     def _build(self, n):
         if len(self.weights) != n:
             raise ValueError(f"weight vector has {len(self.weights)} entries for {n} variables")
-        w = self.weights
+        shifts, gword, gkey = _grevlex_maps(n)
         hs = EXP_BITS * (n + 1)
-        gpack, gunpack = _grevlex_pack_unpack(n)
+        weights = tuple(zip(shifts, self.weights))
 
-        def pack(e):
-            _check_exps(e)
-            wd = sum(x * wi for x, wi in zip(e, w))
-            return (wd << hs) + gpack(e)
+        def key(w):
+            wd = sum(((w >> s) & _FIELD) * wi for s, wi in weights)
+            return (wd << hs) + gkey(w)
 
-        def unpack(key):
-            return gunpack(key & ((1 << hs) - 1))
-
-        return _Bound(n, pack, unpack)
+        return _Bound(n, shifts, gword, key)
 
     def __repr__(self):
         return f"weighted({','.join(map(str, self.weights))})"
@@ -327,7 +402,8 @@ class PermutedGrevlex(MonomialOrder):
     internally for colon and saturation shortcuts; not part of the order
     grammar accepted in ideal files.  The identity permutation is grevlex
     itself: the same repr and the grevlex packers, so a basis cached under
-    either order is found under the other.
+    either order is found under the other.  Words are those of grevlex on
+    the reordered variables.
     """
 
     name = "permuted-grevlex"
@@ -344,21 +420,11 @@ class PermutedGrevlex(MonomialOrder):
             raise ValueError(f"permutation of {len(self.perm)} entries for {n} variables")
         if self._identity:
             return GREVLEX._build(n)
-        perm = self.perm
-        inv = [0] * n
-        for pos, src in enumerate(perm):
-            inv[src] = pos
-        inv = tuple(inv)
-        gpack, gunpack = _grevlex_pack_unpack(n)
-
-        def pack(e):
-            return gpack(tuple(e[src] for src in perm))
-
-        def unpack(key):
-            g = gunpack(key)
-            return tuple(g[inv[i]] for i in range(n))
-
-        return _Bound(n, pack, unpack)
+        gshifts, word, key = _grevlex_maps(n)
+        shifts = [0] * n
+        for pos, src in enumerate(self.perm):
+            shifts[src] = gshifts[pos]
+        return _Bound(n, tuple(shifts), word, key)
 
     def __repr__(self):
         if self._identity:
@@ -466,6 +532,15 @@ class Polynomial:
         pack = ring.bound.pack
         self.terms = tuple(sorted(data.items(), key=lambda t: pack(t[0]), reverse=True))
         self._hash = None
+
+    @classmethod
+    def _from_sorted(cls, ring, terms):
+        """A polynomial from nonzero terms already sorted descending in ring's order."""
+        poly = cls.__new__(cls)
+        poly.ring = ring
+        poly.terms = terms
+        poly._hash = None
+        return poly
 
     def is_zero(self):
         return not self.terms

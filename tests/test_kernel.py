@@ -14,7 +14,8 @@ from cmreg.groebner import Ideal
 from cmreg.hilbert import dim_deg
 from cmreg.idealops import colon, colon_by_variable_power, saturate_irrelevant
 from cmreg.resolution import _schreyer_levels, regularity_ideal
-from cmreg.ring import GREVLEX, LEX, PolyRing, PrimeField, QQ, field_of_characteristic, reduce
+from cmreg.ring import (GREVLEX, LEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
+                        field_of_characteristic, reduce)
 from cmreg.sections import general_section
 from cmreg.verify import DEFAULT_SEED
 
@@ -129,21 +130,85 @@ def test_last_variable_colon_reuses_the_grevlex_basis(monkeypatch):
     assert totals["calls"] == 0
 
 
+def test_exponent_overflow_in_a_reduction_raises():
+    # x^2 -> x * y^(2^19) -> y^(2^20): the remainder's y exponent passes the
+    # cap, and a wrapped key would carry it into x's field.
+    R = PolyRing(("x", "y"), PrimeField(32003), LEX)
+    x, y = R.gens()
+    with pytest.raises(OverflowError, match="exponent overflow"):
+        reduce(x ** 2, [x - y ** (2 ** 19)])
+    with pytest.raises(OverflowError, match="exponent overflow"):
+        Ideal(R, [x - y ** (2 ** 19)]).groebner().normal_form(x ** 2)
+    # One step short of the cap is fine.
+    assert reduce(x ** 2, [x - y ** (2 ** 19 - 1)])[0] == y ** (2 ** 20 - 2)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_spair_lcm_past_the_degree_cap_raises(order):
+    R = PolyRing(("x", "y"), PrimeField(32003), order)
+    x, y = R.gens()
+    with pytest.raises(OverflowError, match="total degree"):
+        Ideal(R, [x ** (2 ** 19) * y + 1, x * y ** (2 ** 19) + 1]).groebner()
+
+
+def _pinned_ideals():
+    R = PolyRing(("a", "b", "c", "d"), PrimeField(32003), GREVLEX)
+    a, b, c, d = R.gens()
+    rng = random.Random(20261018)
+    yield "cyclic4", [a + b + c + d, a * b + b * c + c * d + d * a,
+                      a * b * c + b * c * d + c * d * a + d * a * b, a * b * c * d - 1]
+    yield "mixed", [a ** 2 * b - c ** 3 + d, b ** 2 * c - a * d ** 2, c ** 2 - a * b + 3 * d]
+    yield "random", [_random_form(rng, R, 2, 4), _random_form(rng, R, 3, 4),
+                     _random_form(rng, R, 3, 3)]
+    yield "aci22", build_family(2, 2).almost_complete_intersection.gens
+    yield "aci32", build_family(3, 2).almost_complete_intersection.gens
+
+
+# (pairs_processed, zero_reductions, basis_size) of _kernel.buchberger.  A
+# pair's heap key is key(lcm word), which must equal the packed lcm of the
+# exponent tuples, so these counts pin the pair order: a drift in it fails
+# here before it shows as noise in timings.
+PINNED_WORK = {
+    "cyclic4": {"grevlex": (8, 5, 7), "lex": (11, 7, 6), "block1": (8, 5, 7), "perm": (4, 3, 5)},
+    "mixed": {"grevlex": (21, 13, 11), "lex": (29, 17, 11), "block1": (19, 12, 10),
+              "perm": (13, 8, 8)},
+    "random": {"grevlex": (7, 4, 6), "lex": (10, 6, 7), "block1": (7, 4, 6), "perm": (18, 11, 10)},
+    "aci22": {"grevlex": (9, 6, 6), "lex": (17, 10, 10), "block1": (14, 8, 9), "perm": (14, 9, 8)},
+    "aci32": {"grevlex": (44, 32, 16), "lex": (80, 56, 28), "block1": (67, 47, 24),
+              "perm": (22, 16, 10)},
+}
+
+
+def test_buchberger_work_is_pinned():
+    for name, gens in _pinned_ideals():
+        n = gens[0].ring.nvars
+        orders = {"grevlex": GREVLEX, "lex": LEX, "block1": Block(1),
+                  "perm": PermutedGrevlex((3, 1, 0, 2) if n == 4 else tuple(reversed(range(n))))}
+        for oname, order in orders.items():
+            ctx = _kernel.Context(order.bind(n), gens[0].ring.field)
+            _, stats = _kernel.buchberger(ctx, [_kernel.to_packed(ctx, g) for g in gens])
+            got = (stats["pairs_processed"], stats["zero_reductions"], stats["basis_size"])
+            assert got == PINNED_WORK[name][oname], (name, oname, got)
+
+
 # --- the rational kernel against the Fraction normal form it replaced -------
 
 def _fraction_reducers(ctx, pdicts):
-    """Monic reducers with Fraction tails, as the reference loop wants them."""
+    """(index, lead key, lead exponents, Fraction tail) of each monic reducer."""
     out = []
     for i, d in enumerate(pdicts):
         lead = max(d)
-        exps = ctx.unpack(lead)
         tail = tuple((k, c / d[lead]) for k, c in d.items() if k != lead)
-        out.append(_kernel.Reducer(i, lead, exps, ctx.divmask(exps), tail))
+        out.append((i, lead, ctx.unpack(lead), tail))
     return out
 
 
 def _fraction_normal_form(ctx, f, reducers, track=False):
-    """The rational normal form on Fractions, one Fraction per tail term."""
+    """The rational normal form on Fractions, one Fraction per tail term.
+
+    The reducer is the first whose lead exponents are all at most the
+    term's, tested on exponent tuples rather than the kernel's words.
+    """
     h = dict(f)
     heap = [-k for k in h]
     heapq.heapify(heap)
@@ -155,15 +220,16 @@ def _fraction_normal_form(ctx, f, reducers, track=False):
         if c is None:
             continue
         exps = ctx.unpack(k)
-        red = _kernel._find_reducer(reducers, exps, ctx.divmask(exps))
+        red = next((r for r in reducers if all(a <= b for a, b in zip(r[2], exps))), None)
         if red is None:
             rem[k] = c
             continue
-        shift = k - red.leadkey
+        index, lead, _, tail = red
+        shift = k - lead
         if track:
-            qd = quots.setdefault(red.index, {})
+            qd = quots.setdefault(index, {})
             qd[shift] = qd.get(shift, 0) + c
-        for tk, tc in red.tail:
+        for tk, tc in tail:
             nk = tk + shift
             if nk not in h:
                 heapq.heappush(heap, -nk)

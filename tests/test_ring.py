@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from cmreg import ring
-from cmreg.ring import (GREVLEX, LEX, Block, PermutedGrevlex, PolyRing, PrimeField,
-                        QQ, Weighted, field_of_characteristic, transport)
+from cmreg.ring import (GREVLEX, LEX, MAX_EXP, Block, PermutedGrevlex, PolyRing, PrimeField,
+                        QQ, Weighted, field_of_characteristic, transport, word_lcm,
+                        word_support)
 
 
 def test_prime_field_basics():
@@ -86,6 +87,53 @@ def test_pack_unpack_roundtrip_randomized():
         for _ in range(300):
             e = tuple(rng.randrange(0, 50) for _ in range(3))
             assert bound.unpack(bound.pack(e)) == e
+
+
+def _random_exps(rng, n):
+    """Exponents within the cap: small with zeros, one field at MAX_EXP, or
+    a total degree of exactly MAX_EXP."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return tuple(rng.choice((0, 0, 1, rng.randrange(2, 40))) for _ in range(n))
+    if kind == 1:
+        e = [0] * n
+        e[rng.randrange(n)] = MAX_EXP
+        return tuple(e)
+    cuts = sorted(rng.randrange(MAX_EXP + 1) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip((0,) + tuple(cuts), tuple(cuts) + (MAX_EXP,)))
+
+
+WORD_ORDERS = [GREVLEX, LEX, Block(2), Block(4), Weighted((3, 1, 2, 5)),
+               PermutedGrevlex((2, 0, 3, 1))]
+
+
+@pytest.mark.parametrize("order", WORD_ORDERS, ids=repr)
+def test_exponent_words_match_tuple_arithmetic(order):
+    n = 4
+    bound = order.bind(n)
+    word, key, guards = bound.word, bound.key, bound.guards
+    rng = random.Random(20261018)
+    divisible = 0
+    for _ in range(400):
+        a = _random_exps(rng, n)
+        if rng.randrange(2):
+            b = tuple(rng.randrange(x + 1) for x in a)  # a divisor of a
+        else:
+            b = _random_exps(rng, n)
+        ka, kb = bound.pack(a), bound.pack(b)
+        wa, wb = word(ka), word(kb)
+        assert key(wa) == ka and key(wb) == kb
+        assert bound.degree(wa) == sum(a) and bound.degree(wb) == sum(b)
+        divides = all(x <= y for x, y in zip(b, a))
+        assert (not (wa - wb) & guards) == divides, (a, b)
+        divisible += divides
+        sa, sb = word_support(wa, guards), word_support(wb, guards)
+        assert bound.degree(sa) == sum(1 for x in a if x)
+        assert (not sa & sb) == (not any(x and y for x, y in zip(a, b)))
+        lcm = tuple(max(x, y) for x, y in zip(a, b))
+        assert key(word_lcm(wa, wb, guards)) == bound.raw(lcm), (a, b)
+        assert key(word_lcm(wb, wa, guards)) == bound.raw(lcm), (a, b)
+    assert 0 < divisible < 400
 
 
 def test_exponent_overflow_rejected(ring3):
