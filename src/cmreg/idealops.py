@@ -1,22 +1,24 @@
 """Ideal arithmetic: sums, products, intersections, colons, saturations,
-and variable elimination.
+variable substitution and elimination.
 
-Intersections go through the classic auxiliary-variable trick (t*I + (1-t)*J,
-eliminate t with a block order), colons divide the intersection with a
-principal ideal, and saturations iterate colons until the chain stabilizes,
-reporting the number of strict steps.
+Intersections eliminate t from t*I + (1-t)*J, and colons divide the
+intersection with a principal ideal.
+
+Saturation by a variable is one Groebner basis: in a grevlex order with x_i
+moved last, in(I : x_i) = in(I) : x_i for homogeneous I (Bayer-Stillman), so
+I : x_i^inf comes from dividing every basis element by its x_i power.
+Saturation by a linear form l is the same computation after a linear change
+of coordinates that sends l to a variable x_i.  The largest x_i power in a
+lead of that basis is the number q of strict steps in the colon chain
+I, I : l, I : l^2, ..., because in(I : x_i^k) is generated by the leads with
+k factors of x_i removed.  The tests check both shortcuts against literal
+colon iteration.
 
 Saturation by an ideal generated by variables (the irrelevant ideal, or the
-coordinate-subspace primes used by the residual checks) has an exact fast
-path: I : (x_i, i in S)^inf equals the intersection over S of I : x_i^inf,
-and each of those comes from one Groebner basis in a grevlex order with x_i
-moved last, dividing every basis element by its x_i power (Bayer-Stillman:
-in(I : x_i) = in(I) : x_i for revlex with x_i last).  That shortcut requires
-homogeneous input and is checked against the literal route in the test
-suite.
-
-The irrelevant saturation I^sat usually needs only one of those colons.
-Each J = I : x_i^inf contains I^sat, and J = I^sat exactly when J/I^sat has
+coordinate-subspace primes used by the residual checks) uses
+I : (x_i, i in S)^inf = the intersection over S of I : x_i^inf.  The
+irrelevant saturation I^sat usually needs only one of those colons.  Each
+J = I : x_i^inf contains I^sat, and J = I^sat exactly when J/I^sat has
 finite length, which the Hilbert series certify: HS(A/I) - HS(A/J) is a
 polynomial.  saturate_irrelevant returns the first certified colon and
 intersects all of them only when none is certified.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 from ._kernel import BudgetExceeded
 from .groebner import Ideal, member
-from .ring import Block, PermutedGrevlex, PolyRing, transport
+from .ring import Block, PermutedGrevlex, PolyRing, Polynomial, mono_mul, transport
 from . import hilbert
 
 
@@ -45,34 +47,23 @@ def ideal_product(I, J):
     return Ideal(I.ring, [g * h for g in I.gens for h in J.gens])
 
 
-def _aux_ring(ring):
-    name = "t_aux"
-    while name in ring.names:
-        name += "_"
-    return PolyRing((name,) + ring.names, ring.field, Block(1)), name
-
-
 def intersect(I, J):
-    """I cap J via an auxiliary variable and a block elimination order."""
+    """I cap J: eliminate an auxiliary first variable t from t*I + (1-t)*J."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
-    if not I.gens:
+    if not I.gens or not J.gens:
         return Ideal(ring, [])
-    if not J.gens:
-        return Ideal(ring, [])
-    ext, _ = _aux_ring(ring)
+    name = "t_aux"
+    while name in ring.names:
+        name += "_"
+    ext = PolyRing((name,) + ring.names, ring.field)
     up = list(range(1, ring.nvars + 1))
     t = ext.gen(0)
     gens = [t * transport(g, ext, up) for g in I.gens]
     gens += [(ext.one - t) * transport(h, ext, up) for h in J.gens]
-    gb = Ideal(ext, gens).groebner()
     down = [None] + list(range(ring.nvars))
-    out = []
-    for g in gb:
-        if all(e[0] == 0 for e, _ in g.terms):
-            out.append(transport(g, ring, down))
-    return Ideal(ring, out)
+    return Ideal(ring, [transport(g, ring, down) for g in eliminate(Ideal(ext, gens), [0]).gens])
 
 
 def quotient_exact(f, g):
@@ -105,21 +96,80 @@ def colon_ideal(I, J):
     return _materialize_intersection(parts)
 
 
-def saturate(I, f, max_steps=200):
-    """(I : f^inf, q): iterate colon until the chain stabilizes.
+def linear_coefficients(l):
+    """The coefficients of a nonzero linear form, one per variable."""
+    if l.degree() != 1 or not l.is_homogeneous():
+        raise ValueError("expected a nonzero linear form")
+    coeffs = [l.ring.field(0)] * l.ring.nvars
+    for e, c in l.terms:
+        coeffs[e.index(1)] = c
+    return coeffs
 
-    q is the number of strict steps, so q == 0 means I is already saturated
-    with respect to f.
+
+def linear_form(ring, coeffs):
+    """The linear form sum coeffs[j] * x_j of ring."""
+    return ring.poly({tuple(int(k == j) for k in range(ring.nvars)): c
+                      for j, c in enumerate(coeffs)})
+
+
+def substitute_variable(I, i, repl):
+    """The image of I under x_i -> repl, as an ideal of repl's ring.
+
+    repl's ring either has I's variables, and the others stay fixed (a
+    change of coordinates), or it drops x_i, and the others keep their order
+    (a hyperplane cut).  The powers of repl are shared by every generator.
     """
-    current = I
-    q = 0
-    for _ in range(max_steps):
-        nxt = colon(current, f)
-        if nxt.same_ideal(current):
-            return current, q
-        current = nxt
-        q += 1
-    raise BudgetExceeded(f"saturation chain did not stabilize within {max_steps} steps")
+    target = repl.ring
+    n = I.ring.nvars
+    keep = [j for j in range(n) if j != i]
+    if target.nvars == n:
+        slots = keep
+    elif target.nvars == n - 1:
+        slots = range(n - 1)
+    else:
+        raise ValueError(f"cannot substitute {n} variables into {target.nvars}")
+    f = target.field
+    powers = [target.one]
+    images = []
+    for g in I.gens:
+        data = {}
+        for e, c in g.terms:
+            while len(powers) <= e[i]:
+                powers.append(powers[-1] * repl)
+            base = [0] * target.nvars
+            for j, s in zip(keep, slots):
+                base[s] = e[j]
+            for e2, c2 in powers[e[i]].terms:
+                m = mono_mul(base, e2)
+                prev = data.get(m)
+                data[m] = f.mul(c, c2) if prev is None else f.add(prev, f.mul(c, c2))
+        images.append(target.poly(data))
+    return Ideal(target, images)
+
+
+def saturate(I, l):
+    """(I : l^inf, q) for a homogeneous ideal I and a nonzero linear form l.
+
+    q is the number of strict steps in the colon chain I, I : l, I : l^2,
+    ..., so q == 0 means I is already saturated with respect to l.  With
+    x_i the last variable of l, the coordinate change
+    x_i -> (x_i - sum_{j != i} c_j x_j) / c_i sends l to x_i and I to J.  In
+    grevlex with x_i last, q is the largest x_i power in a lead of J's
+    basis, and I : l^inf is J : x_i^inf with x_i put back to l.
+    """
+    coeffs = linear_coefficients(l)
+    if l.ring != I.ring:
+        raise ValueError("linear form from a different ring")
+    if not I.is_homogeneous():
+        raise ValueError("saturation by a linear form needs a homogeneous ideal")
+    f = I.ring.field
+    i = max(j for j, c in enumerate(coeffs) if c != 0)
+    inv = f.inv(coeffs[i])
+    to_var = [inv if j == i else f.neg(f.mul(c, inv)) for j, c in enumerate(coeffs)]
+    J = substitute_variable(I, i, linear_form(I.ring, to_var))
+    leads = J.groebner(_variable_last(I.ring.nvars, i)).leading_exps()
+    q = max((e[i] for e in leads), default=0)
+    return substitute_variable(colon_by_variable_power(J, i), i, l), q
 
 
 def saturate_ideal(I, J, max_steps=200):
@@ -160,19 +210,26 @@ def _divide_variable_power(g, i):
         e2 = list(e)
         e2[i] -= v
         data[tuple(e2)] = c
-    from .ring import Polynomial
-
     return Polynomial(g.ring, data)
 
 
+def _variable_last(n, i):
+    """Grevlex on n variables with x_i moved last."""
+    return PermutedGrevlex([j for j in range(n) if j != i] + [i])
+
+
 def colon_by_variable_power(I, i):
-    """I : x_i^inf for homogeneous I, from one basis with x_i moved last."""
-    ring = I.ring
+    """I : x_i^inf for homogeneous I, from one basis with x_i moved last.
+
+    When no lead of that basis contains x_i, I is saturated by x_i and is
+    returned itself, so its cached bases are reused.
+    """
     if not I.is_homogeneous():
         raise ValueError("variable saturation shortcut needs a homogeneous ideal")
-    perm = [j for j in range(ring.nvars) if j != i] + [i]
-    gb = I.groebner(PermutedGrevlex(perm))
-    return Ideal(ring, [_divide_variable_power(g, i) for g in gb])
+    gb = I.groebner(_variable_last(I.ring.nvars, i))
+    if all(e[i] == 0 for e in gb.leading_exps()):
+        return I
+    return Ideal(I.ring, [_divide_variable_power(g, i) for g in gb])
 
 
 def saturate_irrelevant(I):
@@ -299,13 +356,15 @@ class SaturationBound:
     notes: list = field(default_factory=list)
 
 
-def saturation_exponent_bound_check(I, l, method="auto"):
+def saturation_exponent_bound_check(I, l):
     """Check the saturation-exponent bound for the linear form l.
 
-    method "chain" iterates literal colons (exact, any size); "membership"
-    derives q from membership exponents of the saturated generators, which
-    matches the chain length whenever l is generic (the caller is expected
-    to validate genericity; small rings get an exact colon certificate here).
+    q is the length of the colon chain of I by l.  In at most four variables
+    with reg(I) <= 12 it comes from saturate (method "chain"), and the check
+    I : l^inf == I^sat certifies that l is generic.  Larger cases take the
+    largest membership exponent of the saturated generators (method
+    "membership"), which equals the chain length when l is generic; there
+    genericity is left to the caller and precondition_certified is False.
     """
     from .resolution import a0 as a0_of, regularity_ideal
 
@@ -316,58 +375,30 @@ def saturation_exponent_bound_check(I, l, method="auto"):
     reg_i = regularity_ideal(I)
     a0_val = a0_of(I)
     ind = hilbert.indeg(S)
+    report = functools.partial(SaturationBound, a0=a0_val, indeg_sat=ind, reg_ideal=reg_i,
+                               bound_right=reg_i - ind)
     if S.same_ideal(I):
-        return SaturationBound(
-            q=0, a0=a0_val, indeg_sat=ind, reg_ideal=reg_i, bound_mid=None,
-            bound_right=reg_i - ind, holds=True, status="saturated",
-            method="trivial", precondition_certified=True,
-            notes=["ideal is saturated; q = 0 and the bound is trivial"])
+        return report(q=0, bound_mid=None, holds=True, status="saturated", method="trivial",
+                      precondition_certified=True,
+                      notes=["ideal is saturated; q = 0 and the bound is trivial"])
     bound_mid = a0_val - ind + 1
-    bound_right = reg_i - ind
-    if method == "auto":
-        method = "chain" if ring.nvars <= 4 and reg_i <= 12 else "membership"
-    notes = []
-    certified = False
-    status = "ok"
-    if method == "chain":
+    if ring.nvars <= 4 and reg_i <= 12:
         chain_sat, q = saturate(I, l)
         if not chain_sat.same_ideal(S):
-            return SaturationBound(
-                q=None, a0=a0_val, indeg_sat=ind, reg_ideal=reg_i,
-                bound_mid=bound_mid, bound_right=bound_right, holds=None,
-                status="not_generic", method=method, precondition_certified=False,
-                notes=["I : l^inf differs from I^sat; the form is not generic"])
-        certified = True
-        notes.append("chain stabilized at I^sat; colon chain is exact")
-    else:
-        jmax = max(bound_mid + 3, 3)
-        exps = []
-        sat_gens = S.groebner().polys
-        for g in sat_gens:
-            j = membership_exponent(I, l, g, jmax)
-            if j is None:
-                return SaturationBound(
-                    q=None, a0=a0_val, indeg_sat=ind, reg_ideal=reg_i,
-                    bound_mid=bound_mid, bound_right=bound_right, holds=False,
-                    status="not_generic", method=method, precondition_certified=False,
-                    notes=[f"l^j * g stayed outside I through j = {jmax}; "
-                           "either the bound fails or the form is not generic"])
-            exps.append(j)
-        q = max(exps)
-        notes.append(f"membership exponents of {len(exps)} saturated generators, max {q}")
-        if ring.nvars <= 4 and reg_i <= 12:
-            C = colon(I, l)
-            if S.contains_ideal(C):
-                certified = True
-                notes.append("exact colon certificate: I : l is contained in I^sat")
-            else:
-                return SaturationBound(
-                    q=q, a0=a0_val, indeg_sat=ind, reg_ideal=reg_i,
-                    bound_mid=bound_mid, bound_right=bound_right, holds=None,
-                    status="not_generic", method=method, precondition_certified=False,
-                    notes=["I : l escapes I^sat; the form is not generic"])
-    holds = q <= bound_mid and bound_mid <= bound_right
-    return SaturationBound(
-        q=q, a0=a0_val, indeg_sat=ind, reg_ideal=reg_i, bound_mid=bound_mid,
-        bound_right=bound_right, holds=holds, status=status, method=method,
-        precondition_certified=certified, notes=notes)
+            return report(q=None, bound_mid=bound_mid, holds=None, status="not_generic",
+                          method="chain", precondition_certified=False,
+                          notes=["I : l^inf differs from I^sat; the form is not generic"])
+        return report(q=q, bound_mid=bound_mid, holds=q <= bound_mid <= reg_i - ind,
+                      status="ok", method="chain", precondition_certified=True,
+                      notes=["I : l^inf equals I^sat; q is the exact chain length"])
+    jmax = max(bound_mid + 3, 3)
+    exps = [membership_exponent(I, l, g, jmax) for g in S.groebner().polys]
+    if None in exps:
+        return report(q=None, bound_mid=bound_mid, holds=False, status="not_generic",
+                      method="membership", precondition_certified=False,
+                      notes=[f"l^j * g stayed outside I through j = {jmax}; "
+                             "either the bound fails or the form is not generic"])
+    q = max(exps)
+    return report(q=q, bound_mid=bound_mid, holds=q <= bound_mid <= reg_i - ind,
+                  status="ok", method="membership", precondition_certified=False,
+                  notes=[f"membership exponents of {len(exps)} saturated generators, max {q}"])

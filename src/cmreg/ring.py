@@ -436,22 +436,8 @@ GREVLEX = Grevlex()
 LEX = Lex()
 
 
-def mono_cmp(a, b, order):
-    """Compare exponent tuples under order: -1, 0, or 1."""
-    if len(a) != len(b):
-        raise ValueError("exponent tuples of different lengths")
-    bound = order.bind(len(a))
-    ka, kb = bound.pack(a), bound.pack(b)
-    return (ka > kb) - (ka < kb)
-
-
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a, b):
-    """Whether monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 def mono_lcm(a, b):

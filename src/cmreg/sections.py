@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import hilbert
 from .groebner import Ideal
-from .idealops import saturate_irrelevant
+from .idealops import linear_coefficients, linear_form, saturate_irrelevant, substitute_variable
 from .ring import GREVLEX, PolyRing, Polynomial, transport
 
 
@@ -39,16 +39,8 @@ def random_linear_form(ring, seed):
     if p is not None and p <= 1000:
         raise ValueError(f"coefficient field F_{p} too small for random sections (need p > 1000)")
     rng = random.Random(seed * 1_000_003 + ring.nvars)
-    data = {}
-    for i in range(ring.nvars):
-        e = [0] * ring.nvars
-        e[i] = 1
-        if p is not None:
-            c = rng.randrange(1, p)
-        else:
-            c = rng.randrange(1, 10 ** 6)
-        data[tuple(e)] = ring.field(c)
-    return Polynomial(ring, data)
+    top = 10 ** 6 if p is None else p
+    return linear_form(ring, [ring.field(rng.randrange(1, top)) for _ in range(ring.nvars)])
 
 
 def substitute_linear(I, l):
@@ -61,39 +53,13 @@ def substitute_linear(I, l):
     n = ring.nvars
     if n < 2:
         raise ValueError("need at least two variables to take a hyperplane section")
-    coeffs = [ring.field(0)] * n
-    for e, c in l.terms:
-        if sum(e) != 1:
-            raise ValueError("section form must be linear")
-        coeffs[e.index(1)] = c
+    coeffs = linear_coefficients(l)
     if coeffs[-1] == 0:
         raise ValueError("section form must involve the last variable")
     S = PolyRing(ring.names[:-1], ring.field, GREVLEX)
-    scale = ring.field.neg(ring.field.inv(coeffs[-1]))
-    repl_data = {}
-    for i in range(n - 1):
-        if coeffs[i] != 0:
-            e = [0] * (n - 1)
-            e[i] = 1
-            repl_data[tuple(e)] = ring.field.mul(scale, coeffs[i])
-    repl = Polynomial(S, repl_data)
-    powers = {0: S.const(1), 1: repl}
-
-    def power(k):
-        got = powers.get(k)
-        if got is None:
-            got = power(k - 1) * repl
-            powers[k] = got
-        return got
-
-    images = []
-    for g in I.gens:
-        acc = S.zero
-        for e, c in g.terms:
-            acc = acc + S.monomial(e[:-1], c) * power(e[-1])
-        if not acc.is_zero():
-            images.append(acc)
-    return S, Ideal(S, images)
+    f = ring.field
+    scale = f.neg(f.inv(coeffs[-1]))
+    return S, substitute_variable(I, n - 1, linear_form(S, [f.mul(scale, c) for c in coeffs[:-1]]))
 
 
 @dataclass

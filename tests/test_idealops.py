@@ -15,7 +15,8 @@ from cmreg.idealops import (colon, colon_by_variable_power, colon_ideal,
                             eliminate, ideal_product, ideal_sum, intersect,
                             membership_exponent, quotient_exact, saturate,
                             saturate_ideal, saturate_irrelevant,
-                            saturation_exponent_bound_check)
+                            saturation_exponent_bound_check,
+                            substitute_variable)
 from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ
 from cmreg._linalg import rref
 
@@ -185,6 +186,16 @@ def test_quotient_exact_and_failure():
         quotient_exact(x * x + y, x)
 
 
+def _colon_chain(I, f):
+    """(I : f^inf, q) by literal colons until two consecutive ideals agree."""
+    cur, q = I, 0
+    while True:
+        nxt = colon(cur, f)
+        if nxt.same_ideal(cur):
+            return cur, q
+        cur, q = nxt, q + 1
+
+
 def test_colon_by_variable_power_matches_saturate():
     R = PolyRing(("X0", "X1", "X2", "X3"), PrimeField(32003), GREVLEX)
     X0, X1, X2, X3 = R.gens()
@@ -192,8 +203,60 @@ def test_colon_by_variable_power_matches_saturate():
                   X0 * X0 * X3 - X1 * X1 * X2])
     for i in range(4):
         fast = colon_by_variable_power(I, i)
-        slow, _ = saturate(I, R.gen(i))
+        slow, q = _colon_chain(I, R.gen(i))
         assert fast.same_ideal(slow)
+        assert fast.same_ideal(saturate(I, R.gen(i))[0])
+        assert (fast is I) == (q == 0)
+
+
+def _seeded_forms(ring):
+    """Two lemma12-style random forms and X1 + X2, whose last variable is not
+    the ring's last, so saturate's permuted order is exercised."""
+    from cmreg.sections import random_linear_form
+    from cmreg.verify import DEFAULT_SEED
+
+    X1, X2 = ring.gen(1), ring.gen(2)
+    return [random_linear_form(ring, DEFAULT_SEED + 9973 * k) for k in range(2)] + [X1 + X2]
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("mnp", [(2, 2, False), (1, 3, True)], ids=["22", "primed-13"])
+def test_saturate_by_linear_form_matches_colon_chain(mnp, char):
+    from cmreg.families import build_family
+
+    m, n, primed = mnp
+    aci = build_family(m, n, primed=primed, char=char).almost_complete_intersection
+    for l in _seeded_forms(aci.ring):
+        S, q = saturate(aci, l)
+        cur = aci
+        for k in range(q):
+            assert not cur.same_ideal(S)  # q - 1 colons fall short
+            cur = colon(cur, l)
+        assert cur.same_ideal(S)
+        assert colon(S, l).same_ideal(S)
+
+
+def test_saturate_rejects_nonlinear_form_and_nonhomogeneous_ideal():
+    R = PolyRing(("x", "y", "z"), PrimeField(32003), GREVLEX)
+    x, y, z = R.gens()
+    I = Ideal(R, [x * x, x * y])
+    for f in (x * y, x + R.one, R.zero, R.one):
+        with pytest.raises(ValueError):
+            saturate(I, f)
+    with pytest.raises(ValueError):
+        saturate(Ideal(R, [x * x - y]), z)
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["p", "q"])
+def test_substitute_variable_coordinate_change_round_trip(field):
+    R = PolyRing(("x", "y", "z"), field, GREVLEX)
+    x, y, z = R.gens()
+    I = Ideal(R, [x * x * y - z * z * z, y * y * z + x * z * z])
+    l = 3 * x + 5 * y
+    to_y = field.inv(field(5)) * (y - 3 * x)  # y -> to_y sends l to y
+    assert substitute_variable(Ideal(R, [l]), 1, to_y).gens == (y,)
+    fwd = substitute_variable(I, 1, to_y)
+    assert substitute_variable(fwd, 1, l).gens == I.gens
 
 
 def test_saturate_ideal_variable_fast_path():
@@ -325,9 +388,9 @@ def test_membership_exponent_matches_product_route(primed, char):
 def test_saturation_step_budget_raises_budget_exceeded():
     R = PolyRing(("x", "y"), PrimeField(32003), GREVLEX)
     x, y = R.gens()
-    I = Ideal(R, [x * x, x * y])  # I : y = (x) != I, so one step cannot settle
+    I = Ideal(R, [x * x, x * y])  # I : (x^2 + y^2) = (x) != I, so one step cannot settle
     with pytest.raises(BudgetExceeded, match="within 1 steps"):
-        saturate(I, y, max_steps=1)
+        saturate_ideal(I, Ideal(R, [x * x + y * y]), max_steps=1)
 
 
 def test_saturation_exponent_bound_two_vars():
