@@ -2,9 +2,11 @@
 
 Polynomials enter as {packed_key: coeff} dicts under a bound monomial order
 (see ring.py): key addition is monomial multiplication and integer comparison
-is the order comparison, so the hot loops touch only ints and dicts.  Free
-modules use (component, packed_key) term keys with Schreyer-style component
-comparison data supplied by the caller.
+is the order comparison, so the hot loops touch only ints and dicts.  A
+free module in a Schreyer order packs the same way (see ModContext): a term
+x^k e_c is one int whose integer order is the Schreyer order and whose low
+bits name the component, so Schreyer syzygies go through the same Reducer,
+_spair and _reduce as ideals do, with reducers grouped by component.
 
 Monomial tests run on exponent words, derived from a key when a term is
 popped: a reducer's lead word divides w when (w - lead) & guards == 0, the
@@ -12,7 +14,7 @@ Gebauer-Moeller update keeps lcm words and reads their degrees off by one
 multiply, and a pair's heap key is key(lcm word), which equals the packed
 lcm, so the pair order is that of the exponent tuples.  A popped word with
 a guard bit set is a term whose exponent passed the cap; the normal-form
-loops raise OverflowError for it rather than reduce a term that is not there.
+loop raises OverflowError for it rather than reduce a term that is not there.
 
 Buchberger autoreduces its inputs in one ascending pass, keeps its S-pairs in
 a heap in normal order, and prunes them by Gebauer-Moeller.  On prime fields
@@ -24,8 +26,8 @@ integer multiple of its polynomial, and a normal form carries one common
 denominator for all its terms and reduces fraction-free (see _reduce), so
 Buchberger's S-pairs and remainders never leave the integers.  Fractions
 appear only at the boundary: normal_form returns them and the reduced basis
-is monic in them.  The free-module normal form (mod_normal_form) and the
-pdict_* helpers that resolutions use still work on Fractions over Q.
+is monic in them.  Schreyer syzygies over Q reduce fraction-free the same
+way; the pdict_* helpers that minimize resolutions still work on Fractions.
 
 Everything here is internal; the public API wraps it in ring.py, groebner.py
 and resolution.py.
@@ -48,7 +50,7 @@ class BudgetExceeded(RuntimeError):
 class Context:
     """A bound order plus field, with the order's key and word maps."""
 
-    __slots__ = ("bound", "field", "p", "unpack", "word", "key", "degree", "guards")
+    __slots__ = ("bound", "field", "p", "unpack", "word", "key", "degree", "guards", "cmask")
 
     def __init__(self, bound, field):
         self.bound = bound
@@ -59,6 +61,51 @@ class Context:
         self.key = bound.key
         self.degree = bound.degree
         self.guards = bound.guards
+        self.cmask = None
+
+
+class ModContext:
+    """A free module over a ring Context, in the Schreyer order, on packed keys.
+
+    Basis element c maps to a term of packed ring key imgkeys[c]; chains[c]
+    breaks ties (a smaller chain means a larger module term) and degs[c] is
+    its internal degree.  The term x^k e_c packs into one int,
+
+        K = ((k + imgkeys[c]) << cbits) | rank[c],
+
+    where rank orders the basis by descending chain and cbits is the bit
+    length of the largest rank.  Integer order is then the Schreyer order,
+    K + (s << cbits) is K times x^s, and the component is K & cmask.
+    word(K) is the ring word of the composite x^k * img(c), K >> cbits:
+    within a component it is x^k's word plus a fixed word, so divisibility
+    and lcm differences are those of x^k, and a guard bit flags a composite
+    past the exponent cap.  unpack gives the composite's exponents.
+    """
+
+    __slots__ = ("field", "p", "word", "unpack", "guards", "cmask", "cbits",
+                 "imgkeys", "chains", "degs", "rank", "comp")
+
+    def __init__(self, ctx, imgkeys, chains, degs):
+        self.field, self.p, self.guards = ctx.field, ctx.p, ctx.guards
+        self.imgkeys, self.chains, self.degs = imgkeys, chains, degs
+        self.comp = sorted(range(len(imgkeys)), key=chains.__getitem__, reverse=True)
+        self.rank = [0] * len(imgkeys)
+        for r, c in enumerate(self.comp):
+            self.rank[c] = r
+        cbits = self.cbits = (len(imgkeys) - 1).bit_length()
+        self.cmask = (1 << cbits) - 1
+        word, unpack = ctx.word, ctx.unpack
+        self.word = lambda K: word(K >> cbits)
+        self.unpack = lambda K: unpack(K >> cbits)
+
+    def enc(self, c, k):
+        """The packed key of x^k e_c."""
+        return ((k + self.imgkeys[c]) << self.cbits) | self.rank[c]
+
+    def dec(self, K):
+        """(c, k) with enc(c, k) == K."""
+        c = self.comp[K & self.cmask]
+        return c, (K >> self.cbits) - self.imgkeys[c]
 
 
 def _overflow(ctx, k):
@@ -168,10 +215,15 @@ def _reduce(ctx, h, reducers, track=False, den=1):
     lc, with g = gcd(c, lc) and a = lc / g, the pending terms, the remainder
     and den are multiplied by a, and (c / g) * x^shift * tail is subtracted.
     The quotient term of that step is c / den.
+
+    A ring Context (cmask None) scans the reducer list.  A ModContext takes
+    reducers grouped by lead component, {rank: list}, and scans only the
+    group of the popped term's component, k & cmask.
     """
     p = ctx.p
     word = ctx.word
     guards = ctx.guards
+    cmask = ctx.cmask
     heap = [-k for k in h]
     heapq.heapify(heap)
     rem = {}
@@ -186,7 +238,7 @@ def _reduce(ctx, h, reducers, track=False, den=1):
         w = word(k)
         if w & guards:
             raise _overflow(ctx, k)
-        for red in reducers:
+        for red in reducers if cmask is None else reducers.get(k & cmask, ()):
             if not (w - red.leadword) & guards:
                 break
         else:
@@ -378,118 +430,6 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     final.sort(key=max, reverse=True)
     stats["basis_size"] = len(final)
     return final, stats
-
-
-# --- free modules with Schreyer comparison ----------------------------------
-
-class ModBasis:
-    """Comparison data for a free module basis over a ring Context.
-
-    imgkeys[c] is the packed ring key of the basis element's composite image,
-    chains[c] the position chain used as tiebreak (smaller chain means larger
-    module monomial), degs[c] the internal degree of the basis element.
-    """
-
-    __slots__ = ("imgkeys", "chains", "degs")
-
-    def __init__(self, imgkeys, chains, degs):
-        self.imgkeys = imgkeys
-        self.chains = chains
-        self.degs = degs
-
-    @property
-    def rank(self):
-        return len(self.imgkeys)
-
-    def sortkey(self, term):
-        c, k = term
-        return (-(k + self.imgkeys[c]), self.chains[c])
-
-
-def mod_lead(basis, el):
-    """Lead term (comp, key) of a packed module element under the basis order."""
-    return min(el, key=basis.sortkey)
-
-
-class ModReducer:
-    __slots__ = ("index", "comp", "leadkey", "leadword", "tail")
-
-    def __init__(self, ctx, index, el, lead):
-        self.index = index
-        self.comp, self.leadkey = lead
-        self.leadword = ctx.word(self.leadkey)
-        self.tail = tuple((t, c) for t, c in el.items() if t != lead)
-
-
-def mod_normal_form(ctx, basis, f, reducers_by_comp, track=False):
-    """Full normal form in a free module with Schreyer comparison.
-
-    f maps (comp, key) to coeff; reducers are monic ModReducers grouped by
-    lead component.  Returns (remainder, quotients) with quotients keyed by
-    reducer index holding packed ring-polynomial factors.
-    """
-    p = ctx.p
-    word = ctx.word
-    guards = ctx.guards
-    imgkeys = basis.imgkeys
-    chains = basis.chains
-    h = dict(f)
-    heap = [(-(k + imgkeys[c]), chains[c], c, k) for (c, k) in h]
-    heapq.heapify(heap)
-    rem = {}
-    quots = {} if track else None
-    pop = heapq.heappop
-    push = heapq.heappush
-    while heap:
-        _, _, c, k = pop(heap)
-        cc = h.pop((c, k), None)
-        if cc is None:
-            continue
-        w = word(k)
-        if w & guards:
-            raise _overflow(ctx, k)
-        for red in reducers_by_comp.get(c, ()):
-            if not (w - red.leadword) & guards:
-                break
-        else:
-            rem[(c, k)] = cc
-            continue
-        shift = k - red.leadkey
-        if track:
-            qd = quots.setdefault(red.index, {})
-            prev = qd.get(shift)
-            qd[shift] = cc if prev is None else (prev + cc) % p if p is not None else prev + cc
-        if p is not None:
-            for (tc_comp, tk), tcoef in red.tail:
-                nt = (tc_comp, tk + shift)
-                prev = h.get(nt)
-                if prev is None:
-                    v = -cc * tcoef % p
-                    if v:
-                        h[nt] = v
-                        push(heap, (-(nt[1] + imgkeys[tc_comp]), chains[tc_comp], tc_comp, nt[1]))
-                else:
-                    v = (prev - cc * tcoef) % p
-                    if v:
-                        h[nt] = v
-                    else:
-                        del h[nt]
-        else:
-            for (tc_comp, tk), tcoef in red.tail:
-                nt = (tc_comp, tk + shift)
-                prev = h.get(nt)
-                if prev is None:
-                    v = -cc * tcoef
-                    if v:
-                        h[nt] = v
-                        push(heap, (-(nt[1] + imgkeys[tc_comp]), chains[tc_comp], tc_comp, nt[1]))
-                else:
-                    v = prev - cc * tcoef
-                    if v:
-                        h[nt] = v
-                    else:
-                        del h[nt]
-    return rem, quots
 
 
 # --- packed polynomial helpers (used by resolution minimization) ------------

@@ -127,14 +127,7 @@ def _cmd_verify(args):
     field_of_characteristic(args.char)
     if args.m is not None:
         families.check_parameters(args.m, args.n, args.primed)
-        if args.claim == "all":
-            if args.primed:
-                wanted = ["prop22", "lemma21", "thm11", "lemma12", "cor13"]
-            else:
-                wanted = ["prop32", "lemma31", "thm11", "lemma12", "cor13",
-                          "remark33"]
-        else:
-            wanted = [args.claim]
+        wanted = verify.FAMILY_CLAIMS[args.primed] if args.claim == "all" else [args.claim]
         reports = [verify.run_claim(c, args.m, args.n, args.primed,
                                     seed=args.seed, char=args.char)
                    for c in sorted(wanted)]

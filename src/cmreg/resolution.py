@@ -4,8 +4,11 @@ The resolution of A/I is built by iterated syzygies in the Schreyer order:
 the reduced Groebner basis gives the first matrix, and at each level the
 surviving S-pairs (after lead-divisibility pruning inside each component)
 reduce to zero with tracked quotients, which are exactly the next level's
-syzygies.  The result is then minimized over the field by cancelling
-degree-zero unit entries with exact column operations.
+syzygies.  Each level's free module is a _kernel.ModContext: a module term
+is one packed int in the Schreyer order, so the S-pairs and their
+reductions are the kernel's _spair and _reduce, as for ideals.  The result
+is then minimized over the field by cancelling degree-zero unit entries
+with exact column operations.
 
 Certification is part of the construction: compositions of consecutive
 minimized matrices must vanish, no unit entries may remain, the length must
@@ -17,11 +20,11 @@ lead terms.  Any failure is a hard error, not a warning.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
+from math import lcm
 
 from . import _kernel, hilbert
-from ._kernel import Context, ModBasis, ModReducer, mod_lead, mod_normal_form
+from ._kernel import Context, ModContext, Reducer, _reduce, _spair
 from .groebner import Ideal
 from .ring import GREVLEX, Polynomial, word_lcm
 
@@ -123,53 +126,63 @@ class Resolution:
 
 
 def _schreyer_levels(ctx, gb_packed, nvars):
-    """Iterated Schreyer syzygies; returns (levels of module elements, metas)."""
-    metas = [ModBasis([0], [()], [0])]
-    current = []
-    for d in sorted(gb_packed, key=max, reverse=True):
-        current.append({(0, k): c for k, c in d.items()})
-    levels = []
+    """Iterated Schreyer syzygies; returns (levels, modules).
+
+    levels[l] lists the elements of level l + 1, sorted descending by lead,
+    as packed dicts in the keys of modules[l], the free module they live in.
+    modules[0] is the ring, of rank one, where a module key is the ring key;
+    modules[l + 1] has one basis element per element of levels[l].
+    """
     word, degree = ctx.word, ctx.degree
+    module = ModContext(ctx, [0], [()], [0])
+    modules = [module]
+    current = sorted(gb_packed, key=max, reverse=True)
+    levels = []
     while current:
-        meta_prev = metas[-1]
-        leads = [mod_lead(meta_prev, el) for el in current]
         levels.append(current)
         imgkeys, chains, degs = [], [], []
-        for i, (c, k) in enumerate(leads):
-            imgkeys.append(k + meta_prev.imgkeys[c])
-            chains.append(meta_prev.chains[c] + (i,))
-            degs.append(degree(word(k)) + meta_prev.degs[c])
-        meta_new = ModBasis(imgkeys, chains, degs)
-        metas.append(meta_new)
-        current = _syzygies(ctx, meta_prev, meta_new, current, leads)
-        current.sort(key=lambda el: meta_new.sortkey(mod_lead(meta_new, el)))
+        for i, el in enumerate(current):
+            lead = max(el)
+            img = lead >> module.cbits
+            imgkeys.append(img)
+            chains.append(module.chains[module.comp[lead & module.cmask]] + (i,))
+            degs.append(degree(word(img)))
+        new = ModContext(ctx, imgkeys, chains, degs)
+        current = _syzygies(ctx, module, new, current)
+        current.sort(key=max, reverse=True)
+        modules.append(new)
+        module = new
         if len(levels) > nvars + 5:
             raise RuntimeError("resolution exceeded the level budget before terminating")
-    return levels, metas
+    return levels, modules
 
 
-def _syzygies(ctx, meta_prev, meta_new, elems, leads):
-    field = ctx.field
-    p = ctx.p
-    by_comp = {}
-    for i, (c, k) in enumerate(leads):
-        by_comp.setdefault(c, []).append(i)
-    reducers_by_comp = {}
-    for i, el in enumerate(elems):
-        c = leads[i][0]
-        reducers_by_comp.setdefault(c, []).append(ModReducer(ctx, i, el, leads[i]))
+def _syzygies(ctx, module, new, elems):
+    """The Schreyer syzygies of the monic elems of module, keyed in new.
+
+    Within each lead component, a pair (i, j) survives when no kept pair
+    (i, j') has a monomial cofactor T' dividing its T.  Its S-pair, lambda
+    times x^si e_i - x^sj e_j mapped to module, reduces to zero by _reduce
+    against the elems, and lambda e_i x^si - lambda e_j x^sj minus the
+    quotients, made monic, is the syzygy.  Over F_p, lambda is 1; over Q
+    _spair forms lambda = lcm(lc_i, lc_j) times the monic S-pair.
+    """
+    field, p = ctx.field, ctx.p
     keyof, degree, guards = ctx.key, ctx.degree, ctx.guards
-    lead_words = [ctx.word(k) for _, k in leads]
+    cbits, cmask = module.cbits, module.cmask
+    reds = [Reducer.from_packed(module, el, index=i, sugar=0) for i, el in enumerate(elems)]
+    by_rank = {}
+    for red in reds:
+        by_rank.setdefault(red.leadkey & cmask, []).append(red)
+    enc = new.enc
     out = []
-    for c, idxs in sorted(by_comp.items()):
-        for i in idxs:
-            wi = lead_words[i]
+    for group in by_rank.values():
+        for a, ri in enumerate(group):
+            wi = ri.leadword
             cands = []
-            for j in idxs:
-                if j <= i:
-                    continue
-                T = word_lcm(wi, lead_words[j], guards) - wi
-                cands.append((degree(T), j, T))
+            for rj in group[a + 1:]:
+                T = word_lcm(wi, rj.leadword, guards) - wi
+                cands.append((degree(T), rj.index, T))
             # Sorted by degree, a candidate is dropped exactly when a proper
             # divisor or an equal T of smaller j comes before it.
             cands.sort()
@@ -178,39 +191,27 @@ def _syzygies(ctx, meta_prev, meta_new, elems, leads):
                 if any(not (T - Tk) & guards for Tk, _ in kept):
                     continue
                 kept.append((T, j))
+            i = ri.index
             for T, j in kept:
-                lcmkey = keyof(T + wi)
-                si = lcmkey - leads[i][1]
-                sj = lcmkey - leads[j][1]
-                v = {}
-                for (cc, kk), coef in elems[i].items():
-                    v[(cc, kk + si)] = coef
-                for (cc, kk), coef in elems[j].items():
-                    t = (cc, kk + sj)
-                    prev = v.get(t)
-                    val = -coef if prev is None else prev - coef
-                    if p is not None:
-                        val %= p
-                    if val:
-                        v[t] = val
-                    else:
-                        v.pop(t, None)
-                rem, quots = mod_normal_form(ctx, meta_prev, v, reducers_by_comp, track=True)
+                rj = reds[j]
+                si = keyof(T)
+                lcmkey = ri.leadkey + (si << cbits)
+                rem, _, quots = _reduce(module, _spair(ri, rj, lcmkey, p), by_rank, True)
                 if rem:
                     raise AssertionError("S-pair of a Schreyer basis failed to reduce to zero")
-                syz = {(i, si): field(1), (j, sj): field.neg(field(1))}
+                lam = field(lcm(ri.lc, rj.lc))
+                lead = enc(i, si)
+                syz = {lead: lam, enc(j, (lcmkey - rj.leadkey) >> cbits): field.neg(lam)}
                 for t, qd in quots.items():
-                    for kk, coef in qd.items():
-                        key = (t, kk)
+                    for shift, coef in qd.items():
+                        key = enc(t, shift >> cbits)
                         prev = syz.get(key)
-                        val = (field.neg(coef) if prev is None
-                               else field.sub(prev, coef))
-                        if val != 0:
+                        val = field.neg(coef) if prev is None else field.sub(prev, coef)
+                        if val:
                             syz[key] = val
                         else:
                             syz.pop(key, None)
-                lead = mod_lead(meta_new, syz)
-                if lead != (i, si):
+                if max(syz) != lead:
                     raise AssertionError("Schreyer syzygy lead differs from its predicted value")
                 lc = syz[lead]
                 if lc != field(1):
@@ -220,14 +221,16 @@ def _syzygies(ctx, meta_prev, meta_new, elems, leads):
     return out
 
 
-def _column_form(levels):
-    """Per level: {col_id: {row_id: packed poly dict}}."""
+def _column_form(levels, modules):
+    """Per level: {col_id: {row_id: packed poly dict}}, module keys decoded."""
     cols_by_level = {}
-    for lvl, elems in enumerate(levels, start=1):
+    for lvl, (elems, module) in enumerate(zip(levels, modules), start=1):
+        dec = module.dec
         cols = {}
         for ci, el in enumerate(elems):
             col = {}
-            for (c, k), coef in el.items():
+            for K, coef in el.items():
+                c, k = dec(K)
                 col.setdefault(c, {})[k] = coef
             cols[ci] = col
         cols_by_level[lvl] = cols
@@ -247,6 +250,7 @@ def _minimize(ctx, cols_by_level, top_level):
     rescan would.
     """
     field = ctx.field
+    one = field(1)
     work = [(lvl, ci, ri)
             for lvl in range(1, top_level + 1)
             for ci, col in cols_by_level.get(lvl, {}).items()
@@ -260,16 +264,17 @@ def _minimize(ctx, cols_by_level, top_level):
         if pivot_col is None or not _is_unit_entry(pivot_col.get(ri, {})):
             continue
         del cols[ci]
-        uinv = field.inv(pivot_col[ri][0])
+        scale = field.neg(field.inv(pivot_col[ri][0]))
         for cj, col in cols.items():
             v = col.get(ri)
             if v is None:
                 continue
-            factor = _kernel.pdict_scale(ctx, v, field.neg(uinv))
+            # A scaled copy: when r2 == ri, col[ri] is itself the target.
+            factor = _kernel.pdict_scale(ctx, v, scale)
             for r2, pd in pivot_col.items():
                 prod = _kernel.pdict_mul(ctx, factor, pd)
                 tgt = col.setdefault(r2, {})
-                _kernel.pdict_add_scaled(ctx, tgt, field(1), prod)
+                _kernel.pdict_add_scaled(ctx, tgt, one, prod)
                 if not tgt:
                     del col[r2]
                 elif _is_unit_entry(tgt):
@@ -286,6 +291,7 @@ def _minimize(ctx, cols_by_level, top_level):
 
 def _compose_is_zero(ctx, lower_cols, upper_cols):
     """Whether M_l composed with M_{l+1} vanishes, on packed columns."""
+    one = ctx.field(1)
     for col in upper_cols.values():
         acc = {}
         for s, pd in col.items():
@@ -297,7 +303,7 @@ def _compose_is_zero(ctx, lower_cols, upper_cols):
             for r, pdl in lower.items():
                 prod = _kernel.pdict_mul(ctx, pd, pdl)
                 tgt = acc.setdefault(r, {})
-                _kernel.pdict_add_scaled(ctx, tgt, ctx.field(1), prod)
+                _kernel.pdict_add_scaled(ctx, tgt, one, prod)
                 if not tgt:
                     del acc[r]
         if any(acc.values()):
@@ -326,8 +332,8 @@ def minimal_resolution(I):
         return res
     ctx = Context(GREVLEX.bind(ring.nvars), ring.field)
     gb_packed = [_kernel.to_packed(ctx, g) for g in gb.polys]
-    levels, metas = _schreyer_levels(ctx, gb_packed, ring.nvars)
-    cols_by_level = _column_form(levels)
+    levels, modules = _schreyer_levels(ctx, gb_packed, ring.nvars)
+    cols_by_level = _column_form(levels, modules)
     top = len(levels)
     cancelled = _minimize(ctx, cols_by_level, top)
     while top >= 1 and not cols_by_level.get(top):
@@ -339,7 +345,7 @@ def minimal_resolution(I):
         live[lvl] = sorted(cols_by_level[lvl])
     degs = {0: {0: 0}}
     for lvl in range(1, top + 1):
-        degs[lvl] = {ci: metas[lvl].degs[ci] for ci in live[lvl]}
+        degs[lvl] = {ci: modules[lvl].degs[ci] for ci in live[lvl]}
 
     matrices = []
     betti_entries = {(0, 0): 1}

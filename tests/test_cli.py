@@ -182,3 +182,23 @@ def test_exhausted_budgets_are_one_line_with_exit_code_3(case, tmp_path, capsys,
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("cmreg: error: ") and needle in lines[0]
+
+
+def test_grid_and_single_instance_run_the_family_claims(monkeypatch, capsys):
+    calls = []
+
+    def record(claim, m, n, primed, seed=verify.DEFAULT_SEED, char=verify.DEFAULT_CHAR):
+        calls.append((claim, m, n, primed))
+        return verify.VerifyReport(claim, {"m": m, "n": n, "primed": primed}, [])
+
+    monkeypatch.setattr(verify, "run_claim", record)
+    verify.grid_reports()
+    grid = list(calls)
+    assert grid == sorted(grid) and len(grid) == 39
+    for primed, instances in ((False, verify.UNPRIMED_GRID), (True, verify.PRIMED_GRID)):
+        for m, n in instances:
+            ran = {c for c, *inst in grid if inst == [m, n, primed]}
+            assert ran == set(verify.FAMILY_CLAIMS[primed])
+        calls.clear()
+        main(["verify", "all", "--m", "2", "--n", "2"] + (["--primed"] if primed else []))
+        assert calls == [(c, 2, 2, primed) for c in sorted(verify.FAMILY_CLAIMS[primed])]

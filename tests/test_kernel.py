@@ -315,3 +315,56 @@ def test_rational_reduce_reconstructs_f():
             assert f == sum((q * g for q, g in zip(quots, divisors)), r)
             leads = [g.lm() for g in divisors]
             assert not any(all(a <= b for a, b in zip(lm, e)) for e, _ in r.terms for lm in leads)
+
+
+# --- free-module terms as packed keys ----------------------------------------
+
+def _real_module():
+    """The free module with one basis element per level-2 element of the (2,2) resolution."""
+    I = build_family(2, 2).almost_complete_intersection
+    ctx = _kernel.Context(GREVLEX.bind(I.ring.nvars), I.ring.field)
+    gb = [_kernel.to_packed(ctx, g) for g in I.groebner(GREVLEX).polys]
+    return ctx, _schreyer_levels(ctx, gb, I.ring.nvars)[1][2]
+
+
+def test_module_keys_are_the_schreyer_order():
+    ctx, module = _real_module()
+    rng = random.Random(20261019)
+    n, rank = ctx.bound.n, len(module.imgkeys)
+    assert rank > 2
+
+    def term():
+        return rng.randrange(rank), ctx.bound.raw([rng.randrange(4) for _ in range(n)])
+
+    def schreyer(t):
+        c, k = t
+        return (-(k + module.imgkeys[c]), module.chains[c])
+
+    terms = [term() for _ in range(300)]
+    for (c, k), other in zip(terms, terms[1:] + terms[:1]):
+        K = module.enc(c, k)
+        assert module.dec(K) == (c, k)
+        # Integer order is the old comparison, reversed: a smaller tuple is a larger term.
+        assert (K < module.enc(*other)) == (schreyer((c, k)) > schreyer(other))
+        assert (K == module.enc(*other)) == ((c, k) == other)
+        s = ctx.bound.raw([rng.randrange(3) for _ in range(n)])
+        assert K + (s << module.cbits) == module.enc(c, k + s)
+
+
+def test_module_term_past_the_exponent_cap_raises_in_reduce():
+    # Reducer x^2 e_0 - y^(2^19) e_1 with e_0 -> y and e_1 -> x, in lex.
+    # x^2 y^(2^19) e_0 reduces to y^(2^20) e_1, whose y exponent passes the cap.
+    field = PrimeField(32003)
+    ctx = _kernel.Context(LEX.bind(2), field)
+    pack = ctx.bound.pack
+    module = _kernel.ModContext(ctx, [pack((0, 1)), pack((1, 0))], [(0,), (1,)], [1, 1])
+    lead = module.enc(0, pack((2, 0)))
+    red = _kernel.Reducer.from_packed(
+        module, {lead: 1, module.enc(1, pack((0, 2 ** 19))): field.neg(1)}, sugar=0)
+    assert red.leadkey == lead
+    reducers = {lead & module.cmask: [red]}
+    with pytest.raises(OverflowError, match="exponent overflow"):
+        _kernel._reduce(module, {module.enc(0, pack((2, 2 ** 19))): 1}, reducers)
+    # One step short of the cap is fine.
+    rem, _, _ = _kernel._reduce(module, {module.enc(0, pack((2, 2 ** 19 - 2))): 1}, reducers)
+    assert rem == {module.enc(1, pack((0, 2 ** 20 - 2))): 1}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -213,8 +214,8 @@ def test_minimize_worklist_matches_rescan(m, n, primed, creates_unit):
     I = build_family(m, n, primed=primed).almost_complete_intersection
     ctx = Context(GREVLEX.bind(I.ring.nvars), I.ring.field)
     gb = [_kernel.to_packed(ctx, g) for g in I.groebner(GREVLEX).polys]
-    levels, _ = _schreyer_levels(ctx, gb, I.ring.nvars)
-    worklist, rescan = _column_form(levels), _column_form(levels)
+    levels, modules = _schreyer_levels(ctx, gb, I.ring.nvars)
+    worklist, rescan = _column_form(levels, modules), _column_form(levels, modules)
     seeded = {(lvl, ci, ri) for lvl, cols in rescan.items() for ci, col in cols.items()
               for ri, pd in col.items() if _is_unit_entry(pd)}
     cancelled = _minimize(ctx, worklist, len(levels))
@@ -223,3 +224,52 @@ def test_minimize_worklist_matches_rescan(m, n, primed, creates_unit):
     assert cancelled == len(pivots) > 0
     # A unit that only a column operation produced was cancelled too.
     assert any(piv not in seeded for piv in pivots) == creates_unit
+
+
+# Non-minimal ranks, cancellations, Betti totals and reg(A/I) of the
+# resolutions of three almost complete intersections, measured before module
+# terms were packed keys.  The Schreyer work depends only on leads and the
+# pair selection, not on the characteristic or the machine, so a drift in
+# either fails here even when timings are too noisy to show it.
+SCHREYER_WORK = {
+    (3, 2, False): ([16, 49, 58, 29, 5], 58, [1, 4, 11, 15, 9, 2], 13),
+    (2, 4, False): ([8, 15, 11, 3], 8, [1, 3, 7, 8, 3], 22),
+    (2, 2, True): ([14, 38, 41, 19, 3], 40, [1, 4, 11, 13, 6, 1], 8),
+}
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("m,n,primed", sorted(SCHREYER_WORK))
+def test_schreyer_work_is_pinned(m, n, primed, char):
+    aci = build_family(m, n, primed=primed, char=char).almost_complete_intersection
+    res = minimal_resolution(Ideal(aci.ring, aci.gens))
+    ranks, cancelled, totals, reg = SCHREYER_WORK[(m, n, primed)]
+    assert res.stats["nonminimal_ranks"] == ranks
+    assert res.stats["cancelled"] == cancelled
+    assert [res.betti.total(i) for i in range(res.betti.pdim() + 1)] == totals
+    assert res.betti.regularity() == reg
+
+
+def test_rational_schreyer_syzygies_with_fractional_leads():
+    # Fractional coefficients give reducers with integer lead coefficients
+    # above 1, so the S-pair carries lambda = lcm(lc_i, lc_j) != 1.  The
+    # Schreyer work and the Betti table must be those over F_32003.
+    rng = random.Random(20261018)
+    R = PolyRing(("a", "b", "c", "d"), QQ, GREVLEX)
+    Rp = PolyRing(R.names, PrimeField(32003), GREVLEX)
+    for _ in range(3):
+        gens = []
+        for _ in range(4):
+            terms = {}
+            for _ in range(3):
+                e = [0] * 4
+                for _ in range(2):
+                    e[rng.randrange(4)] += 1
+                terms[tuple(e)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                           rng.randint(1, 5))
+            gens.append(terms)
+        res = minimal_resolution(Ideal(R, [R.poly(t) for t in gens]))
+        resp = minimal_resolution(Ideal(Rp, [Rp.poly({e: Rp.field(c) for e, c in t.items()})
+                                             for t in gens]))
+        assert res.stats == resp.stats and res.betti == resp.betti
+        assert res.stats["cancelled"] > 0
