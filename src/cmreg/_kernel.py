@@ -27,7 +27,8 @@ denominator for all its terms and reduces fraction-free (see _reduce), so
 Buchberger's S-pairs and remainders never leave the integers.  Fractions
 appear only at the boundary: normal_form returns them and the reduced basis
 is monic in them.  Schreyer syzygies over Q reduce fraction-free the same
-way; the pdict_* helpers that minimize resolutions still work on Fractions.
+way.  pdict_addmul, the fused target += scale * a * b that minimizes
+resolutions and checks their compositions, runs on Fractions over Q.
 
 Everything here is internal; the public API wraps it in ring.py, groebner.py
 and resolution.py.
@@ -432,64 +433,24 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     return final, stats
 
 
-# --- packed polynomial helpers (used by resolution minimization) ------------
+def pdict_addmul(ctx, target, a, b, scale=1):
+    """target += scale * a * b on packed dicts, in place; returns target.
 
-def pdict_add_scaled(ctx, target, scale, other):
-    """target += scale * other on packed dicts; scale is a field element."""
+    Key addition is monomial multiplication.  On prime fields every sum is
+    reduced mod p, so target keeps its coefficients in [1, p), and a term
+    that cancels is removed.  target must not be a or b.
+    """
     p = ctx.p
-    if p is not None:
-        for k, c in other.items():
+    for k1, c1 in a.items():
+        c1 *= scale
+        for k2, c2 in b.items():
+            k = k1 + k2
             prev = target.get(k)
-            v = (scale * c if prev is None else prev + scale * c) % p
+            v = c1 * c2 if prev is None else prev + c1 * c2
+            if p is not None:
+                v %= p
             if v:
                 target[k] = v
-            else:
-                target.pop(k, None)
-    else:
-        for k, c in other.items():
-            prev = target.get(k)
-            v = scale * c if prev is None else prev + scale * c
-            if v:
-                target[k] = v
-            else:
-                target.pop(k, None)
+            elif prev is not None:
+                del target[k]
     return target
-
-
-def pdict_mul(ctx, a, b):
-    """Product of packed dicts (key addition is monomial multiplication)."""
-    p = ctx.p
-    out = {}
-    if p is not None:
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                prev = out.get(k)
-                v = (c1 * c2 if prev is None else prev + c1 * c2) % p
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-    else:
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                prev = out.get(k)
-                v = c1 * c2 if prev is None else prev + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-    return out
-
-
-def pdict_scale(ctx, a, scale):
-    p = ctx.p
-    if p is not None:
-        return {k: c * scale % p for k, c in a.items() if c * scale % p}
-    out = {}
-    for k, c in a.items():
-        v = c * scale
-        if v:
-            out[k] = v
-    return out

@@ -29,10 +29,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
+from . import _kernel, hilbert
 from ._kernel import BudgetExceeded
 from .groebner import Ideal, member
 from .ring import Block, PermutedGrevlex, PolyRing, Polynomial, mono_mul, transport
-from . import hilbert
 
 
 def ideal_sum(I, J):
@@ -282,9 +282,11 @@ def _materialize_intersection(parts):
 def eliminate(I, variables):
     """The elimination ideal: elements of I free of the named variables.
 
-    variables may be names or indices.  Internally the eliminated block is
-    moved first and a block order does the work; the result lives in the
-    original ring and its generators do not involve the eliminated variables.
+    variables may be names or indices.  When they are the first k variables,
+    the basis of I in the block order Block(k) does the work in I's own ring;
+    otherwise the ideal is moved to a ring with the eliminated block first,
+    and the result is moved back.  The result lives in the original ring and
+    its generators do not involve the eliminated variables.
     """
     ring = I.ring
     idx = []
@@ -300,22 +302,18 @@ def eliminate(I, variables):
         return Ideal(ring, I.gens)
     if len(idx) >= ring.nvars:
         raise ValueError("cannot eliminate every variable")
-    rest = [j for j in range(ring.nvars) if j not in idx]
-    new_names = tuple(ring.names[j] for j in idx) + tuple(ring.names[j] for j in rest)
-    ext = PolyRing(new_names, ring.field, Block(len(idx)))
-    fwd = [None] * ring.nvars
-    for pos, j in enumerate(idx + rest):
-        fwd[j] = pos
-    gb = Ideal(ext, [transport(g, ext, fwd) for g in I.gens]).groebner()
     k = len(idx)
-    back = [None] * ext.nvars
-    for pos, j in enumerate(idx + rest):
-        back[pos] = j if pos >= k else None
-    out = []
-    for g in gb:
-        if all(all(e[c] == 0 for c in range(k)) for e, _ in g.terms):
-            out.append(transport(g, ring, back))
-    return Ideal(ring, out)
+    if idx == list(range(k)):
+        gb = I.groebner(Block(k))
+        return Ideal(ring, [g for g in gb if all(not any(e[:k]) for e, _ in g.terms)])
+    perm = idx + [j for j in range(ring.nvars) if j not in idx]
+    ext = PolyRing(tuple(ring.names[j] for j in perm), ring.field)
+    fwd = [None] * ring.nvars
+    for pos, j in enumerate(perm):
+        fwd[j] = pos
+    E = eliminate(Ideal(ext, [transport(g, ext, fwd) for g in I.gens]), range(k))
+    back = [None] * k + perm[k:]
+    return Ideal(ring, [transport(g, ring, back) for g in E.gens])
 
 
 def membership_exponent(I, l, g, jmax):
@@ -323,13 +321,18 @@ def membership_exponent(I, l, g, jmax):
 
     Iterates normal forms, NF(l * NF(l^(j-1) * g)) == NF(l^j * g), so each
     step multiplies a remainder by l instead of carrying the growing power.
+    The remainders stay packed dicts of the basis's kernel context.
     """
+    if g.ring != I.ring or l.ring != I.ring:
+        raise ValueError("polynomial from a different ring")
     gb = I.groebner()
-    cur = gb.normal_form(g)
+    ctx, reducers = gb._ctx, gb._reducers
+    lp = _kernel.to_packed(ctx, l)
+    cur, _ = _kernel.normal_form(ctx, _kernel.to_packed(ctx, g), reducers)
     for j in range(jmax + 1):
-        if cur.is_zero():
+        if not cur:
             return j
-        cur = gb.normal_form(cur * l)
+        cur, _ = _kernel.normal_form(ctx, _kernel.pdict_addmul(ctx, {}, cur, lp), reducers)
     return None
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import _kernel, hilbert
-from ._kernel import Context, ModContext, Reducer, _reduce, _spair
+from ._kernel import Context, ModContext, Reducer, _reduce, _spair, pdict_addmul
 from .groebner import Ideal
 from .ring import GREVLEX, Polynomial, word_lcm
 
@@ -247,42 +247,53 @@ def _minimize(ctx, cols_by_level, top_level):
     A heap worklist holds (level, col, row) of unit entries: seeded once,
     pushed whenever a column operation leaves a unit, and checked again when
     popped.  So each step cancels the smallest unit entry left, as a full
-    rescan would.
+    rescan would.  Each level keeps a row index, row -> set of the columns
+    with an entry in that row, so cancelling the unit u at (lvl, ci, ri)
+    touches only the columns of row ri: each gives up its entry v there,
+    which the operation col -= (v / u) * pivot_col would cancel exactly, and
+    takes -(v / u) * pivot_col on the pivot's other rows.  Row ci of level
+    lvl + 1 is dropped through that level's index.  Column ri of level
+    lvl - 1 is dropped without updating its index, which is never read
+    again: levels are popped in ascending order, and a column operation
+    leaves units only on its own level.
     """
     field = ctx.field
-    one = field(1)
-    work = [(lvl, ci, ri)
-            for lvl in range(1, top_level + 1)
-            for ci, col in cols_by_level.get(lvl, {}).items()
-            for ri, pd in col.items() if _is_unit_entry(pd)]
+    rows_by_level = {}
+    work = []
+    for lvl in range(1, top_level + 1):
+        rows = rows_by_level[lvl] = {}
+        for ci, col in cols_by_level.get(lvl, {}).items():
+            for ri, pd in col.items():
+                rows.setdefault(ri, set()).add(ci)
+                if _is_unit_entry(pd):
+                    work.append((lvl, ci, ri))
     heapq.heapify(work)
     cancelled = 0
     while work:
         lvl, ci, ri = heapq.heappop(work)
-        cols = cols_by_level[lvl]
+        cols, rows = cols_by_level[lvl], rows_by_level[lvl]
         pivot_col = cols.get(ci)
         if pivot_col is None or not _is_unit_entry(pivot_col.get(ri, {})):
             continue
         del cols[ci]
-        scale = field.neg(field.inv(pivot_col[ri][0]))
-        for cj, col in cols.items():
-            v = col.get(ri)
-            if v is None:
-                continue
-            # A scaled copy: when r2 == ri, col[ri] is itself the target.
-            factor = _kernel.pdict_scale(ctx, v, scale)
+        for r in pivot_col:
+            rows[r].discard(ci)
+        scale = field.neg(field.inv(pivot_col.pop(ri)[0]))
+        for cj in rows.pop(ri):
+            col = cols[cj]
+            v = col.pop(ri)
             for r2, pd in pivot_col.items():
-                prod = _kernel.pdict_mul(ctx, factor, pd)
                 tgt = col.setdefault(r2, {})
-                _kernel.pdict_add_scaled(ctx, tgt, one, prod)
+                pdict_addmul(ctx, tgt, v, pd, scale)
                 if not tgt:
                     del col[r2]
-                elif _is_unit_entry(tgt):
+                    rows[r2].discard(cj)
+                    continue
+                rows.setdefault(r2, set()).add(cj)
+                if _is_unit_entry(tgt):
                     heapq.heappush(work, (lvl, cj, r2))
-        above = cols_by_level.get(lvl + 1)
-        if above:
-            for col in above.values():
-                col.pop(ci, None)
+        for cj in rows_by_level.get(lvl + 1, {}).pop(ci, ()):
+            del cols_by_level[lvl + 1][cj][ci]
         if lvl >= 2:
             cols_by_level[lvl - 1].pop(ri, None)
         cancelled += 1
@@ -291,7 +302,6 @@ def _minimize(ctx, cols_by_level, top_level):
 
 def _compose_is_zero(ctx, lower_cols, upper_cols):
     """Whether M_l composed with M_{l+1} vanishes, on packed columns."""
-    one = ctx.field(1)
     for col in upper_cols.values():
         acc = {}
         for s, pd in col.items():
@@ -301,9 +311,8 @@ def _compose_is_zero(ctx, lower_cols, upper_cols):
                     return False
                 continue
             for r, pdl in lower.items():
-                prod = _kernel.pdict_mul(ctx, pd, pdl)
                 tgt = acc.setdefault(r, {})
-                _kernel.pdict_add_scaled(ctx, tgt, one, prod)
+                pdict_addmul(ctx, tgt, pd, pdl)
                 if not tgt:
                     del acc[r]
         if any(acc.values()):

@@ -157,74 +157,49 @@ def _a0_identity_subchecks(col, fam):
                  "identity a0 = a1 + d asserted only where a1 = reg - 1 is known")
 
 
-def check_prop32(m, n, char=DEFAULT_CHAR):
-    """Lower bound for the unprimed almost complete intersection: generator
-    degrees, dim = 2, reg >= n^m + mn + 2^(m-2) - 2, and the a0 identity."""
-    params = {"m": m, "n": n, "primed": False, "char": char}
+def check_lower_bound(m, n, primed, char=DEFAULT_CHAR):
+    """Prop 3.2 (unprimed) or its primed analog Prop 2.2: generator degrees,
+    dim = 2, the complete intersection's exact regularity and Koszul Betti
+    totals, reg >= n^m + mn + 2^(m-2) - 2 (primed: 2^(m-1) - 1), and the a0
+    identity; at the primed (2, 2) also the curve quotient's regularity."""
+    params = {"m": m, "n": n, "primed": bool(primed), "char": char}
 
     def body(col):
-        fam = families.build_family(m, n, primed=False, char=char)
+        fam = families.build_family(m, n, primed=primed, char=char)
         aci = fam.almost_complete_intersection
-        expected = sorted([n + 1] * (m - 1) + [2 ** (m - 2) + n, m * n + 2 ** (m - 2) - 1])
+        if primed:
+            e, ci_gens = 2 ** (m - 1), m + 1
+            expected = sorted([n + 1] * m + [e + 1, m * n + e])
+            reg_ci, bound = m * n + e + 1, n ** m + m * n + e - 1
+        else:
+            e, ci_gens = 2 ** (m - 2), m
+            expected = sorted([n + 1] * (m - 1) + [e + n, m * n + e - 1])
+            reg_ci, bound = m * n + e, n ** m + m * n + e - 2
         got = sorted(g.degree() for g in aci.gens)
         col.record("generator-degrees", got == expected,
                    {"degrees": v(got, "construction"), "expected": v(expected, "formula")})
         dim, deg = hilbert.dim_deg(aci)
         col.record("dimension", dim == 2, {"dim": v(dim, "hilbert"), "deg": v(deg, "hilbert")})
         ci_reg = resolution.regularity_ideal(fam.complete_intersection)
-        col.record("ci-regularity", ci_reg == m * n + 2 ** (m - 2),
-                   {"reg_ci": v(ci_reg, "resolution"),
-                    "expected": v(m * n + 2 ** (m - 2), "formula")})
-        ci_totals = _betti_totals(fam.complete_intersection)
-        col.record("ci-koszul-betti", ci_totals == [math.comb(m, i) for i in range(m + 1)],
-                   {"totals": v(ci_totals, "resolution")})
-        reg = resolution.regularity_ideal(aci)
-        bound = n ** m + m * n + 2 ** (m - 2) - 2
-        col.record("regularity-lower-bound", reg >= bound,
-                   {"reg": v(reg, "resolution"), "bound": v(bound, "formula"),
-                    "slack": v(reg - bound, "formula"),
-                    "betti_totals": v(_betti_totals(aci), "resolution")})
-        _a0_identity_subchecks(col, fam)
-
-    return _run("prop32", params, body)
-
-
-def check_prop22(m, n, char=DEFAULT_CHAR):
-    """Primed analog: degrees, dim = 2, reg >= n^m + mn + 2^(m-1) - 1, the
-    complete intersection's exact regularity, and the a0 identity."""
-    params = {"m": m, "n": n, "primed": True, "char": char}
-
-    def body(col):
-        fam = families.build_family(m, n, primed=True, char=char)
-        aci = fam.almost_complete_intersection
-        expected = sorted([n + 1] * m + [2 ** (m - 1) + 1, m * n + 2 ** (m - 1)])
-        got = sorted(g.degree() for g in aci.gens)
-        col.record("generator-degrees", got == expected,
-                   {"degrees": v(got, "construction"), "expected": v(expected, "formula")})
-        dim, deg = hilbert.dim_deg(aci)
-        col.record("dimension", dim == 2, {"dim": v(dim, "hilbert"), "deg": v(deg, "hilbert")})
-        ci_reg = resolution.regularity_ideal(fam.complete_intersection)
-        col.record("ci-regularity", ci_reg == m * n + 2 ** (m - 1) + 1,
-                   {"reg_ci": v(ci_reg, "resolution"),
-                    "expected": v(m * n + 2 ** (m - 1) + 1, "formula")})
+        col.record("ci-regularity", ci_reg == reg_ci,
+                   {"reg_ci": v(ci_reg, "resolution"), "expected": v(reg_ci, "formula")})
         ci_totals = _betti_totals(fam.complete_intersection)
         col.record("ci-koszul-betti",
-                   ci_totals == [math.comb(m + 1, i) for i in range(m + 2)],
+                   ci_totals == [math.comb(ci_gens, i) for i in range(ci_gens + 1)],
                    {"totals": v(ci_totals, "resolution")})
         reg = resolution.regularity_ideal(aci)
-        bound = n ** m + m * n + 2 ** (m - 1) - 1
         col.record("regularity-lower-bound", reg >= bound,
                    {"reg": v(reg, "resolution"), "bound": v(bound, "formula"),
                     "slack": v(reg - bound, "formula"),
                     "betti_totals": v(_betti_totals(aci), "resolution")})
-        if (m, n) == (2, 2):
+        if primed and (m, n) == (2, 2):
             rc = resolution.regularity(fam.curve)
             col.record("curve-quotient-regularity", rc == n ** m - 1,
                        {"reg_curve_quotient": v(rc, "resolution"),
                         "expected": v(n ** m - 1, "formula")})
         _a0_identity_subchecks(col, fam)
 
-    return _run("prop22", params, body)
+    return _run("prop22" if primed else "prop32", params, body)
 
 
 def check_lemma_decomp(m, n, primed, char=DEFAULT_CHAR):
@@ -419,10 +394,8 @@ def grid_reports(claims=None, char=DEFAULT_CHAR, seed=DEFAULT_SEED):
 
 
 def run_claim(claim, m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
-    if claim == "prop32":
-        return check_prop32(m, n, char)
-    if claim == "prop22":
-        return check_prop22(m, n, char)
+    if claim in ("prop22", "prop32"):
+        return check_lower_bound(m, n, claim == "prop22", char)
     if claim in ("lemma21", "lemma31"):
         return check_lemma_decomp(m, n, primed, char)
     if claim == "thm11":

@@ -330,6 +330,11 @@ def test_eliminate_twisted_cubic_implicitization():
             assert e[0] == 0 and e[1] == 0  # no s, t left
     expected = Ideal(R, [x * z - y * y, x * w - y * z, y * w - z * z])
     assert E.same_ideal(expected)
+    # The same elimination with the parameters last moves them to the front.
+    R2 = PolyRing(("x", "y", "z", "w", "s", "t"), QQ, GREVLEX)
+    x, y, z, w, s, t = R2.gens()
+    E2 = eliminate(Ideal(R2, [x - s ** 3, y - s * s * t, z - s * t * t, w - t ** 3]), ("s", "t"))
+    assert E2.same_ideal(Ideal(R2, [x * z - y * y, x * w - y * z, y * w - z * z]))
 
 
 def test_eliminate_gens_really_avoid_variables():

@@ -49,6 +49,33 @@ def _assert_reduced(pdicts, p):
         assert all(0 < c < p for c in d.values()), sorted(d.values())
 
 
+@pytest.mark.parametrize("char", [7, 32003, 0])
+def test_pdict_addmul_matches_polynomial_arithmetic(char):
+    rng = random.Random(20261018 + char)
+    R = PolyRing(("a", "b", "c"), field_of_characteristic(char), GREVLEX)
+    ctx = _kernel.Context(GREVLEX.bind(R.nvars), R.field)
+
+    def coeff():
+        if char:
+            return rng.randrange(1, char)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+    for _ in range(40):
+        a, b, t = (_random_form(rng, R, rng.randrange(3), rng.randrange(1, 5), coeff)
+                   for _ in range(3))
+        scale = coeff()
+        prod = R.const(scale) * a * b
+        # A random target, and one that the product cancels completely.
+        for target, want in ((t, t + prod), (-prod, R.zero)):
+            got = _kernel.pdict_addmul(ctx, _kernel.to_packed(ctx, target),
+                                       _kernel.to_packed(ctx, a), _kernel.to_packed(ctx, b),
+                                       scale)
+            assert _kernel.from_packed(ctx, got, R) == want
+            assert len(got) == len(want.terms)
+            if char:
+                assert all(0 < c < char for c in got.values())
+
+
 @pytest.mark.parametrize("p", [7, 32003])
 def test_prime_field_coefficients_in_range_on_random_ideals(p):
     rng = random.Random(20261018 + p)

@@ -180,7 +180,10 @@ def test_rejects_inhomogeneous(ring3f):
 def _minimize_by_rescan(ctx, cols_by_level, top_level):
     """The rescan minimization: cancel the smallest unit entry, rescan, repeat.
 
-    Returns the pivots (level, col, row) in the order they were cancelled.
+    For the pivot unit u, every column with an entry v in the pivot row ri
+    takes the full column operation col -= (v / u) * pivot_col, row ri
+    included, in the field's own arithmetic.  Returns the pivots (level, col,
+    row) in the order they were cancelled.
     """
     field, pivots = ctx.field, []
     while True:
@@ -193,13 +196,19 @@ def _minimize_by_rescan(ctx, cols_by_level, top_level):
         pivots.append((lvl, ci, ri))
         cols = cols_by_level[lvl]
         pivot_col = cols.pop(ci)
-        uinv = field.inv(pivot_col[ri][0])
+        scale = field.neg(field.inv(pivot_col[ri][0]))
         for col in cols.values():
             if ri in col:
-                factor = _kernel.pdict_scale(ctx, col[ri], field.neg(uinv))
+                factor = {k: field.mul(scale, c) for k, c in col[ri].items()}
                 for r2, pd in pivot_col.items():
                     tgt = col.setdefault(r2, {})
-                    _kernel.pdict_add_scaled(ctx, tgt, 1, _kernel.pdict_mul(ctx, factor, pd))
+                    for k1, c1 in factor.items():
+                        for k2, c2 in pd.items():
+                            c = field.add(tgt.get(k1 + k2, field(0)), field.mul(c1, c2))
+                            if c:
+                                tgt[k1 + k2] = c
+                            else:
+                                tgt.pop(k1 + k2, None)
                     if not tgt:
                         del col[r2]
         for col in cols_by_level.get(lvl + 1, {}).values():
@@ -208,10 +217,16 @@ def _minimize_by_rescan(ctx, cols_by_level, top_level):
             cols_by_level[lvl - 1].pop(ri, None)
 
 
-@pytest.mark.parametrize("m,n,primed,creates_unit", [
-    (2, 2, False, False), (1, 2, True, False), (2, 2, True, True)])
-def test_minimize_worklist_matches_rescan(m, n, primed, creates_unit):
-    I = build_family(m, n, primed=primed).almost_complete_intersection
+# Cases at the default characteristic keep their plain ids; char 0 adds "-0".
+@pytest.mark.parametrize("m,n,primed,creates_unit,char", [
+    pytest.param(2, 2, False, False, 32003, id="2-2-False-False"),
+    pytest.param(1, 2, True, False, 32003, id="1-2-True-False"),
+    pytest.param(2, 2, True, True, 32003, id="2-2-True-True"),
+    pytest.param(2, 2, False, False, 0, id="2-2-False-False-0"),
+    pytest.param(1, 2, True, False, 0, id="1-2-True-False-0"),
+    pytest.param(2, 2, True, True, 0, id="2-2-True-True-0")])
+def test_minimize_worklist_matches_rescan(m, n, primed, creates_unit, char):
+    I = build_family(m, n, primed=primed, char=char).almost_complete_intersection
     ctx = Context(GREVLEX.bind(I.ring.nvars), I.ring.field)
     gb = [_kernel.to_packed(ctx, g) for g in I.groebner(GREVLEX).polys]
     levels, modules = _schreyer_levels(ctx, gb, I.ring.nvars)

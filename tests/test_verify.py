@@ -9,7 +9,7 @@ import pytest
 
 from cmreg import verify
 from cmreg.verify import (CLAIM_IDS, _jsonable, check_cor13, check_lemma12,
-                          check_lemma_decomp, check_prop22, check_prop32,
+                          check_lemma_decomp, check_lower_bound,
                           check_remark33, check_thm11, grid_reports,
                           overall_verdict, render_csv, render_json,
                           render_text, run_claim)
@@ -36,7 +36,7 @@ def test_jsonable_handles_infinities_and_tuples():
 
 
 def test_prop32_22_passes():
-    rep = check_prop32(2, 2)
+    rep = check_lower_bound(2, 2, primed=False)
     assert rep.verdict == "pass"
     vals = _values(rep, "regularity-lower-bound")
     assert vals["reg"]["value"] == 7
@@ -50,7 +50,7 @@ def test_prop32_22_passes():
 
 
 def test_prop22_primed_12_passes():
-    rep = check_prop22(1, 2)
+    rep = check_lower_bound(1, 2, primed=True)
     assert rep.verdict == "pass"
     vals = _values(rep, "regularity-lower-bound")
     assert vals["reg"]["value"] == 4
@@ -109,7 +109,7 @@ def test_remark33_22():
 
 
 def test_build_failure_reported_not_raised():
-    rep = check_prop32(1, 2)  # unprimed m = 1 cannot build
+    rep = check_lower_bound(1, 2, primed=False)  # unprimed m = 1 cannot build
     assert rep.verdict == "fail"
     assert any(sc.name == "unexpected-error" for sc in rep.subchecks)
 
@@ -122,9 +122,9 @@ def test_run_claim_dispatch_and_unknown():
 
 
 def test_render_json_deterministic_bytes():
-    reports = [check_prop32(2, 2), check_remark33(2, 2)]
+    reports = [check_lower_bound(2, 2, primed=False), check_remark33(2, 2)]
     s1 = render_json(reports)
-    s2 = render_json([check_prop32(2, 2), check_remark33(2, 2)])
+    s2 = render_json([check_lower_bound(2, 2, primed=False), check_remark33(2, 2)])
     assert s1 == s2
     obj = json.loads(s1)
     assert obj["schema"] == verify.SCHEMA
@@ -135,7 +135,7 @@ def test_render_json_deterministic_bytes():
 
 
 def test_render_csv_and_text():
-    reports = [check_prop32(2, 2)]
+    reports = [check_lower_bound(2, 2, primed=False)]
     csv_out = render_csv(reports)
     header = csv_out.splitlines()[0]
     assert header == "claim,m,n,primed,subcheck,status,values,note"
