@@ -27,8 +27,8 @@ denominator for all its terms and reduces fraction-free (see _reduce), so
 Buchberger's S-pairs and remainders never leave the integers.  Fractions
 appear only at the boundary: normal_form returns them and the reduced basis
 is monic in them.  Schreyer syzygies over Q reduce fraction-free the same
-way.  pdict_addmul, the fused target += scale * a * b that minimizes
-resolutions and checks their compositions, runs on Fractions over Q.
+way.  pdict_addmul, the fused target += scale * a * b that multiplies
+packed dicts outside the normal-form loop, runs on Fractions over Q.
 
 Everything here is internal; the public API wraps it in ring.py, groebner.py
 and resolution.py.

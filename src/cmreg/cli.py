@@ -12,7 +12,8 @@ carry their metadata inline as comments.
 
 Errors are one line on stderr, ``cmreg: error: <message>``: exit code 2 for
 bad input, 3 for an exhausted budget or a failed genericity search.
-``verify`` checks its characteristic and instance before any claim runs, so
+``verify`` checks its characteristic, its instance and, for one instance,
+that the claim belongs to the instance's family, before any claim runs, so
 its exit code 1 always means a failed claim.
 """
 
@@ -124,10 +125,18 @@ def _cmd_verify(args):
     claims = None if args.claim == "all" else [args.claim]
     if (args.m is None) != (args.n is None):
         raise ValueError("--m and --n must be given together")
+    if args.primed and args.m is None:
+        raise ValueError("--primed needs --m and --n: the grid runs both families")
     field_of_characteristic(args.char)
     if args.m is not None:
         families.check_parameters(args.m, args.n, args.primed)
-        wanted = verify.FAMILY_CLAIMS[args.primed] if args.claim == "all" else [args.claim]
+        wanted = verify.FAMILY_CLAIMS[args.primed]
+        if args.claim != "all":
+            if args.claim not in wanted:
+                family = "primed" if args.primed else "unprimed"
+                raise ValueError(f"{args.claim} is not a claim of the {family} family: "
+                                 f"choose one of {', '.join(wanted)}")
+            wanted = [args.claim]
         reports = [verify.run_claim(c, args.m, args.n, args.primed,
                                     seed=args.seed, char=args.char)
                    for c in sorted(wanted)]

@@ -114,12 +114,6 @@ class Ideal:
             raise ValueError("ideals from different rings")
         return self.groebner().polys == other.groebner().polys
 
-    def min_gen_degree(self):
-        gb = self.groebner()
-        if not gb.polys:
-            return None
-        return min(g.degree() for g in gb.polys)
-
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
 

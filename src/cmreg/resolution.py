@@ -1,4 +1,4 @@
-"""Minimal graded free resolutions, Betti tables, and regularity.
+"""Graded free resolutions, Betti tables, and regularity.
 
 The resolution of A/I is built by iterated syzygies in the Schreyer order:
 the reduced Groebner basis gives the first matrix, and at each level the
@@ -6,55 +6,35 @@ surviving S-pairs (after lead-divisibility pruning inside each component)
 reduce to zero with tracked quotients, which are exactly the next level's
 syzygies.  Each level's free module is a _kernel.ModContext: a module term
 is one packed int in the Schreyer order, so the S-pairs and their
-reductions are the kernel's _spair and _reduce, as for ideals.  The result
-is then minimized over the field by cancelling degree-zero unit entries
-with exact column operations.
+reductions are the kernel's _spair and _reduce, as for ideals.
 
-Certification is part of the construction: compositions of consecutive
-minimized matrices must vanish, no unit entries may remain, the length must
-not exceed the number of variables, and the alternating sum of the Betti
+The Schreyer resolution F is not minimal, and it is never minimized: the
+graded Betti numbers are the homology of F tensored with the field, whose
+differentials are the constant entries of F's.  So
+beta_{i,j} = r_{i,j} - rank C_{i,j} - rank C_{i+1,j}, where r_{i,j} counts
+the degree-j generators of F_i and C_{i,j} is the block of constant entries
+of d_i between degree-j generators (Erocal, Motsak, Schreyer and Steenpass,
+"Refined algorithms to compute syzygies", JSC 74, 2016).
+
+Certification is part of the construction: every S-pair must reduce to zero
+with its predicted syzygy lead, consecutive Schreyer differentials must
+compose to zero, no Betti number may come out negative, the length must not
+exceed the number of variables, and the alternating sum of the Betti
 numbers must reproduce the Hilbert numerator computed independently from
 lead terms.  Any failure is a hard error, not a warning.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import lcm
 
 from . import _kernel, hilbert
-from ._kernel import Context, ModContext, Reducer, _reduce, _spair, pdict_addmul
+from ._kernel import Context, ModContext, Reducer, _reduce, _spair
 from .groebner import Ideal
-from .ring import GREVLEX, Polynomial, word_lcm
+from .ring import GREVLEX, word_lcm
 
 NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class GradedMatrix:
-    """A graded matrix between free modules, with sparse polynomial entries."""
-
-    ring: object
-    row_degrees: tuple
-    col_degrees: tuple
-    entries: dict  # (row, col) -> Polynomial
-
-    def entry(self, r, c):
-        e = self.entries.get((r, c))
-        if e is None:
-            return self.ring.zero
-        return e
-
-    def check_graded(self):
-        for (r, c), p in self.entries.items():
-            if p.is_zero():
-                continue
-            if not p.is_homogeneous() or p.degree() != self.col_degrees[c] - self.row_degrees[r]:
-                raise AssertionError("matrix entry degree disagrees with the grading")
-
-    def has_unit_entry(self):
-        return any(not p.is_zero() and p.degree() == 0 for p in self.entries.values())
 
 
 class BettiTable:
@@ -117,10 +97,9 @@ class BettiTable:
 
 @dataclass
 class Resolution:
-    """A minimal graded free resolution of A/I with its Betti table."""
+    """The graded Betti table of A/I and the Schreyer work behind it."""
 
     ring: object
-    matrices: list
     betti: BettiTable
     stats: dict
 
@@ -221,107 +200,82 @@ def _syzygies(ctx, module, new, elems):
     return out
 
 
-def _column_form(levels, modules):
-    """Per level: {col_id: {row_id: packed poly dict}}, module keys decoded."""
-    cols_by_level = {}
-    for lvl, (elems, module) in enumerate(zip(levels, modules), start=1):
-        dec = module.dec
-        cols = {}
-        for ci, el in enumerate(elems):
-            col = {}
+def _check_complex(levels, modules):
+    """Assert d_l composed with d_{l+1} vanishes for the Schreyer levels.
+
+    Term x^k e_c of a level l + 1 element maps to x^k times element c of
+    level l, whose keys move by k << cbits of that level's module.  The sums
+    accumulate without reduction, so over F_p a sum vanishes when it is 0
+    mod p.
+    """
+    p = modules[0].p
+    for lvl in range(1, len(levels)):
+        lower, lower_cbits = levels[lvl - 1], modules[lvl - 1].cbits
+        dec = modules[lvl].dec
+        for el in levels[lvl]:
+            acc = {}
             for K, coef in el.items():
                 c, k = dec(K)
-                col.setdefault(c, {})[k] = coef
-            cols[ci] = col
-        cols_by_level[lvl] = cols
-    return cols_by_level
+                shift = k << lower_cbits
+                for K2, c2 in lower[c].items():
+                    key = K2 + shift
+                    acc[key] = acc.get(key, 0) + coef * c2
+            if any(v % p for v in acc.values()) if p else any(acc.values()):
+                raise AssertionError("consecutive Schreyer differentials do not compose to zero")
 
 
-def _is_unit_entry(pd):
-    return len(pd) == 1 and 0 in pd
+def _constant_blocks(levels, modules):
+    """The constant entries of each differential, by level and degree.
 
-
-def _minimize(ctx, cols_by_level, top_level):
-    """Cancel unit entries with exact column operations; mutates in place.
-
-    A heap worklist holds (level, col, row) of unit entries: seeded once,
-    pushed whenever a column operation leaves a unit, and checked again when
-    popped.  So each step cancels the smallest unit entry left, as a full
-    rescan would.  Each level keeps a row index, row -> set of the columns
-    with an entry in that row, so cancelling the unit u at (lvl, ci, ri)
-    touches only the columns of row ri: each gives up its entry v there,
-    which the operation col -= (v / u) * pivot_col would cancel exactly, and
-    takes -(v / u) * pivot_col on the pivot's other rows.  Row ci of level
-    lvl + 1 is dropped through that level's index.  Column ri of level
-    lvl - 1 is dropped without updating its index, which is never read
-    again: levels are popped in ascending order, and a column operation
-    leaves units only on its own level.
+    Returns {(i, j): {col: {row: coef}}} over the columns of level i (its
+    elements) and the rows of level i - 1 (its module's basis).  A term K
+    in component c is constant exactly when its monomial is img(c), K >>
+    cbits == imgkeys[c], and then its column and row must have the same
+    degree j.
     """
-    field = ctx.field
-    rows_by_level = {}
-    work = []
-    for lvl in range(1, top_level + 1):
-        rows = rows_by_level[lvl] = {}
-        for ci, col in cols_by_level.get(lvl, {}).items():
-            for ri, pd in col.items():
-                rows.setdefault(ri, set()).add(ci)
-                if _is_unit_entry(pd):
-                    work.append((lvl, ci, ri))
-    heapq.heapify(work)
-    cancelled = 0
-    while work:
-        lvl, ci, ri = heapq.heappop(work)
-        cols, rows = cols_by_level[lvl], rows_by_level[lvl]
-        pivot_col = cols.get(ci)
-        if pivot_col is None or not _is_unit_entry(pivot_col.get(ri, {})):
-            continue
-        del cols[ci]
-        for r in pivot_col:
-            rows[r].discard(ci)
-        scale = field.neg(field.inv(pivot_col.pop(ri)[0]))
-        for cj in rows.pop(ri):
-            col = cols[cj]
-            v = col.pop(ri)
-            for r2, pd in pivot_col.items():
-                tgt = col.setdefault(r2, {})
-                pdict_addmul(ctx, tgt, v, pd, scale)
-                if not tgt:
-                    del col[r2]
-                    rows[r2].discard(cj)
-                    continue
-                rows.setdefault(r2, set()).add(cj)
-                if _is_unit_entry(tgt):
-                    heapq.heappush(work, (lvl, cj, r2))
-        for cj in rows_by_level.get(lvl + 1, {}).pop(ci, ()):
-            del cols_by_level[lvl + 1][cj][ci]
-        if lvl >= 2:
-            cols_by_level[lvl - 1].pop(ri, None)
-        cancelled += 1
-    return cancelled
+    blocks = {}
+    for i, (elems, module) in enumerate(zip(levels, modules), start=1):
+        cbits, cmask, comp, imgkeys = module.cbits, module.cmask, module.comp, module.imgkeys
+        degs = modules[i].degs
+        for col, el in enumerate(elems):
+            for K, coef in el.items():
+                c = comp[K & cmask]
+                if K >> cbits == imgkeys[c]:
+                    if module.degs[c] != degs[col]:
+                        raise AssertionError("a constant entry joins generators of different degrees")
+                    blocks.setdefault((i, degs[col]), {}).setdefault(col, {})[c] = coef
+    return blocks
 
 
-def _compose_is_zero(ctx, lower_cols, upper_cols):
-    """Whether M_l composed with M_{l+1} vanishes, on packed columns."""
-    for col in upper_cols.values():
-        acc = {}
-        for s, pd in col.items():
-            lower = lower_cols.get(s)
-            if lower is None:
-                if pd:
-                    return False
-                continue
-            for r, pdl in lower.items():
-                tgt = acc.setdefault(r, {})
-                pdict_addmul(ctx, tgt, pd, pdl)
-                if not tgt:
-                    del acc[r]
-        if any(acc.values()):
-            return False
-    return True
+def _rank(field, vectors):
+    """The rank over the field of sparse vectors {row: nonzero coef}.
+
+    Each kept pivot vector is monic at its smallest row, and a vector is
+    reduced at its smallest row until it is zero or starts a new pivot.
+    """
+    pivots = {}
+    for v in vectors:
+        v = dict(v)
+        while v:
+            r = min(v)
+            piv = pivots.get(r)
+            if piv is None:
+                inv = field.inv(v[r])
+                pivots[r] = {s: field.mul(c, inv) for s, c in v.items()}
+                break
+            f = v[r]
+            for s, c in piv.items():
+                val = field.sub(v.get(s, 0), field.mul(f, c))
+                if val:
+                    v[s] = val
+                else:
+                    v.pop(s, None)
+    return len(pivots)
 
 
 def minimal_resolution(I):
-    """The minimal graded free resolution of A/I, certified as it is built.
+    """The Betti table of the minimal graded free resolution of A/I, read
+    off the Schreyer resolution and certified as it is computed.
 
     Requires homogeneous generators and a proper ideal.  Cached on the ideal.
     """
@@ -335,61 +289,33 @@ def minimal_resolution(I):
     if gb.polys and gb.polys[-1].degree() == 0:
         raise ValueError("the unit ideal has no minimal free resolution of A/I")
     if not gb.polys:
-        res = Resolution(ring, [], BettiTable("A/I", {(0, 0): 1}),
+        res = Resolution(ring, BettiTable("A/I", {(0, 0): 1}),
                          {"levels": 0, "cancelled": 0})
         I._cache["resolution"] = res
         return res
     ctx = Context(GREVLEX.bind(ring.nvars), ring.field)
     gb_packed = [_kernel.to_packed(ctx, g) for g in gb.polys]
     levels, modules = _schreyer_levels(ctx, gb_packed, ring.nvars)
-    cols_by_level = _column_form(levels, modules)
-    top = len(levels)
-    cancelled = _minimize(ctx, cols_by_level, top)
-    while top >= 1 and not cols_by_level.get(top):
-        cols_by_level.pop(top, None)
-        top -= 1
+    _check_complex(levels, modules)
 
-    live = {0: [0]}
-    for lvl in range(1, top + 1):
-        live[lvl] = sorted(cols_by_level[lvl])
-    degs = {0: {0: 0}}
-    for lvl in range(1, top + 1):
-        degs[lvl] = {ci: modules[lvl].degs[ci] for ci in live[lvl]}
-
-    matrices = []
     betti_entries = {(0, 0): 1}
-    for lvl in range(1, top + 1):
-        rows = live[lvl - 1]
-        cols = live[lvl]
-        rpos = {r: idx for idx, r in enumerate(rows)}
-        cpos = {c: idx for idx, c in enumerate(cols)}
-        entries = {}
-        for ci in cols:
-            for ri, pd in cols_by_level[lvl][ci].items():
-                if ri not in rpos:
-                    raise AssertionError("matrix entry on a cancelled row")
-                poly = _kernel.from_packed(ctx, pd, ring)
-                if not poly.is_zero():
-                    entries[(rpos[ri], cpos[ci])] = poly
-        row_degrees = tuple(degs[lvl - 1][r] for r in rows)
-        col_degrees = tuple(degs[lvl][c] for c in cols)
-        gm = GradedMatrix(ring, row_degrees, col_degrees, entries)
-        gm.check_graded()
-        if gm.has_unit_entry():
-            raise AssertionError("minimized resolution still has a unit entry")
-        matrices.append(gm)
-        for d in col_degrees:
-            betti_entries[(lvl, d)] = betti_entries.get((lvl, d), 0) + 1
-
-    for lvl in range(1, top):
-        if not _compose_is_zero(ctx, cols_by_level[lvl], cols_by_level[lvl + 1]):
-            raise AssertionError("consecutive resolution matrices do not compose to zero")
+    for i in range(1, len(levels) + 1):
+        for d in modules[i].degs:
+            betti_entries[(i, d)] = betti_entries.get((i, d), 0) + 1
+    cancelled = 0
+    for (i, j), block in _constant_blocks(levels, modules).items():
+        rank = _rank(ring.field, block.values())
+        betti_entries[(i, j)] -= rank
+        betti_entries[(i - 1, j)] -= rank
+        cancelled += rank
+    if any(b < 0 for b in betti_entries.values()):
+        raise AssertionError("constant ranks exceed a non-minimal rank")
 
     table = BettiTable("A/I", betti_entries)
     if table.pdim() > ring.nvars:
         raise AssertionError("resolution length exceeds the number of variables")
     _check_euler(I, table)
-    res = Resolution(ring, matrices, table,
+    res = Resolution(ring, table,
                      {"levels": len(levels), "cancelled": cancelled,
                       "nonminimal_ranks": [len(l) for l in levels]})
     I._cache["resolution"] = res

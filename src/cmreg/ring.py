@@ -102,9 +102,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero in prime field")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -139,9 +136,6 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -545,12 +539,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][1]
 
-    def lt(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e, c = self.terms[0]
-        return Polynomial(self.ring, {e: c})
-
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -579,15 +567,6 @@ class Polynomial:
             if e == exps:
                 return c
         return self.ring.field(0)
-
-    def map_coeffs(self, fn):
-        data = {}
-        f = self.ring.field
-        for e, c in self.terms:
-            c2 = f(fn(c))
-            if c2 != 0:
-                data[e] = c2
-        return Polynomial(self.ring, data)
 
     def _require_same_ring(self, other):
         if self.ring != other.ring:

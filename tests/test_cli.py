@@ -108,7 +108,17 @@ def test_verify_requires_m_and_n_together(capsys):
     (["verify", "prop32", "--m", "0", "--n", "2"], "unprimed instances need m >= 2"),
     (["verify", "all", "--m", "0", "--n", "2", "--primed"], "primed instances need m >= 1"),
     (["verify", "thm11", "--m", "2", "--n", "1"], "need n >= 2"),
-], ids=["char-4", "grid-char-4", "m0", "primed-m0", "n1"])
+    (["verify", "prop32", "--m", "2", "--n", "2", "--primed"],
+     "prop32 is not a claim of the primed family"),
+    (["verify", "lemma31", "--m", "2", "--n", "2", "--primed"],
+     "lemma31 is not a claim of the primed family"),
+    (["verify", "lemma21", "--m", "2", "--n", "2"],
+     "lemma21 is not a claim of the unprimed family"),
+    (["verify", "prop22", "--m", "2", "--n", "2"],
+     "prop22 is not a claim of the unprimed family"),
+    (["verify", "prop32", "--primed"], "--primed needs --m and --n"),
+], ids=["char-4", "grid-char-4", "m0", "primed-m0", "n1", "prop32-primed",
+        "lemma31-primed", "lemma21-unprimed", "prop22-unprimed", "grid-primed"])
 def test_verify_bad_input_exits_2_before_any_claim(argv, needle, capsys, monkeypatch):
     def no_claims(*args, **kwargs):
         raise AssertionError("a claim ran on bad input")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -13,10 +14,9 @@ from cmreg._kernel import Context
 from cmreg.families import build_family
 from cmreg.groebner import Ideal
 from cmreg.hilbert import hilbert_series
-from cmreg.resolution import (BettiTable, _column_form, _is_unit_entry, _minimize,
-                              _schreyer_levels, a0, a1_via_sequence, betti,
-                              minimal_resolution, pdim, regularity,
-                              regularity_ideal)
+from cmreg.resolution import (BettiTable, _check_complex, _schreyer_levels, a0,
+                              a1_via_sequence, betti, minimal_resolution, pdim,
+                              regularity, regularity_ideal)
 from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ
 
 
@@ -74,19 +74,35 @@ def test_minimization_drops_redundant_generator(ring3f):
 
 
 def test_resolution_matrices_compose_to_zero(ring3f):
+    # The oracle's minimized matrices: graded, unit-free, composing to zero.
     x, y, z = ring3f.gens()
     I = Ideal(ring3f, [x * x, x * y, y ** 3, y * z * z])
-    res = minimal_resolution(I)
-    mats = res.matrices
-    for lower, upper in zip(mats, mats[1:]):
-        for c in range(len(upper.col_degrees)):
-            for r in range(len(lower.row_degrees)):
-                acc = ring3f.zero
-                for k in range(len(lower.col_degrees)):
-                    acc = acc + lower.entry(r, k) * upper.entry(k, c)
-                assert acc.is_zero()
-        upper.check_graded()
-        assert not upper.has_unit_entry()
+    ctx, modules, cols_by_level, _ = _minimized(I)
+    mats = {lvl: {ci: {ri: _kernel.from_packed(ctx, pd, ring3f) for ri, pd in col.items()}
+                  for ci, col in cols.items()}
+            for lvl, cols in cols_by_level.items()}
+    for lvl, cols in mats.items():
+        for ci, col in cols.items():
+            for ri, entry in col.items():
+                assert not entry.is_zero() and entry.is_homogeneous()
+                assert entry.degree() == modules[lvl].degs[ci] - modules[lvl - 1].degs[ri] > 0
+            if lvl > 1:
+                acc = {}
+                for k, entry in col.items():
+                    for r, lower in mats[lvl - 1][k].items():
+                        acc[r] = acc.get(r, ring3f.zero) + lower * entry
+                assert all(p.is_zero() for p in acc.values())
+    assert len(mats) == 3
+
+
+def test_corrupted_syzygy_fails_the_complex_check():
+    ctx, levels, modules = _schreyer(build_family(2, 2).almost_complete_intersection)
+    _check_complex(levels, modules)
+    syz = levels[1][0]
+    key = min(syz)
+    syz[key] = ctx.field.mul(syz[key], 2)
+    with pytest.raises(AssertionError):
+        _check_complex(levels, modules)
 
 
 def test_euler_identity_random_monomial_ideals():
@@ -177,6 +193,117 @@ def test_rejects_inhomogeneous(ring3f):
         minimal_resolution(Ideal(ring3f, [x * x - y]))
 
 
+# The minimization oracle.  The Betti table is read off constant ranks of
+# the non-minimal Schreyer resolution; these functions minimize that
+# resolution by exact column operations instead, so the two routes check
+# each other.
+
+def _column_form(levels, modules):
+    """Per level: {col_id: {row_id: packed poly dict}}, module keys decoded."""
+    cols_by_level = {}
+    for lvl, (elems, module) in enumerate(zip(levels, modules), start=1):
+        cols = {}
+        for ci, el in enumerate(elems):
+            col = {}
+            for K, coef in el.items():
+                c, k = module.dec(K)
+                col.setdefault(c, {})[k] = coef
+            cols[ci] = col
+        cols_by_level[lvl] = cols
+    return cols_by_level
+
+
+def _is_unit_entry(pd):
+    return len(pd) == 1 and 0 in pd
+
+
+def _minimize(ctx, cols_by_level, top_level):
+    """Cancel unit entries with exact column operations; mutates in place.
+
+    A heap worklist holds (level, col, row) of unit entries: seeded once,
+    pushed whenever a column operation leaves a unit, and checked again when
+    popped.  So each step cancels the smallest unit entry left, as a full
+    rescan would.  Each level keeps a row index, row -> set of the columns
+    with an entry in that row, so cancelling the unit u at (lvl, ci, ri)
+    touches only the columns of row ri: each gives up its entry v there,
+    which the operation col -= (v / u) * pivot_col would cancel exactly, and
+    takes -(v / u) * pivot_col on the pivot's other rows.  Row ci of level
+    lvl + 1 is dropped through that level's index.  Column ri of level
+    lvl - 1 is dropped without updating its index, which is never read
+    again: levels are popped in ascending order, and a column operation
+    leaves units only on its own level.  Returns the number of cancellations.
+    """
+    field = ctx.field
+    rows_by_level = {}
+    work = []
+    for lvl in range(1, top_level + 1):
+        rows = rows_by_level[lvl] = {}
+        for ci, col in cols_by_level.get(lvl, {}).items():
+            for ri, pd in col.items():
+                rows.setdefault(ri, set()).add(ci)
+                if _is_unit_entry(pd):
+                    work.append((lvl, ci, ri))
+    heapq.heapify(work)
+    cancelled = 0
+    while work:
+        lvl, ci, ri = heapq.heappop(work)
+        cols, rows = cols_by_level[lvl], rows_by_level[lvl]
+        pivot_col = cols.get(ci)
+        if pivot_col is None or not _is_unit_entry(pivot_col.get(ri, {})):
+            continue
+        del cols[ci]
+        for r in pivot_col:
+            rows[r].discard(ci)
+        scale = field.neg(field.inv(pivot_col.pop(ri)[0]))
+        for cj in rows.pop(ri):
+            col = cols[cj]
+            v = col.pop(ri)
+            for r2, pd in pivot_col.items():
+                tgt = col.setdefault(r2, {})
+                _kernel.pdict_addmul(ctx, tgt, v, pd, scale)
+                if not tgt:
+                    del col[r2]
+                    rows[r2].discard(cj)
+                    continue
+                rows.setdefault(r2, set()).add(cj)
+                if _is_unit_entry(tgt):
+                    heapq.heappush(work, (lvl, cj, r2))
+        for cj in rows_by_level.get(lvl + 1, {}).pop(ci, ()):
+            del cols_by_level[lvl + 1][cj][ci]
+        if lvl >= 2:
+            cols_by_level[lvl - 1].pop(ri, None)
+        cancelled += 1
+    return cancelled
+
+
+def _schreyer(I):
+    ctx = Context(GREVLEX.bind(I.ring.nvars), I.ring.field)
+    gb = [_kernel.to_packed(ctx, g) for g in I.groebner(GREVLEX).polys]
+    levels, modules = _schreyer_levels(ctx, gb, I.ring.nvars)
+    return ctx, levels, modules
+
+
+def _minimized(I):
+    """(ctx, modules, minimized columns by level, cancellations) for A/I."""
+    ctx, levels, modules = _schreyer(I)
+    cols_by_level = _column_form(levels, modules)
+    cancelled = _minimize(ctx, cols_by_level, len(levels))
+    return ctx, modules, {lvl: cols for lvl, cols in cols_by_level.items() if cols}, cancelled
+
+
+def _assert_ranks_match_minimization(I):
+    _, modules, cols_by_level, cancelled = _minimized(I)
+    entries = {(0, 0): 1}
+    for lvl, cols in cols_by_level.items():
+        for ci in cols:
+            key = (lvl, modules[lvl].degs[ci])
+            entries[key] = entries.get(key, 0) + 1
+    res = minimal_resolution(I)
+    assert res.betti == BettiTable("A/I", entries)
+    assert res.stats["cancelled"] == cancelled
+    return cancelled
+
+
 def _minimize_by_rescan(ctx, cols_by_level, top_level):
     """The rescan minimization: cancel the smallest unit entry, rescan, repeat.
 
@@ -227,9 +354,7 @@ def _minimize_by_rescan(ctx, cols_by_level, top_level):
     pytest.param(2, 2, True, True, 0, id="2-2-True-True-0")])
 def test_minimize_worklist_matches_rescan(m, n, primed, creates_unit, char):
     I = build_family(m, n, primed=primed, char=char).almost_complete_intersection
-    ctx = Context(GREVLEX.bind(I.ring.nvars), I.ring.field)
-    gb = [_kernel.to_packed(ctx, g) for g in I.groebner(GREVLEX).polys]
-    levels, modules = _schreyer_levels(ctx, gb, I.ring.nvars)
+    ctx, levels, modules = _schreyer(I)
     worklist, rescan = _column_form(levels, modules), _column_form(levels, modules)
     seeded = {(lvl, ci, ri) for lvl, cols in rescan.items() for ci, col in cols.items()
               for ri, pd in col.items() if _is_unit_entry(pd)}
@@ -263,6 +388,36 @@ def test_schreyer_work_is_pinned(m, n, primed, char):
     assert res.stats["cancelled"] == cancelled
     assert [res.betti.total(i) for i in range(res.betti.pdim() + 1)] == totals
     assert res.betti.regularity() == reg
+
+
+# The almost complete intersections of the rescan check and of SCHREYER_WORK.
+ORACLE_ACIS = sorted({(2, 2, False), (1, 2, True), (2, 2, True)} | set(SCHREYER_WORK))
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("m,n,primed", ORACLE_ACIS)
+def test_constant_ranks_match_the_minimization(m, n, primed, char):
+    aci = build_family(m, n, primed=primed, char=char).almost_complete_intersection
+    assert _assert_ranks_match_minimization(Ideal(aci.ring, aci.gens)) > 0
+
+
+def test_constant_ranks_match_the_minimization_over_f7():
+    # Small coefficients cancel by accident most often over a small field.
+    rng = random.Random(7)
+    R = PolyRing(("a", "b", "c", "d"), PrimeField(7), GREVLEX)
+    cancelled = 0
+    for _ in range(12):
+        gens = []
+        for _ in range(rng.randint(2, 5)):
+            deg, terms = rng.randint(2, 3), {}
+            for _ in range(rng.randint(1, 4)):
+                e = [0] * 4
+                for _ in range(deg):
+                    e[rng.randrange(4)] += 1
+                terms[tuple(e)] = R.field(rng.randrange(1, 7))
+            gens.append(R.poly(terms))
+        cancelled += _assert_ranks_match_minimization(Ideal(R, gens))
+    assert cancelled > 0
 
 
 def test_rational_schreyer_syzygies_with_fractional_leads():
