@@ -192,11 +192,10 @@ def graded_piece_basis(ideal, d):
     monomials = _monomials_of_degree(ring, d)
     col_of = {e: i for i, e in enumerate(monomials)}
     rows = []
-    for g in ideal.groebner().polys:
-        dg = g.degree()
-        if dg > d:
-            continue
-        for shift in _monomials_of_degree(ring, d - dg):
+    gb = ideal.groebner().polys
+    shifts = {k: _monomials_of_degree(ring, k) for k in {d - g.degree() for g in gb} if k >= 0}
+    for g in gb:
+        for shift in shifts.get(d - g.degree(), ()):
             rows.append({col_of[tuple(x + y for x, y in zip(e, shift))]: c
                          for e, c in g.terms})
     out = [Polynomial(ring, {monomials[j]: c for j, c in row.items()})

@@ -73,12 +73,6 @@ class Ideal:
         self._gb = {}
         self._cache = {}
 
-    @classmethod
-    def of(cls, *gens):
-        if not gens:
-            raise ValueError("Ideal.of needs at least one generator")
-        return cls(gens[0].ring, gens)
-
     def groebner(self, order=None):
         """The reduced Groebner basis in the given order (default: ring order)."""
         order = self.ring.order if order is None else order
@@ -98,9 +92,6 @@ class Ideal:
 
     def is_homogeneous(self):
         return all(g.is_homogeneous() for g in self.gens)
-
-    def contains(self, f):
-        return member(f, self)
 
     def contains_ideal(self, other):
         if other.ring != self.ring:

@@ -14,8 +14,8 @@ series_difference compares two Hilbert series exactly: their difference is
 a polynomial exactly when the Hilbert polynomials agree, which for I_small
 inside I_big means the quotient I_big/I_small has finite length.
 finite_length reads the graded pieces of that quotient off the coefficients,
-and saturate_irrelevant certifies a saturation with it.  No truncation is
-involved anywhere.
+and saturate_irrelevant certifies a saturation with it.  nonzerodivisor
+certifies I : f = I by one more series.  No truncation is involved anywhere.
 """
 
 from __future__ import annotations
@@ -194,6 +194,23 @@ def hilbert_function(ideal, mu):
         if c:
             total += c * math.comb(mu - k + n - 1, n - 1)
     return total
+
+
+def nonzerodivisor(ideal, f):
+    """Whether the homogeneous form f is a nonzerodivisor on A/I, I homogeneous.
+
+    The exact sequence 0 -> ((I : f)/I)(-d) -> (A/I)(-d) -> A/I -> A/(I + f)
+    -> 0, with d = deg f and multiplication by f in the middle, shows that
+    HS(A/(I + f)) = (1 - t^d) HS(A/I) exactly when I : f = I.  The two
+    series share the denominator (1-t)^n, so the numerators are compared.
+    """
+    if f.ring != ideal.ring or f.is_zero() or not f.is_homogeneous():
+        raise ValueError("expected a nonzero homogeneous form of the ideal's ring")
+    if not ideal.is_homogeneous():
+        raise ValueError("the Hilbert-series certificate needs a homogeneous ideal")
+    num = hilbert_series(ideal).numerator
+    shifted = _trim(_poly_add(num, _poly_shift(tuple(-c for c in num), f.degree())))
+    return hilbert_series(Ideal(ideal.ring, ideal.gens + (f,))).numerator == shifted
 
 
 def indeg(ideal):

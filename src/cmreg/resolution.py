@@ -31,6 +31,7 @@ from math import lcm
 
 from . import _kernel, hilbert
 from ._kernel import Context, ModContext, Reducer, _reduce, _spair
+from ._linalg import echelon
 from .groebner import Ideal
 from .ring import GREVLEX, word_lcm
 
@@ -247,32 +248,6 @@ def _constant_blocks(levels, modules):
     return blocks
 
 
-def _rank(field, vectors):
-    """The rank over the field of sparse vectors {row: nonzero coef}.
-
-    Each kept pivot vector is monic at its smallest row, and a vector is
-    reduced at its smallest row until it is zero or starts a new pivot.
-    """
-    pivots = {}
-    for v in vectors:
-        v = dict(v)
-        while v:
-            r = min(v)
-            piv = pivots.get(r)
-            if piv is None:
-                inv = field.inv(v[r])
-                pivots[r] = {s: field.mul(c, inv) for s, c in v.items()}
-                break
-            f = v[r]
-            for s, c in piv.items():
-                val = field.sub(v.get(s, 0), field.mul(f, c))
-                if val:
-                    v[s] = val
-                else:
-                    v.pop(s, None)
-    return len(pivots)
-
-
 def minimal_resolution(I):
     """The Betti table of the minimal graded free resolution of A/I, read
     off the Schreyer resolution and certified as it is computed.
@@ -304,7 +279,7 @@ def minimal_resolution(I):
             betti_entries[(i, d)] = betti_entries.get((i, d), 0) + 1
     cancelled = 0
     for (i, j), block in _constant_blocks(levels, modules).items():
-        rank = _rank(ring.field, block.values())
+        rank = len(echelon(block.values(), ring.field))
         betti_entries[(i, j)] -= rank
         betti_entries[(i - 1, j)] -= rank
         cancelled += rank

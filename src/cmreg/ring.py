@@ -82,7 +82,10 @@ class PrimeField:
 
     def __call__(self, a):
         if isinstance(a, Fraction):
-            return a.numerator % self.p * pow(a.denominator, -1, self.p) % self.p
+            try:
+                return a.numerator % self.p * pow(a.denominator, -1, self.p) % self.p
+            except ValueError:
+                raise ValueError(f"the fraction {a} has no value mod {self.p}") from None
         return a % self.p
 
     def add(self, a, b):
@@ -551,16 +554,6 @@ class Polynomial:
         degs = {sum(e) for e, _ in self.terms}
         return len(degs) == 1
 
-    def monic(self):
-        if not self.terms:
-            raise ValueError("cannot normalize the zero polynomial")
-        c = self.terms[0][1]
-        if c == self.ring.field(1):
-            return self
-        inv = self.ring.field.inv(c)
-        f = self.ring.field
-        return Polynomial(self.ring, {e: f.mul(cc, inv) for e, cc in self.terms})
-
     def coeff(self, exps):
         exps = tuple(exps)
         for e, c in self.terms:
@@ -724,6 +717,7 @@ def _parse_poly(ring, text):
     result = ring.zero
     i = 0
     nt = len(tokens)
+    terms = iter([t.strip() for t in re.split("[+-]", text) if t.strip()])  # to name a bad term
     while i < nt:
         sign = 1
         while i < nt and tokens[i][0] in ("plus", "minus"):
@@ -732,6 +726,7 @@ def _parse_poly(ring, text):
             i += 1
         if i >= nt:
             raise ValueError("dangling sign in polynomial text")
+        term = next(terms)
         coeff = Fraction(sign)
         exps = [0] * ring.nvars
         saw_factor = False
@@ -747,6 +742,8 @@ def _parse_poly(ring, text):
                     i += 1
                     if i >= nt or tokens[i][0] != "int":
                         raise ValueError("fraction without denominator")
+                    if tokens[i][1] == 0:
+                        raise ValueError(f"zero denominator in term {term!r}")
                     coeff *= Fraction(num, tokens[i][1])
                     i += 1
                 else:
@@ -769,7 +766,10 @@ def _parse_poly(ring, text):
             raise ValueError(f"unexpected token {kind} in polynomial text")
         if not saw_factor:
             raise ValueError("empty term in polynomial text")
-        result = result + ring.monomial(exps, coeff)
+        try:
+            result = result + ring.monomial(exps, coeff)
+        except OverflowError as exc:
+            raise ValueError(f"term {term!r}: {exc}") from None
     return result
 
 

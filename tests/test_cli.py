@@ -149,17 +149,27 @@ def test_verify_csv_format(capsys):
     assert any("remark33" in line for line in out.splitlines()[1:])
 
 
-@pytest.mark.parametrize("case", ["family-m1", "missing-file", "bad-header"])
+BAD_TERMS = {"zero-denominator": ("x - 1/0*y", "zero denominator in term '1/0*y'"),
+             "huge-exponent": ("x^1048576 - y", "term 'x^1048576'"),
+             "fraction-mod-p": ("x - 1/32003*y", "-1/32003 has no value mod 32003")}
+
+
+@pytest.mark.parametrize("case", ["family-m1", "missing-file", "bad-header", *BAD_TERMS])
 def test_errors_are_one_line_with_exit_code_2(case, tmp_path, capsys):
     if case == "family-m1":
         argv, needle = ["family", "--m", "1", "--n", "2"], "m >= 2"
     elif case == "missing-file":
         path = tmp_path / "absent.txt"
         argv, needle = ["betti", "--in", str(path)], "absent.txt"
-    else:
+    elif case == "bad-header":
         path = tmp_path / "bad.txt"
         path.write_text("ring: vars=[x,y]\ngens:\nx\n")
         argv, needle = ["reg", "--in", str(path)], "bad header line"
+    else:
+        poly, needle = BAD_TERMS[case]
+        path = tmp_path / "bad.txt"
+        path.write_text(f"ring: char=32003 vars=[x,y] order=grevlex\ngens:\n{poly}\n")
+        argv = ["betti", "--in", str(path)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -10,7 +10,7 @@ import pytest
 from cmreg import idealops
 from cmreg._kernel import BudgetExceeded
 from cmreg.groebner import Ideal, member
-from cmreg.hilbert import hilbert_function, indeg
+from cmreg.hilbert import hilbert_function, indeg, nonzerodivisor
 from cmreg.idealops import (colon, colon_by_variable_power, colon_ideal,
                             eliminate, ideal_product, ideal_sum, intersect,
                             membership_exponent, quotient_exact, saturate,
@@ -418,6 +418,81 @@ def test_saturation_exponent_bound_saturated_case():
     assert res.status == "saturated"
     assert res.q == 0
     assert res.holds
+
+
+def _random_ideal_and_form(R, rng):
+    """Products of forms from a small pool, so that f often shares a factor
+    with a component of I (a zero divisor) or lies in I."""
+    x, y, z = R.gens()
+    pool = [x, y, z, x + y, y - 2 * z, x + y + z]
+
+    def product(k):
+        out = R.one
+        for _ in range(k):
+            out = out * rng.choice(pool)
+        return out
+
+    gens = [product(rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    return Ideal(R, gens), product(rng.randint(1, 2))
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["p", "q"])
+def test_nonzerodivisor_matches_colon(field):
+    R = PolyRing(("x", "y", "z"), field, GREVLEX)
+    x, y, z = R.gens()
+    rng = random.Random(12)
+    cases = [_random_ideal_and_form(R, rng) for _ in range(40)]
+    cases += [(Ideal(R, [R.one]), x), (Ideal(R, [x * x, x * y]), x * y + z * z)]
+    outcomes = []
+    for I, f in cases:
+        answer = nonzerodivisor(I, f)
+        assert answer == colon(I, f).same_ideal(I)
+        outcomes.append((answer, I.contains_ideal(Ideal(R, [f])), f.degree()))
+    assert {a for a, _, _ in outcomes} == {True, False}
+    assert any(inside and not I.is_unit() for (_, inside, _), (I, _) in zip(outcomes, cases))
+    assert {a for a, _, d in outcomes if d > 1} == {True, False}
+    assert nonzerodivisor(Ideal(R, [R.one]), x)  # vacuous on the zero module
+
+
+def test_nonzerodivisor_rejects_inhomogeneous_input():
+    R = PolyRing(("x", "y", "z"), PrimeField(32003), GREVLEX)
+    x, y, z = R.gens()
+    with pytest.raises(ValueError):
+        nonzerodivisor(Ideal(R, [x * y]), x + y * y)
+    with pytest.raises(ValueError):
+        nonzerodivisor(Ideal(R, [x - y * y]), z)
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("mnp", [(2, 2, False), (1, 3, True)], ids=["22", "primed-13"])
+def test_bound_check_matches_saturate_oracle_on_chain_instances(mnp, char):
+    from cmreg.families import build_family
+
+    m, n, primed = mnp
+    aci = build_family(m, n, primed=primed, char=char).almost_complete_intersection
+    S = saturate_irrelevant(aci)
+    for l in _seeded_forms(aci.ring):
+        rep = saturation_exponent_bound_check(aci, l)
+        chain_sat, q = saturate(aci, l)
+        generic = chain_sat.same_ideal(S)
+        assert rep.method == "chain"
+        assert rep.precondition_certified == generic
+        assert rep.status == ("ok" if generic else "not_generic")
+        assert rep.q == (q if generic else None)
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["p", "q"])
+def test_bound_check_certifies_by_the_form_not_the_ring(field):
+    R = PolyRing(("x", "y", "z"), field, GREVLEX)
+    x, y, z = R.gens()
+    I = Ideal(R, [x * x * y, x * y * y, x * y * z])  # xy * (x, y, z)
+    assert saturate_irrelevant(I).same_ideal(Ideal(R, [x * y]))
+    rep = saturation_exponent_bound_check(I, x)
+    assert (rep.status, rep.method, rep.precondition_certified) == ("not_generic", "chain", False)
+    for l in (x + y + z, x + 2 * y):  # x + 2y has no z term
+        rep = saturation_exponent_bound_check(I, l)
+        assert (rep.status, rep.method, rep.precondition_certified) == ("ok", "chain", True)
+        assert rep.q == 1 and rep.holds
 
 
 @pytest.mark.parametrize("char", [32003, 0])
