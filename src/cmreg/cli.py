@@ -11,10 +11,12 @@ Blank lines and lines starting with ``#`` are ignored, so emitted files can
 carry their metadata inline as comments.
 
 Errors are one line on stderr, ``cmreg: error: <message>``: exit code 2 for
-bad input, 3 for an exhausted budget or a failed genericity search.
-``verify`` checks its characteristic, its instance and, for one instance,
-that the claim belongs to the instance's family, before any claim runs, so
-its exit code 1 always means a failed claim.
+bad input, 3 for an exhausted budget, a failed genericity search or an
+exponent past the ring's cap.  ``verify`` checks its characteristic (and,
+for the claims that draw random linear forms, that the field is large
+enough), its instance and, for one instance, that the claim belongs to the
+instance's family, before any claim runs, so its exit code 1 always means a
+failed claim.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import families, resolution, verify
 from ._kernel import BudgetExceeded
 from .groebner import Ideal
 from .ring import GREVLEX, PolyRing, field_of_characteristic
-from .sections import GenericityFailure
+from .sections import GenericityFailure, check_section_field
 
 _HEADER_RE = re.compile(
     r"^ring:\s*char=(\d+)\s+vars=\[([^\]]*)\]\s+order=(\w+)\s*$")
@@ -127,7 +129,9 @@ def _cmd_verify(args):
         raise ValueError("--m and --n must be given together")
     if args.primed and args.m is None:
         raise ValueError("--primed needs --m and --n: the grid runs both families")
-    field_of_characteristic(args.char)
+    field = field_of_characteristic(args.char)
+    if args.claim == "all" or args.claim in verify.SECTION_CLAIMS:
+        check_section_field(field)
     if args.m is not None:
         families.check_parameters(args.m, args.n, args.primed)
         wanted = verify.FAMILY_CLAIMS[args.primed]
@@ -199,7 +203,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"cmreg: error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, GenericityFailure) as exc:
+    except (BudgetExceeded, GenericityFailure, OverflowError) as exc:
         print(f"cmreg: error: {exc}", file=sys.stderr)
         return 3
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import hilbert
 from .groebner import Ideal
 from .idealops import colon, colon_by_variable_power
-from .ring import PolyRing, Polynomial, field_of_characteristic
+from .ring import MAX_EXP, PolyRing, Polynomial, field_of_characteristic
 from ._linalg import rref
 
 
@@ -270,13 +270,21 @@ _FAMILY_CACHE = {}
 
 
 def check_parameters(m, n, primed):
-    """Raise ValueError unless (m, n, primed) names a family instance."""
+    """Raise ValueError unless (m, n, primed) names a family instance whose
+    largest curve exponent, (n+1)^m primed or n (n+1)^(m-1) unprimed, is at
+    most ring.MAX_EXP."""
     if primed and m < 1:
         raise ValueError("primed instances need m >= 1")
     if not primed and m < 2:
         raise ValueError("unprimed instances need m >= 2")
     if n < 2:
         raise ValueError("need n >= 2")
+    # The product stops once it passes the cap, so a huge m stays cheap.
+    top, name = (1, f"{n + 1}^{m}") if primed else (n, f"{n}*{n + 1}^{m - 1}")
+    for _ in range(m if primed else m - 1):
+        top *= n + 1
+        if top > MAX_EXP:
+            raise ValueError(f"largest curve exponent {name} exceeds the exponent cap {MAX_EXP}")
 
 
 def build_family(m, n, primed=False, char=32003):

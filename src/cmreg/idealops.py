@@ -20,8 +20,9 @@ I : (x_i, i in S)^inf = the intersection over S of I : x_i^inf.  The
 irrelevant saturation I^sat usually needs only one of those colons.  Each
 J = I : x_i^inf contains I^sat, and J = I^sat exactly when J/I^sat has
 finite length, which the Hilbert series certify: HS(A/I) - HS(A/J) is a
-polynomial.  saturate_irrelevant returns the first certified colon and
-intersects all of them only when none is certified.
+polynomial.  saturate_irrelevant returns the first certified colon; if none
+is certified, I^sat is the intersection of the inclusion-minimal colons.
+Every list of ideals is intersected that way, by _intersect_all.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from . import _kernel, hilbert
 from ._kernel import BudgetExceeded
 from .groebner import Ideal, member
-from .ring import Block, PermutedGrevlex, PolyRing, Polynomial, mono_mul, transport
+from .ring import GREVLEX, Block, PermutedGrevlex, PolyRing, Polynomial, mono_mul, transport
 
 
 def ideal_sum(I, J):
@@ -66,6 +67,19 @@ def intersect(I, J):
     return Ideal(ring, [transport(g, ring, down) for g in eliminate(Ideal(ext, gens), [0]).gens])
 
 
+def _intersect_all(parts):
+    """The intersection of a nonempty list of ideals, over its inclusion-minimal parts.
+
+    A part that contains a kept part adds nothing and is skipped; kept parts
+    that contain a new part are dropped, so of equal parts the first stays.
+    """
+    kept = []
+    for P in parts:
+        if not any(P.contains_ideal(K) for K in kept):
+            kept = [K for K in kept if not K.contains_ideal(P)] + [P]
+    return functools.reduce(intersect, kept)
+
+
 def quotient_exact(f, g):
     """The exact quotient f/g; raises if g does not divide f."""
     from .ring import reduce as ring_reduce
@@ -92,8 +106,7 @@ def colon_ideal(I, J):
     """The colon ideal I : J, computed elementwise and intersected."""
     if not J.gens:
         raise ValueError("colon by the zero ideal")
-    parts = [colon(I, g) for g in J.gens]
-    return _materialize_intersection(parts)
+    return _intersect_all([colon(I, g) for g in J.gens])
 
 
 def linear_coefficients(l):
@@ -177,8 +190,7 @@ def saturate_ideal(I, J, max_steps=200):
     generated by variables and I is homogeneous, else by iterating colon_ideal."""
     var_idx = _variable_indices(J)
     if var_idx is not None and I.is_homogeneous():
-        parts = [colon_by_variable_power(I, i) for i in var_idx]
-        return _materialize_intersection(parts)
+        return _intersect_all([colon_by_variable_power(I, i) for i in var_idx])
     current = I
     for _ in range(max_steps):
         nxt = colon_ideal(current, J)
@@ -214,7 +226,9 @@ def _divide_variable_power(g, i):
 
 
 def _variable_last(n, i):
-    """Grevlex on n variables with x_i moved last."""
+    """Grevlex on n variables with x_i moved last: grevlex itself when i is last."""
+    if i == n - 1:
+        return GREVLEX
     return PermutedGrevlex([j for j in range(n) if j != i] + [i])
 
 
@@ -240,8 +254,10 @@ def saturate_irrelevant(I):
     polynomial, so J/I^sat has finite length; A/I^sat has no m-torsion, so
     then J = I^sat.  The colons are tried from the last variable down (the
     last one reuses the grevlex basis of I) and the first that passes is the
-    answer.  When none passes, I^sat is the intersection of all of them.
-    Non-homogeneous input goes through saturate_ideal.
+    answer.  If none is certified, I^sat is the intersection of the
+    inclusion-minimal colons; the containment tests reduce against the
+    ring-order bases the Hilbert series already built.  Non-homogeneous
+    input goes through saturate_ideal.
     """
     cached = I._cache.get("sat")
     if cached is None:
@@ -256,27 +272,11 @@ def saturate_irrelevant(I):
                     break
                 parts.append(J)
             else:
-                cached = functools.reduce(intersect, reversed(parts))
+                cached = _intersect_all(reversed(parts))
         else:
             cached = saturate_ideal(I, Ideal(ring, ring.gens()))
         I._cache["sat"] = cached
     return cached
-
-
-def _materialize_intersection(parts):
-    """Intersection of a list of ideals; prefers a member contained in all others."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("empty intersection")
-    if len(parts) == 1:
-        return parts[0]
-    for j, cand in enumerate(parts):
-        if all(i == j or other.contains_ideal(cand) for i, other in enumerate(parts)):
-            return cand
-    out = parts[0]
-    for other in parts[1:]:
-        out = intersect(out, other)
-    return out
 
 
 def eliminate(I, variables):

@@ -295,12 +295,6 @@ def _grevlex_maps(n):
     return tuple(EXP_BITS * i for i in range(n)), word, key
 
 
-def _grevlex_pack_unpack(n):
-    """pack and unpack of grevlex on n variables, outside the bound-order cache."""
-    bound = _Bound(n, *_grevlex_maps(n))
-    return bound.pack, bound.unpack
-
-
 class Grevlex(MonomialOrder):
     """Graded reverse lexicographic order; ties from the last variable."""
 
@@ -397,10 +391,8 @@ class PermutedGrevlex(MonomialOrder):
     perm lists source variable indices in the order the comparison reads
     them; perm[-1] plays the role of the last grevlex variable.  Used
     internally for colon and saturation shortcuts; not part of the order
-    grammar accepted in ideal files.  The identity permutation is grevlex
-    itself: the same repr and the grevlex packers, so a basis cached under
-    either order is found under the other.  Words are those of grevlex on
-    the reordered variables.
+    grammar accepted in ideal files.  Words are those of grevlex on the
+    reordered variables.
     """
 
     name = "permuted-grevlex"
@@ -410,13 +402,10 @@ class PermutedGrevlex(MonomialOrder):
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"not a permutation: {perm!r}")
         self.perm = perm
-        self._identity = perm == tuple(range(len(perm)))
 
     def _build(self, n):
         if len(self.perm) != n:
             raise ValueError(f"permutation of {len(self.perm)} entries for {n} variables")
-        if self._identity:
-            return GREVLEX._build(n)
         gshifts, word, key = _grevlex_maps(n)
         shifts = [0] * n
         for pos, src in enumerate(self.perm):
@@ -424,8 +413,6 @@ class PermutedGrevlex(MonomialOrder):
         return _Bound(n, tuple(shifts), word, key)
 
     def __repr__(self):
-        if self._identity:
-            return "grevlex"
         return f"permuted-grevlex({','.join(map(str, self.perm))})"
 
 

@@ -29,15 +29,21 @@ class GenericityFailure(RuntimeError):
     """Raised when repeated random draws fail the section validation."""
 
 
+def check_section_field(field):
+    """Raise ValueError unless random sections may draw from field: F_p needs p > 1000."""
+    p = getattr(field, "p", None)
+    if p is not None and p <= 1000:
+        raise ValueError(f"coefficient field F_{p} too small for random sections (need p > 1000)")
+
+
 def random_linear_form(ring, seed):
     """A seeded degree-1 form with every coefficient nonzero.
 
     Over F_p the coefficients are uniform in [1, p-1] and p > 1000 is
     required; over the rationals they are integers in [1, 10^6].
     """
+    check_section_field(ring.field)
     p = getattr(ring.field, "p", None)
-    if p is not None and p <= 1000:
-        raise ValueError(f"coefficient field F_{p} too small for random sections (need p > 1000)")
     rng = random.Random(seed * 1_000_003 + ring.nvars)
     top = 10 ** 6 if p is None else p
     return linear_form(ring, [ring.field(rng.randrange(1, top)) for _ in range(ring.nvars)])

@@ -36,6 +36,8 @@ CLAIM_IDS = ("thm11", "lemma12", "lemma21", "lemma31",
 # The claims checked on each family's instances, keyed by primed.
 FAMILY_CLAIMS = {False: ("prop32", "lemma31", "thm11", "lemma12", "cor13", "remark33"),
                  True: ("prop22", "lemma21", "thm11", "lemma12", "cor13")}
+# The claims that draw random linear forms (sections.random_linear_form).
+SECTION_CLAIMS = ("thm11", "lemma12")
 
 NEG_INF = float("-inf")
 

@@ -154,10 +154,16 @@ BAD_TERMS = {"zero-denominator": ("x - 1/0*y", "zero denominator in term '1/0*y'
              "fraction-mod-p": ("x - 1/32003*y", "-1/32003 has no value mod 32003")}
 
 
-@pytest.mark.parametrize("case", ["family-m1", "missing-file", "bad-header", *BAD_TERMS])
+@pytest.mark.parametrize("case", ["family-m1", "family-m13", "verify-small-field", "missing-file",
+                                  "bad-header", *BAD_TERMS])
 def test_errors_are_one_line_with_exit_code_2(case, tmp_path, capsys):
     if case == "family-m1":
         argv, needle = ["family", "--m", "1", "--n", "2"], "m >= 2"
+    elif case == "family-m13":
+        argv, needle = ["family", "--m", "13", "--n", "2"], "curve exponent 2*3^12 exceeds"
+    elif case == "verify-small-field":
+        argv = ["verify", "thm11", "--m", "2", "--n", "2", "--char", "997"]
+        needle = "F_997 too small for random sections"
     elif case == "missing-file":
         path = tmp_path / "absent.txt"
         argv, needle = ["betti", "--in", str(path)], "absent.txt"
@@ -178,10 +184,16 @@ def test_errors_are_one_line_with_exit_code_2(case, tmp_path, capsys):
     assert lines[0].startswith("cmreg: error: ") and needle in lines[0]
 
 
-@pytest.mark.parametrize("case", ["pair-budget", "genericity"])
+@pytest.mark.parametrize("case", ["pair-budget", "genericity", "exponent-overflow"])
 def test_exhausted_budgets_are_one_line_with_exit_code_3(case, tmp_path, capsys,
                                                          monkeypatch):
-    if case == "pair-budget":
+    if case == "exponent-overflow":
+        # Valid input whose S-pair lcm passes the ring's degree cap.
+        path = tmp_path / "steep.txt"
+        path.write_text("ring: char=32003 vars=[x,y,z] order=grevlex\ngens:\n"
+                        "x^700000*y - z^700001\nx*y^700000 - z^700001\n")
+        argv, needle = ["reg", "--in", str(path)], "total degree 1400000 exceeds"
+    elif case == "pair-budget":
         path = tmp_path / "cubic.txt"
         path.write_text("ring: char=32003 vars=[x,y,z,w] order=grevlex\ngens:\n"
                         "x*z - y^2\nx*w - y*z\ny*w - z^2\n")

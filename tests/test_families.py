@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cmreg import families
-from cmreg.families import (build_family, ci_forms, curve_exponents,
+from cmreg.families import (build_family, check_parameters, ci_forms, curve_exponents,
                             curve_ideal, extra_form, graded_piece_basis,
                             parametrization_defect, pq_products,
                             residual_pivot)
@@ -13,7 +13,7 @@ from cmreg.groebner import Ideal, member
 from cmreg.hilbert import dim_deg
 from cmreg.idealops import colon_by_variable_power
 from cmreg.resolution import regularity_ideal
-from cmreg.ring import (GREVLEX, Block, PolyRing, QQ, field_of_characteristic,
+from cmreg.ring import (GREVLEX, MAX_EXP, Block, PolyRing, QQ, field_of_characteristic,
                         transport)
 
 
@@ -217,6 +217,20 @@ def test_build_family_validation():
         build_family(1, 2)  # unprimed needs m >= 2
     with pytest.raises(ValueError):
         build_family(2, 1)
+
+
+def test_check_parameters_rejects_curve_exponents_past_the_cap():
+    for primed, n, first_bad in ((False, 2, 13), (True, 3, 10)):
+        for m in range(1 + (not primed), 16):
+            too_big = max(curve_exponents(m, n, primed)) > MAX_EXP
+            assert too_big == (m >= first_bad)
+            if too_big:
+                with pytest.raises(ValueError, match=f"exceeds the exponent cap {MAX_EXP}"):
+                    check_parameters(m, n, primed)
+            else:
+                check_parameters(m, n, primed)
+    with pytest.raises(ValueError, match="exponent cap"):
+        check_parameters(10 ** 12, 10 ** 12, True)  # stops at the first product past the cap
 
 
 def test_residual_times_curve_in_ci(fam12p):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -279,32 +280,53 @@ def _fresh(I):
     return Ideal(I.ring, I.gens)
 
 
+def _count_intersections(monkeypatch):
+    """A list that grows by one entry per idealops.intersect call."""
+    calls, meet = [], idealops.intersect
+
+    def traced_intersect(A, B):
+        calls.append(True)
+        return meet(A, B)
+
+    monkeypatch.setattr(idealops, "intersect", traced_intersect)
+    return calls
+
+
 def _saturate_traced(I, monkeypatch):
     """saturate_irrelevant(I), plus the variables whose colons it built and
-    whether it fell back to intersecting them."""
-    tried, intersected = [], []
-    colon_var, meet = idealops.colon_by_variable_power, idealops.intersect
+    the number of intersections it made."""
+    tried = []
+    colon_var = idealops.colon_by_variable_power
 
     def traced_colon(J, i):
         tried.append(i)
         return colon_var(J, i)
 
-    def traced_intersect(A, B):
-        intersected.append(True)
-        return meet(A, B)
-
     monkeypatch.setattr(idealops, "colon_by_variable_power", traced_colon)
-    monkeypatch.setattr(idealops, "intersect", traced_intersect)
+    meets = _count_intersections(monkeypatch)
     S = saturate_irrelevant(I)
     monkeypatch.undo()
-    return S, tried, bool(intersected)
+    return S, tried, len(meets)
+
+
+def _saturation_oracle(I):
+    """I^sat as the plain intersection of every variable colon: I : x_i^inf
+    for homogeneous I, else the colon chain by the maximal ideal."""
+    if I.is_homogeneous():
+        return functools.reduce(intersect, [colon_by_variable_power(I, i)
+                                            for i in range(I.ring.nvars)])
+    cur = I
+    while True:
+        nxt = functools.reduce(intersect, [colon(cur, x) for x in I.ring.gens()])
+        if nxt.same_ideal(cur):
+            return cur
+        cur = nxt
 
 
 def _assert_matches_oracle(I):
-    """saturate_irrelevant agrees with the all-variables route as reduced bases."""
+    """saturate_irrelevant agrees with the plain intersection as reduced bases."""
     got = saturate_irrelevant(_fresh(I))
-    oracle = saturate_ideal(_fresh(I), Ideal(I.ring, I.ring.gens()))
-    assert got.groebner().polys == oracle.groebner().polys
+    assert got.groebner().polys == _saturation_oracle(_fresh(I)).groebner().polys
     return got
 
 
@@ -313,8 +335,8 @@ def test_saturate_irrelevant_removes_embedded_component(monkeypatch):
     x, y, z = R.gens()
     # (x) meet (x^2, y, z): the second component is irrelevant-primary
     I = intersect(Ideal(R, [x]), Ideal(R, [x * x, y, z]))
-    S, tried, fell_back = _saturate_traced(I, monkeypatch)
-    assert tried == [2] and not fell_back  # certified by the last variable
+    S, tried, meets = _saturate_traced(I, monkeypatch)
+    assert tried == [2] and meets == 0  # certified by the last variable
     assert S.same_ideal(Ideal(R, [x]))
     _assert_matches_oracle(I)
 
@@ -510,14 +532,65 @@ def test_saturate_irrelevant_matches_oracle_on_aci_and_sections(primed, char):
         _assert_matches_oracle(J)
 
 
+@pytest.mark.parametrize("char", [32003, 0])
+def test_saturate_irrelevant_of_the_grid_acis_intersects_two_minimal_colons(char, monkeypatch):
+    from cmreg.families import build_family
+    from cmreg.verify import PRIMED_GRID, UNPRIMED_GRID
+
+    for primed, grid in ((False, UNPRIMED_GRID), (True, PRIMED_GRID)):
+        for m, n in grid:
+            aci = build_family(m, n, primed=primed, char=char).almost_complete_intersection
+            S, tried, meets = _saturate_traced(_fresh(aci), monkeypatch)
+            assert tried == list(reversed(range(aci.ring.nvars))) and meets == 1, (m, n, primed)
+            assert S.groebner().polys == _saturation_oracle(_fresh(aci)).groebner().polys
+
+
+def _chain_and_crossing_ideals():
+    R = PolyRing(("x", "y", "z"), PrimeField(32003), GREVLEX)
+    x, y, z = R.gens()
+    A = Ideal(R, [x * x, x * y, y ** 3, z ** 4])
+    B = Ideal(R, [x, y ** 3, z ** 4])
+    C = Ideal(R, [x, y, z ** 4])
+    D = Ideal(R, [y * y, z])
+    return R, A, B, C, D
+
+
+def test_intersect_all_of_one_part_or_equal_parts(monkeypatch):
+    R, A, B, _, _ = _chain_and_crossing_ideals()
+    x, y, z = R.gens()
+    meets = _count_intersections(monkeypatch)
+    assert idealops._intersect_all([A]) is A
+    B2 = Ideal(R, [x + y ** 3, y ** 3 + z ** 4, z ** 4])
+    assert B2.same_ideal(B) and B2.gens != B.gens
+    assert idealops._intersect_all([B, B2]) is B
+    assert idealops._intersect_all([B2, B]) is B2
+    assert not meets
+
+
+def test_intersect_all_of_a_chain_is_its_least_part(monkeypatch):
+    _, A, B, C, _ = _chain_and_crossing_ideals()
+    assert C.contains_ideal(B) and B.contains_ideal(A) and not A.contains_ideal(B)
+    meets = _count_intersections(monkeypatch)
+    for parts in itertools.permutations([A, B, C]):
+        assert idealops._intersect_all(parts) is A
+    assert not meets
+
+
+def test_intersect_all_matches_the_plain_intersection_in_any_order():
+    _, A, B, C, D = _chain_and_crossing_ideals()
+    plain = functools.reduce(intersect, [A, B, C, D]).groebner().polys
+    for parts in itertools.permutations([A, B, C, D]):
+        assert idealops._intersect_all(parts).groebner().polys == plain
+
+
 @pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["p", "q"])
 def test_saturate_irrelevant_fallback_intersects_the_colons(field, monkeypatch):
     R = PolyRing(("x", "y", "z"), field, GREVLEX)
     x, y, z = R.gens()
     points = Ideal(R, [x * y, x * z, y * z])  # the three coordinate points
     I = Ideal(R, [g * v for g in points.gens for v in (x, y, z)])  # points meet m^3
-    S, tried, fell_back = _saturate_traced(I, monkeypatch)
-    assert tried == [2, 1, 0] and fell_back
+    S, tried, meets = _saturate_traced(I, monkeypatch)
+    assert tried == [2, 1, 0] and meets == 2  # one point per colon
     assert S.same_ideal(points) and not I.same_ideal(points)
     _assert_matches_oracle(I)
 
@@ -528,8 +601,8 @@ def test_saturate_irrelevant_rejects_a_colon_with_another_hilbert_polynomial(mon
     x0, x1, x2 = R.gens()
     I = Ideal(R, [x2 * x0, x2 * x1])
     assert colon_by_variable_power(I, 2).same_ideal(Ideal(R, [x0, x1]))
-    S, tried, fell_back = _saturate_traced(I, monkeypatch)
-    assert tried == [2, 1, 0] and fell_back
+    S, tried, meets = _saturate_traced(I, monkeypatch)
+    assert tried == [2, 1, 0] and meets == 1  # the x1 and x0 colons are both (x2)
     assert S.same_ideal(I)
     _assert_matches_oracle(I)
 

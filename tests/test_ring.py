@@ -210,16 +210,22 @@ def test_ring_equality_and_order_cache():
 
 @pytest.mark.parametrize("first", ["grevlex", "identity"])
 def test_identity_permutation_is_grevlex(first, monkeypatch):
+    from cmreg.idealops import _variable_last
+
     monkeypatch.setattr(ring, "_BOUND_CACHE", {})
     n = 4
     ident = PermutedGrevlex(range(n))
-    assert ident == GREVLEX and repr(ident) == "grevlex"
-    assert PermutedGrevlex((1, 0, 2, 3)) != GREVLEX
-    bound = (GREVLEX if first == "grevlex" else ident).bind(n)
-    assert GREVLEX.bind(n) is bound and ident.bind(n) is bound
-    grevlex_pack, _ = ring._grevlex_pack_unpack(n)
-    assert bound.pack.__code__ is grevlex_pack.__code__
+    assert repr(ident) == "permuted-grevlex(0,1,2,3)" and ident != GREVLEX
+    order_a, order_b = (GREVLEX, ident) if first == "grevlex" else (ident, GREVLEX)
+    bound_a, bound_b = order_a.bind(n), order_b.bind(n)
+    assert bound_a is not bound_b and bound_a.guards == bound_b.guards
     rng = random.Random(7)
     for _ in range(50):
         e = tuple(rng.randrange(0, 6) for _ in range(n))
-        assert ident.bind(n).pack(e) == GREVLEX.bind(n).pack(e) == grevlex_pack(e)
+        assert ident.bind(n).pack(e) == GREVLEX.bind(n).pack(e)
+        assert ident.bind(n).unpack(GREVLEX.bind(n).pack(e)) == e
+    for m in range(1, 6):
+        assert _variable_last(m, m - 1) is GREVLEX
+        for i in range(m - 1):
+            order = _variable_last(m, i)
+            assert order != GREVLEX and order.perm[-1] == i
