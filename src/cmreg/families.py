@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import hilbert
 from .groebner import Ideal
-from .idealops import colon, colon_by_variable_power
+from .idealops import colon, colon_by_variable_power, ideal_product
 from .ring import MAX_EXP, PolyRing, Polynomial, field_of_characteristic
 from ._linalg import rref
 
@@ -172,11 +172,8 @@ def residual_ideal(ci, curve, pivot):
     a = colon(ci, pivot)
     if not colon(a, pivot).same_ideal(a):
         raise AssertionError("residual colon chain did not stabilize after one step")
-    gbi = ci.groebner()
-    for g in curve.gens:
-        for h in a.gens:
-            if not gbi.reduces_to_zero(g * h):
-                raise AssertionError("product of curve and residual escapes the complete intersection")
+    if not ci.contains_ideal(ideal_product(curve, a)):
+        raise AssertionError("product of curve and residual escapes the complete intersection")
     return a
 
 

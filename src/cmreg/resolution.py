@@ -17,11 +17,15 @@ of d_i between degree-j generators (Erocal, Motsak, Schreyer and Steenpass,
 "Refined algorithms to compute syzygies", JSC 74, 2016).
 
 Certification is part of the construction: every S-pair must reduce to zero
-with its predicted syzygy lead, consecutive Schreyer differentials must
-compose to zero, no Betti number may come out negative, the length must not
-exceed the number of variables, and the alternating sum of the Betti
-numbers must reproduce the Hilbert numerator computed independently from
-lead terms.  Any failure is a hard error, not a warning.
+with its predicted syzygy lead.  One pass over the finished levels then
+decodes each stored term once: it adds the term's image into the level
+below, so consecutive Schreyer differentials must compose to zero, and it
+collects the constant entries, which must join generators of one degree,
+while it counts the generators by degree.  No Betti number may come out
+negative, the length must not exceed the number of variables, and the
+alternating sum of the Betti numbers must reproduce the Hilbert numerator
+computed independently from lead terms.  Any failure is a hard error, not a
+warning.
 """
 
 from __future__ import annotations
@@ -201,51 +205,48 @@ def _syzygies(ctx, module, new, elems):
     return out
 
 
-def _check_complex(levels, modules):
-    """Assert d_l composed with d_{l+1} vanishes for the Schreyer levels.
+def _betti_entries(levels, modules):
+    """The graded Betti numbers of A/I and the constant rank, read off the
+    Schreyer levels in one certified pass.
 
-    Term x^k e_c of a level l + 1 element maps to x^k times element c of
-    level l, whose keys move by k << cbits of that level's module.  The sums
-    accumulate without reduction, so over F_p a sum vanishes when it is 0
-    mod p.
+    Each term x^k e_c of a level-i element is decoded once.  Above level 1
+    it adds x^k times element c of level i - 1 into the element's image; the
+    sums accumulate without reduction, so over F_p an image vanishes when it
+    is 0 mod p, and every image must vanish.  A constant term (k = 0) is an
+    entry of the element's row in C_{i,j}, whose row and column must both
+    have degree j.  Returns ({(i, j): beta_{i,j}}, sum of the ranks).
     """
-    p = modules[0].p
-    for lvl in range(1, len(levels)):
-        lower, lower_cbits = levels[lvl - 1], modules[lvl - 1].cbits
-        dec = modules[lvl].dec
-        for el in levels[lvl]:
-            acc = {}
+    p, field = modules[0].p, modules[0].field
+    entries, blocks = {(0, 0): 1}, {}
+    for i, elems in enumerate(levels, start=1):
+        dec, lower_degs, degs = modules[i - 1].dec, modules[i - 1].degs, modules[i].degs
+        # Level 1 lives in the ring, of rank one, with no level below.
+        lower, lower_cbits = (levels[i - 2], modules[i - 2].cbits) if i > 1 else ([{}], 0)
+        for col, el in enumerate(elems):
+            j = degs[col]
+            entries[(i, j)] = entries.get((i, j), 0) + 1
+            acc, row = {}, {}
             for K, coef in el.items():
                 c, k = dec(K)
+                if not k:
+                    if lower_degs[c] != j:
+                        raise AssertionError("a constant entry joins generators of different degrees")
+                    row[c] = coef
                 shift = k << lower_cbits
                 for K2, c2 in lower[c].items():
                     key = K2 + shift
                     acc[key] = acc.get(key, 0) + coef * c2
             if any(v % p for v in acc.values()) if p else any(acc.values()):
                 raise AssertionError("consecutive Schreyer differentials do not compose to zero")
-
-
-def _constant_blocks(levels, modules):
-    """The constant entries of each differential, by level and degree.
-
-    Returns {(i, j): {col: {row: coef}}} over the columns of level i (its
-    elements) and the rows of level i - 1 (its module's basis).  A term K
-    in component c is constant exactly when its monomial is img(c), K >>
-    cbits == imgkeys[c], and then its column and row must have the same
-    degree j.
-    """
-    blocks = {}
-    for i, (elems, module) in enumerate(zip(levels, modules), start=1):
-        cbits, cmask, comp, imgkeys = module.cbits, module.cmask, module.comp, module.imgkeys
-        degs = modules[i].degs
-        for col, el in enumerate(elems):
-            for K, coef in el.items():
-                c = comp[K & cmask]
-                if K >> cbits == imgkeys[c]:
-                    if module.degs[c] != degs[col]:
-                        raise AssertionError("a constant entry joins generators of different degrees")
-                    blocks.setdefault((i, degs[col]), {}).setdefault(col, {})[c] = coef
-    return blocks
+            if row:
+                blocks.setdefault((i, j), []).append(row)
+    cancelled = 0
+    for (i, j), rows in blocks.items():
+        rank = len(echelon(rows, field))
+        entries[(i, j)] -= rank
+        entries[(i - 1, j)] -= rank
+        cancelled += rank
+    return entries, cancelled
 
 
 def minimal_resolution(I):
@@ -271,18 +272,8 @@ def minimal_resolution(I):
     ctx = Context(GREVLEX.bind(ring.nvars), ring.field)
     gb_packed = [_kernel.to_packed(ctx, g) for g in gb.polys]
     levels, modules = _schreyer_levels(ctx, gb_packed, ring.nvars)
-    _check_complex(levels, modules)
+    betti_entries, cancelled = _betti_entries(levels, modules)
 
-    betti_entries = {(0, 0): 1}
-    for i in range(1, len(levels) + 1):
-        for d in modules[i].degs:
-            betti_entries[(i, d)] = betti_entries.get((i, d), 0) + 1
-    cancelled = 0
-    for (i, j), block in _constant_blocks(levels, modules).items():
-        rank = len(echelon(block.values(), ring.field))
-        betti_entries[(i, j)] -= rank
-        betti_entries[(i - 1, j)] -= rank
-        cancelled += rank
     if any(b < 0 for b in betti_entries.values()):
         raise AssertionError("constant ranks exceed a non-minimal rank")
 

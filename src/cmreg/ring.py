@@ -185,12 +185,12 @@ class _Bound:
 
     word maps a key to its exponent word and key inverts word (see the module
     docstring); shifts[i] is the bit offset of variable i's field in the
-    word.  pack maps an exponent tuple to its key, checking the cap, and
-    unpack inverts it; raw is pack without the check, for tuples that were
-    checked when they entered a Polynomial.  guards is the mask of the
-    words' guard bits and degree(word) the total degree.  eliminates is the
-    size of a leading lex block whose variables the order is an elimination
-    order for (0 when there is none).
+    word.  pack maps an exponent tuple to its key, checking its length and
+    the cap, and unpack inverts it; raw is pack without the checks, for
+    tuples that were checked when they entered a Polynomial.  guards is the
+    mask of the words' guard bits and degree(word) the total degree.
+    eliminates is the size of a leading lex block whose variables the order
+    is an elimination order for (0 when there is none).
     """
 
     __slots__ = ("n", "word", "key", "raw", "pack", "unpack", "degree", "guards",
@@ -204,6 +204,8 @@ class _Bound:
             return key(w)
 
         def pack(e):
+            if len(e) != n:
+                raise ValueError(f"exponent tuple {tuple(e)} has {len(e)} entries for {n} variables")
             _check_exps(e)
             return raw(e)
 
@@ -673,7 +675,8 @@ def _split_vars(ring, ident):
 
 
 def _parse_poly(ring, text):
-    """Parse ASCII polynomial text: integer or a/b coefficients, ^ powers, optional *."""
+    """Parse ASCII polynomial text: integer or a/b coefficients, ^ powers, and
+    an optional * between two factors."""
     if not text.strip():
         raise ValueError("empty polynomial text")
     pos = 0
@@ -721,6 +724,8 @@ def _parse_poly(ring, text):
             kind, val = tokens[i]
             if kind == "mul":
                 i += 1
+                if not saw_factor or i >= nt or tokens[i][0] not in ("int", "var"):
+                    raise ValueError(f"* does not join two factors in term {term!r}")
                 continue
             if kind == "int":
                 num = val

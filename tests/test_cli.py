@@ -151,7 +151,10 @@ def test_verify_csv_format(capsys):
 
 BAD_TERMS = {"zero-denominator": ("x - 1/0*y", "zero denominator in term '1/0*y'"),
              "huge-exponent": ("x^1048576 - y", "term 'x^1048576'"),
-             "fraction-mod-p": ("x - 1/32003*y", "-1/32003 has no value mod 32003")}
+             "fraction-mod-p": ("x - 1/32003*y", "-1/32003 has no value mod 32003"),
+             "double-star": ("x**2 - y", "term 'x**2'"),
+             "star-before-sign": ("x*-y", "term 'x*'"),
+             "leading-star": ("*x + y", "term '*x'")}
 
 
 @pytest.mark.parametrize("case", ["family-m1", "family-m13", "verify-small-field", "missing-file",

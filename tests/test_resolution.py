@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cmreg import _kernel
 from cmreg._kernel import Context
+from cmreg.cli import parse_ideal_file
 from cmreg.families import build_family
 from cmreg.groebner import Ideal
 from cmreg.hilbert import hilbert_series
-from cmreg.resolution import (BettiTable, _check_complex, _schreyer_levels, a0,
+from cmreg.resolution import (BettiTable, _betti_entries, _schreyer_levels, a0,
                               a1_via_sequence, betti, minimal_resolution, pdim,
                               regularity, regularity_ideal)
-from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ
+from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ, transport
 
 
 @pytest.fixture(scope="module")
@@ -97,12 +100,24 @@ def test_resolution_matrices_compose_to_zero(ring3f):
 
 def test_corrupted_syzygy_fails_the_complex_check():
     ctx, levels, modules = _schreyer(build_family(2, 2).almost_complete_intersection)
-    _check_complex(levels, modules)
+    _betti_entries(levels, modules)
     syz = levels[1][0]
     key = min(syz)
     syz[key] = ctx.field.mul(syz[key], 2)
-    with pytest.raises(AssertionError):
-        _check_complex(levels, modules)
+    with pytest.raises(AssertionError, match="do not compose to zero"):
+        _betti_entries(levels, modules)
+
+
+def test_constant_entry_across_degrees_fails_the_degree_check():
+    # A constant entry in the syzygy's own lead component: that generator
+    # has a smaller degree than the syzygy.
+    ctx, levels, modules = _schreyer(build_family(2, 2).almost_complete_intersection)
+    syz = levels[1][0]
+    c, k = modules[1].dec(max(syz))
+    assert k and modules[1].degs[c] != modules[2].degs[0]
+    syz[modules[1].enc(c, 0)] = ctx.field(1)
+    with pytest.raises(AssertionError, match="joins generators of different degrees"):
+        _betti_entries(levels, modules)
 
 
 def test_euler_identity_random_monomial_ideals():
@@ -443,3 +458,22 @@ def test_rational_schreyer_syzygies_with_fractional_leads():
                                              for t in gens]))
         assert res.stats == resp.stats and res.betti == resp.betti
         assert res.stats["cancelled"] > 0
+
+
+BENCH = Path(__file__).resolve().parent.parent / "cmbench"
+RESOLVE_CASES = [(entry, order) for entry in json.loads((BENCH / "expected.json").read_text())["resolve"]
+                 for order in entry["orders"]]
+
+
+@pytest.mark.parametrize("entry, order", RESOLVE_CASES,
+                         ids=[f"{e['name']}-{''.join(map(str, o['perm']))}" for e, o in RESOLVE_CASES])
+def test_benchmark_resolve_inputs_keep_their_recorded_resolutions(entry, order):
+    # The benchmark's resolve workload checks these same records.
+    ideal = parse_ideal_file((BENCH / entry["file"]).read_text())
+    ring = ideal.ring
+    I = Ideal(ring, [transport(g, ring, order["perm"]) for g in ideal.gens])
+    res = minimal_resolution(I)
+    assert sorted([i, j, b] for (i, j), b in res.betti.entries.items()) == entry["betti"]
+    assert regularity_ideal(I) == entry["regularity_ideal"]
+    assert res.stats["nonminimal_ranks"] == order["nonminimal_ranks"]
+    assert res.stats["cancelled"] == order["cancelled"]

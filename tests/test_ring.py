@@ -142,6 +142,14 @@ def test_exponent_overflow_rejected(ring3):
         x ** (2 ** 20)
 
 
+@pytest.mark.parametrize("build", [lambda R: R.monomial((1, 2)),
+                                   lambda R: R.poly({(1, 2, 0, 5): 3})],
+                         ids=["short-monomial", "long-poly-key"])
+def test_exponent_tuple_of_the_wrong_length_rejected(ring3, build):
+    with pytest.raises(ValueError, match=r"entries for 3 variables"):
+        build(ring3)
+
+
 def test_arithmetic_identities(ring3):
     x, y, z = ring3.gens()
     assert (x + y) ** 2 == x * x + 2 * x * y + y * y
