@@ -128,19 +128,18 @@ def linear_form(ring, coeffs):
 def substitute_variable(I, i, repl):
     """The image of I under x_i -> repl, as an ideal of repl's ring.
 
-    repl's ring either has I's variables, and the others stay fixed (a
-    change of coordinates), or it drops x_i, and the others keep their order
-    (a hyperplane cut).  The powers of repl are shared by every generator.
+    repl's ring either has I's variables (a change of coordinates) or drops
+    x_i (a hyperplane cut), in any order; every other variable goes to the
+    variable of the same name.  The powers of repl are shared by every
+    generator.
     """
     target = repl.ring
-    n = I.ring.nvars
+    names = I.ring.names
+    n = len(names)
     keep = [j for j in range(n) if j != i]
-    if target.nvars == n:
-        slots = keep
-    elif target.nvars == n - 1:
-        slots = range(n - 1)
-    else:
-        raise ValueError(f"cannot substitute {n} variables into {target.nvars}")
+    if set(target.names) - {names[i]} != {names[j] for j in keep}:
+        raise ValueError(f"cannot substitute {names} into {target.names}")
+    slots = [target._name_index[names[j]] for j in keep]
     f = target.field
     powers = [target.one]
     images = []

@@ -8,6 +8,16 @@ numbers the regularity bound consumes: the degree of Z (Hilbert multiplicity
 of the saturated section) and the initial degree of its ideal (the least
 degree of a hypersurface of the hyperplane through Z).
 
+The hyperplane ring may order its variables differently from the ambient
+ring.  When dim A/(I + x_i) = dim A/I - 1, x_i lies in no top-dimensional
+component of A/I and V(I + x_i) is a finite set of points.  A general
+hyperplane misses them, so Z has no point on x_i = 0 and the saturation of
+the section is its colon by x_i alone.  section_order moves the highest such
+x_i last in the hyperplane ring; that colon then reuses the grevlex basis
+the dimension check builds, and saturate_irrelevant's Hilbert-series
+certificate still decides.  With no such variable the order is the ambient
+one.  The lifted ideal (I + l)^sat follows the hyperplane ring's order back.
+
 Genericity is realized as randomization plus validation: the dimension must
 drop by exactly one and a second, independently seeded form must reproduce
 the same numeric invariants (in fact the whole Hilbert numerator); on
@@ -49,11 +59,13 @@ def random_linear_form(ring, seed):
     return linear_form(ring, [ring.field(rng.randrange(1, top)) for _ in range(ring.nvars)])
 
 
-def substitute_linear(I, l):
+def substitute_linear(I, l, perm=None):
     """Image of I in the hyperplane ring A/(l), as an ideal in one fewer variable.
 
     Solves l for the last variable (possible since every coefficient is
-    nonzero) and substitutes into each generator.
+    nonzero) and substitutes into each generator.  Variable k of the
+    hyperplane ring is x_perm[k] (default: x_0, ..., x_(n-2) in order), so
+    transport by perm lifts an ideal back to the ambient ring.
     """
     ring = I.ring
     n = ring.nvars
@@ -62,17 +74,35 @@ def substitute_linear(I, l):
     coeffs = linear_coefficients(l)
     if coeffs[-1] == 0:
         raise ValueError("section form must involve the last variable")
-    S = PolyRing(ring.names[:-1], ring.field, GREVLEX)
+    perm = list(range(n - 1)) if perm is None else list(perm)
+    if sorted(perm) != list(range(n - 1)):
+        raise ValueError(f"perm must order the variables 0..{n - 2}, got {perm}")
+    S = PolyRing(tuple(ring.names[j] for j in perm), ring.field, GREVLEX)
     f = ring.field
     scale = f.neg(f.inv(coeffs[-1]))
-    return S, substitute_variable(I, n - 1, linear_form(S, [f.mul(scale, c) for c in coeffs[:-1]]))
+    return S, substitute_variable(I, n - 1, linear_form(S, [f.mul(scale, coeffs[j]) for j in perm]))
+
+
+def section_order(I):
+    """The ambient indices of the hyperplane ring's variables for sections of I.
+
+    x_0, ..., x_(n-2) in order, except that the highest x_i among them with
+    dim A/(I + x_i) = dim A/I - 1 is moved last.
+    """
+    ring = I.ring
+    n = ring.nvars
+    dim, _ = hilbert.dim_deg(I)
+    last = next((i for i in range(n - 2, -1, -1)
+                 if hilbert.dim_deg(Ideal(ring, I.gens + (ring.gen(i),)))[0] == dim - 1), n - 2)
+    return [j for j in range(n - 1) if j != last] + [last]
 
 
 @dataclass
 class SectionData:
     """One validated general section: the form, the saturated section ideal
-    (in the hyperplane ring), its lift back to the ambient ring, and the two
-    numeric invariants."""
+    (in the hyperplane ring, whose variables may be ordered differently from
+    the ambient ring's, see section_order), its lift (I + l)^sat back to the
+    ambient ring through that order, and the two numeric invariants."""
 
     seed: int
     attempted_seeds: tuple
@@ -85,10 +115,10 @@ class SectionData:
     validation: dict = field(default_factory=dict)
 
 
-def _section_invariants(I, l):
+def _section_invariants(I, l, perm):
     """(hyperplane ring, saturated section, deg, indeg, numerator) for one form,
     or None when the cut is not generic (dimension fails to drop to 1)."""
-    S, J = substitute_linear(I, l)
+    S, J = substitute_linear(I, l, perm)
     dim, _ = hilbert.dim_deg(J)
     if dim != 1:
         return None
@@ -113,6 +143,7 @@ def general_section(I, seed):
     if dim != 2:
         raise ValueError(f"general_section needs dim(A/I) = 2, got {dim}")
     ring = I.ring
+    perm = section_order(I)
     attempted = []
     notes = []
     for round_no in range(5):
@@ -125,8 +156,8 @@ def general_section(I, seed):
             sb += 1
             lb = random_linear_form(ring, sb)
         attempted.extend([sa, sb])
-        va = _section_invariants(I, la)
-        vb = _section_invariants(I, lb)
+        va = _section_invariants(I, la, perm)
+        vb = _section_invariants(I, lb, perm)
         if va is None or vb is None:
             notes.append(f"round {round_no}: dimension drop failed "
                          f"(seeds {sa}, {sb})")
@@ -137,8 +168,7 @@ def general_section(I, seed):
             notes.append(f"round {round_no}: invariants disagree "
                          f"({deg_a},{ideg_a}) vs ({deg_b},{ideg_b})")
             continue
-        lift_map = list(range(ring.nvars - 1))
-        lifted = Ideal(ring, [transport(g, ring, lift_map) for g in Jsat_a.gens] + [la])
+        lifted = Ideal(ring, [transport(g, ring, perm) for g in Jsat_a.gens] + [la])
         return SectionData(
             seed=sa, attempted_seeds=tuple(attempted), linear_form=la,
             hyperplane_ring=Sa, section_ideal=Jsat_a, lifted_ideal=lifted,

@@ -107,7 +107,7 @@ FAMILY_22_WORK = {32003: {"pairs_processed": 221, "zero_reductions": 178},
 # Calls, pairs and zero reductions of general_section plus
 # saturate_irrelevant on the (2,2) almost complete intersection at F_32003,
 # its grevlex basis already known, as build_family leaves it.
-SECTION_22_WORK = {"calls": 16, "pairs_processed": 131, "zero_reductions": 89}
+SECTION_22_WORK = {"calls": 14, "pairs_processed": 104, "zero_reductions": 76}
 
 
 def _count_kernel_work(monkeypatch):

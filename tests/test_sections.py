@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from cmreg import idealops
+from cmreg.families import build_family
 from cmreg.groebner import Ideal, member
 from cmreg.hilbert import dim_deg
+from cmreg.idealops import saturate_irrelevant
 from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ
 from cmreg.sections import (GenericityFailure, cor13_rhs, general_section,
-                            random_linear_form, substitute_linear, thm11_rhs)
+                            random_linear_form, section_order, substitute_linear,
+                            thm11_rhs)
+from cmreg.verify import DEFAULT_SEED, PRIMED_GRID, UNPRIMED_GRID
+
+GRID = [(m, n, False) for m, n in UNPRIMED_GRID] + [(m, n, True) for m, n in PRIMED_GRID]
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +73,10 @@ def test_general_section_conic_and_line(ring4):
     sec = general_section(I, 2026)
     assert sec.deg_section == 3  # 2 points from the conic, 1 from the line
     assert dim_deg(sec.section_ideal) == (1, 3)
+    # X2 meets each component in a point and is already last
+    assert dim_deg(Ideal(ring4, I.gens + (X2,)))[0] == 1
+    assert section_order(I) == [0, 1, 2]
+    assert sec.hyperplane_ring.names == ring4.names[:-1]
     # determinism: same seed, same outcome
     sec2 = general_section(I, 2026)
     assert sec2.seed == sec.seed
@@ -81,6 +92,68 @@ def test_general_section_complete_intersection(fam22):
     assert sec.indeg_section == 3
     # the lifted ideal contains the section generators and the form itself
     assert member(sec.linear_form, sec.lifted_ideal)
+
+
+def test_substitute_linear_orders_the_hyperplane_ring_by_perm():
+    R = PolyRing(("x", "y", "z"), QQ, GREVLEX)
+    x, y, z = R.gens()
+    I = Ideal(R, [x * z - y * y])
+    S, J = substitute_linear(I, x + y + z, [1, 0])
+    assert S.names == ("y", "x")
+    b, a = S.gens()
+    assert J.same_ideal(Ideal(S, [a * a + a * b + b * b]))
+    with pytest.raises(ValueError):
+        substitute_linear(I, x + y + z, [0, 2])
+
+
+def _grid_acis():
+    for m, n, primed in GRID:
+        yield (m, n, primed), build_family(m, n, primed=primed).almost_complete_intersection
+
+
+def test_section_order_puts_x1_last_on_the_grid():
+    for key, aci in _grid_acis():
+        n = aci.ring.nvars
+        assert section_order(aci) == [0] + list(range(2, n - 1)) + [1], key
+
+
+def test_no_certifying_variable_keeps_the_ambient_order(ring4):
+    X0, X1, X2, X3 = ring4.gens()
+    # three concurrent lines: each of X0, X1, X2 vanishes on two of them
+    I = Ideal(ring4, [X0 * X1, X0 * X2, X1 * X2])
+    for x in (X0, X1, X2):
+        assert dim_deg(Ideal(ring4, I.gens + (x,)))[0] == 2
+    assert section_order(I) == [0, 1, 2]
+    sec = general_section(I, 2026)
+    assert (sec.deg_section, sec.indeg_section) == (3, 2)
+    assert sec.validation["hilbert_numerator"] == [1, 0, -3, 2]
+    assert sec.hyperplane_ring.names == ring4.names[:-1]
+
+
+def test_lifted_ideal_is_the_saturated_cut_on_the_grid():
+    for key, aci in _grid_acis():
+        sec = general_section(aci, DEFAULT_SEED)
+        assert sec.hyperplane_ring.names[-1] == "X1", key
+        cut = saturate_irrelevant(Ideal(aci.ring, aci.gens + (sec.linear_form,)))
+        assert sec.lifted_ideal.same_ideal(cut), key
+
+
+def test_each_section_saturates_by_one_colon_on_the_grid(monkeypatch):
+    colon = idealops.colon_by_variable_power
+    calls = []
+
+    def counted(I, i):
+        calls.append((I.ring.nvars, i))
+        return colon(I, i)
+
+    monkeypatch.setattr(idealops, "colon_by_variable_power", counted)
+    for key, aci in _grid_acis():
+        calls.clear()
+        sec = general_section(Ideal(aci.ring, aci.gens), DEFAULT_SEED)
+        n = aci.ring.nvars
+        # one validated round of two forms, each certified by its first colon
+        assert len(sec.attempted_seeds) == 2, key
+        assert calls == [(n - 1, n - 2)] * 2, key
 
 
 def test_general_section_requires_dim_two(ring4):
