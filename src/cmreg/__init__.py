@@ -7,13 +7,11 @@ supported on monomial curves."""
 from ._kernel import BudgetExceeded
 from .ring import (GREVLEX, LEX, Block, Grevlex, Lex, PermutedGrevlex,
                    PolyRing, Polynomial, PrimeField, QQ, RationalField,
-                   Weighted, field_of_characteristic, reduce, spoly,
-                   transport)
+                   field_of_characteristic, reduce, spoly, transport)
 from .groebner import (GroebnerBasis, Ideal, buchberger, member,
                        spair_certificate)
-from .idealops import (colon, colon_ideal, eliminate, ideal_product,
-                       ideal_sum, intersect, saturate, saturate_ideal,
-                       saturate_irrelevant)
+from .idealops import (colon, eliminate, ideal_product, intersect, saturate,
+                       saturate_by_variables, saturate_irrelevant)
 from .hilbert import (HilbertData, dim_deg, finite_length, hilbert_function,
                       hilbert_series, indeg)
 from .resolution import (BettiTable, a0, betti, minimal_resolution, pdim,

@@ -45,7 +45,7 @@ from .ring import MAX_EXP, Polynomial, word_lcm
 
 
 class BudgetExceeded(RuntimeError):
-    """A computation ran past its work budget (pairs or saturation steps)."""
+    """A Groebner basis computation ran past its pair budget."""
 
 
 class Context:

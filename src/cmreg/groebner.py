@@ -10,7 +10,7 @@ threads is safe.
 from __future__ import annotations
 
 from . import _kernel
-from .ring import PolyRing, Polynomial
+from .ring import Polynomial
 
 
 class GroebnerBasis:
@@ -109,25 +109,16 @@ class Ideal:
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
 
 
-def buchberger(ideal_or_gens, order=None):
+def buchberger(ideal, order=None):
     """Compute the reduced Groebner basis of an ideal.
 
-    Accepts an Ideal or a list of polynomials.  The result is independent of
-    generator order and duplicates (reduced bases are unique), which the test
-    suite asserts by recomputation.
+    The result is independent of generator order and duplicates (reduced
+    bases are unique), which the test suite asserts by recomputation.
     """
-    if isinstance(ideal_or_gens, Ideal):
-        ring = ideal_or_gens.ring
-        gens = ideal_or_gens.gens
-    else:
-        gens = list(ideal_or_gens)
-        if not gens:
-            raise ValueError("cannot infer the ring of an empty generator list")
-        ring = gens[0].ring
+    ring = ideal.ring
     order = ring.order if order is None else order
-    bound = order.bind(ring.nvars)
-    ctx = _kernel.Context(bound, ring.field)
-    packed = [_kernel.to_packed(ctx, g) for g in gens if not g.is_zero()]
+    ctx = _kernel.Context(order.bind(ring.nvars), ring.field)
+    packed = [_kernel.to_packed(ctx, g) for g in ideal.gens]
     basis, stats = _kernel.buchberger(ctx, packed)
     polys = [_kernel.from_packed(ctx, d, ring) for d in basis]
     reducers = [_kernel.Reducer.from_packed(ctx, d, index=i, sugar=0) for i, d in enumerate(basis)]

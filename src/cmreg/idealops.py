@@ -1,5 +1,6 @@
-"""Ideal arithmetic: sums, products, intersections, colons, saturations,
-variable substitution and elimination.
+"""Ideal arithmetic: products, intersections, colons, saturations of
+homogeneous ideals by variables and by linear forms, variable substitution
+and elimination of the leading variables.
 
 Intersections eliminate t from t*I + (1-t)*J, and colons divide the
 intersection with a principal ideal.
@@ -31,15 +32,8 @@ import functools
 from dataclasses import dataclass, field
 
 from . import _kernel, hilbert
-from ._kernel import BudgetExceeded
-from .groebner import Ideal, member
+from .groebner import Ideal
 from .ring import GREVLEX, Block, PermutedGrevlex, PolyRing, Polynomial, mono_mul, transport
-
-
-def ideal_sum(I, J):
-    if I.ring != J.ring:
-        raise ValueError("ideals from different rings")
-    return Ideal(I.ring, I.gens + J.gens)
 
 
 def ideal_product(I, J):
@@ -64,7 +58,7 @@ def intersect(I, J):
     gens = [t * transport(g, ext, up) for g in I.gens]
     gens += [(ext.one - t) * transport(h, ext, up) for h in J.gens]
     down = [None] + list(range(ring.nvars))
-    return Ideal(ring, [transport(g, ring, down) for g in eliminate(Ideal(ext, gens), [0]).gens])
+    return Ideal(ring, [transport(g, ring, down) for g in eliminate(Ideal(ext, gens), 1).gens])
 
 
 def _intersect_all(parts):
@@ -100,13 +94,6 @@ def colon(I, f):
         return Ideal(I.ring, I.gens)
     meet = intersect(I, Ideal(I.ring, [f]))
     return Ideal(I.ring, [quotient_exact(g, f) for g in meet.gens])
-
-
-def colon_ideal(I, J):
-    """The colon ideal I : J, computed elementwise and intersected."""
-    if not J.gens:
-        raise ValueError("colon by the zero ideal")
-    return _intersect_all([colon(I, g) for g in J.gens])
 
 
 def linear_coefficients(l):
@@ -184,32 +171,12 @@ def saturate(I, l):
     return substitute_variable(colon_by_variable_power(J, i), i, l), q
 
 
-def saturate_ideal(I, J, max_steps=200):
-    """I : J^inf for an ideal J, via the variable fast path when J is
-    generated by variables and I is homogeneous, else by iterating colon_ideal."""
-    var_idx = _variable_indices(J)
-    if var_idx is not None and I.is_homogeneous():
-        return _intersect_all([colon_by_variable_power(I, i) for i in var_idx])
-    current = I
-    for _ in range(max_steps):
-        nxt = colon_ideal(current, J)
-        if nxt.same_ideal(current):
-            return current
-        current = nxt
-    raise BudgetExceeded(f"saturation chain did not stabilize within {max_steps} steps")
-
-
-def _variable_indices(J):
-    """If J is generated by single variables, their indices; else None."""
-    idx = []
-    for g in J.gens:
-        if len(g.terms) != 1:
-            return None
-        e, c = g.terms[0]
-        if sum(e) != 1:
-            return None
-        idx.append(e.index(1))
-    return sorted(set(idx)) or None
+def saturate_by_variables(I, indices):
+    """I : (x_i, i in indices)^inf for homogeneous I: the intersection of the
+    variable colons I : x_i^inf."""
+    if not indices:
+        raise ValueError("saturation by an empty set of variables")
+    return _intersect_all([colon_by_variable_power(I, i) for i in indices])
 
 
 def _divide_variable_power(g, i):
@@ -255,64 +222,31 @@ def saturate_irrelevant(I):
     last one reuses the grevlex basis of I) and the first that passes is the
     answer.  If none is certified, I^sat is the intersection of the
     inclusion-minimal colons; the containment tests reduce against the
-    ring-order bases the Hilbert series already built.  Non-homogeneous
-    input goes through saturate_ideal.
+    ring-order bases the Hilbert series already built.
     """
     cached = I._cache.get("sat")
     if cached is None:
-        ring = I.ring
-        if I.is_homogeneous():
-            hs = hilbert.hilbert_series(I)
-            parts = []
-            for i in range(ring.nvars - 1, -1, -1):
-                J = colon_by_variable_power(I, i)
-                if hilbert.series_difference(hs, hilbert.hilbert_series(J)) is not None:
-                    cached = J
-                    break
-                parts.append(J)
-            else:
-                cached = _intersect_all(reversed(parts))
+        hs = hilbert.hilbert_series(I)
+        parts = []
+        for i in range(I.ring.nvars - 1, -1, -1):
+            J = colon_by_variable_power(I, i)
+            if hilbert.series_difference(hs, hilbert.hilbert_series(J)) is not None:
+                cached = J
+                break
+            parts.append(J)
         else:
-            cached = saturate_ideal(I, Ideal(ring, ring.gens()))
+            cached = _intersect_all(reversed(parts))
         I._cache["sat"] = cached
     return cached
 
 
-def eliminate(I, variables):
-    """The elimination ideal: elements of I free of the named variables.
-
-    variables may be names or indices.  When they are the first k variables,
-    the basis of I in the block order Block(k) does the work in I's own ring;
-    otherwise the ideal is moved to a ring with the eliminated block first,
-    and the result is moved back.  The result lives in the original ring and
-    its generators do not involve the eliminated variables.
-    """
-    ring = I.ring
-    idx = []
-    for v in variables:
-        if isinstance(v, str):
-            if v not in ring._name_index:
-                raise ValueError(f"unknown variable {v!r}")
-            idx.append(ring._name_index[v])
-        else:
-            idx.append(int(v))
-    idx = sorted(set(idx))
-    if not idx:
-        return Ideal(ring, I.gens)
-    if len(idx) >= ring.nvars:
-        raise ValueError("cannot eliminate every variable")
-    k = len(idx)
-    if idx == list(range(k)):
-        gb = I.groebner(Block(k))
-        return Ideal(ring, [g for g in gb if all(not any(e[:k]) for e, _ in g.terms)])
-    perm = idx + [j for j in range(ring.nvars) if j not in idx]
-    ext = PolyRing(tuple(ring.names[j] for j in perm), ring.field)
-    fwd = [None] * ring.nvars
-    for pos, j in enumerate(perm):
-        fwd[j] = pos
-    E = eliminate(Ideal(ext, [transport(g, ext, fwd) for g in I.gens]), range(k))
-    back = [None] * k + perm[k:]
-    return Ideal(ring, [transport(g, ring, back) for g in E.gens])
+def eliminate(I, k):
+    """The elimination ideal of the first k variables: the elements of I's
+    basis in the block order Block(k) that are free of them, in I's ring."""
+    if not 1 <= k < I.ring.nvars:
+        raise ValueError(f"can eliminate 1 to {I.ring.nvars - 1} leading variables, not {k}")
+    gb = I.groebner(Block(k))
+    return Ideal(I.ring, [g for g in gb if all(not any(e[:k]) for e, _ in g.terms)])
 
 
 def membership_exponent(I, l, g, jmax):

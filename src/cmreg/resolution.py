@@ -36,7 +36,6 @@ from math import lcm
 from . import _kernel, hilbert
 from ._kernel import Context, ModContext, Reducer, _reduce, _spair
 from ._linalg import echelon
-from .groebner import Ideal
 from .ring import GREVLEX, word_lcm
 
 NEG_INF = float("-inf")

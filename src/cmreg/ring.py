@@ -2,7 +2,7 @@
 
 The ring layer is the substrate for everything else in this package: exact
 arithmetic over a prime field F_p or over the rationals, standard-graded
-polynomial rings, and the monomial orders (grevlex, lex, block, weighted)
+polynomial rings, and the monomial orders (grevlex, lex, block, permuted grevlex)
 used by the Groebner engine.
 
 Monomials are exponent tuples at the API surface.  Internally every bound
@@ -23,9 +23,9 @@ monomial tests integer operations on whole words:
     total degree of w     one multiply sums the fields into the top one
     v * w                 v + w
 
-The word is -key mod 2**(21 n) for grevlex, permuted grevlex and weighted
-orders, the key itself for lex, and the lex block above the grevlex word of
-the rest for block orders.  Exponents and total degrees are capped at
+The word is -key mod 2**(21 n) for grevlex and permuted grevlex, the key
+itself for lex, and the lex block above the grevlex word of the rest for
+block orders.  Exponents and total degrees are capped at
 MAX_EXP = 2**20 - 1.  The cap is checked where tuples enter (pack, which
 Polynomial construction, parsing and monomial use).  In the kernel, a product
 whose exponent passes the cap sets that field's guard bit, which the
@@ -189,14 +189,11 @@ class _Bound:
     the cap, and unpack inverts it; raw is pack without the checks, for
     tuples that were checked when they entered a Polynomial.  guards is the
     mask of the words' guard bits and degree(word) the total degree.
-    eliminates is the size of a leading lex block whose variables the order
-    is an elimination order for (0 when there is none).
     """
 
-    __slots__ = ("n", "word", "key", "raw", "pack", "unpack", "degree", "guards",
-                 "eliminates")
+    __slots__ = ("n", "word", "key", "raw", "pack", "unpack", "degree", "guards")
 
-    def __init__(self, n, shifts, word, key, eliminates=0):
+    def __init__(self, n, shifts, word, key):
         def raw(e):
             w = 0
             for x, s in zip(e, shifts):
@@ -221,7 +218,6 @@ class _Bound:
         self.unpack = unpack
         self.degree = _word_degree(n)
         self.guards = _guards(n)
-        self.eliminates = eliminates
 
 
 def _check_exps(e):
@@ -316,7 +312,7 @@ class Lex(MonomialOrder):
 
     def _build(self, n):
         shifts = tuple(EXP_BITS * (n - 1 - i) for i in range(n))
-        return _Bound(n, shifts, _identity, _identity, eliminates=n)
+        return _Bound(n, shifts, _identity, _identity)
 
     def __repr__(self):
         return "lex"
@@ -353,38 +349,10 @@ class Block(MonomialOrder):
             return (w >> ws << hs) + gkey(w & rest)
 
         shifts = tuple(ws + EXP_BITS * (k - 1 - i) for i in range(k)) + gshifts
-        return _Bound(n, shifts, word, key, eliminates=k)
+        return _Bound(n, shifts, word, key)
 
     def __repr__(self):
         return f"block({self.k})"
-
-
-class Weighted(MonomialOrder):
-    """Order by a positive weight vector, ties broken by grevlex."""
-
-    name = "weighted"
-
-    def __init__(self, weights):
-        weights = tuple(int(w) for w in weights)
-        if not weights or any(w <= 0 or w > MAX_EXP for w in weights):
-            raise ValueError("weights must be positive and below 2**20")
-        self.weights = weights
-
-    def _build(self, n):
-        if len(self.weights) != n:
-            raise ValueError(f"weight vector has {len(self.weights)} entries for {n} variables")
-        shifts, gword, gkey = _grevlex_maps(n)
-        hs = EXP_BITS * (n + 1)
-        weights = tuple(zip(shifts, self.weights))
-
-        def key(w):
-            wd = sum(((w >> s) & _FIELD) * wi for s, wi in weights)
-            return (wd << hs) + gkey(w)
-
-        return _Bound(n, shifts, gword, key)
-
-    def __repr__(self):
-        return f"weighted({','.join(map(str, self.weights))})"
 
 
 class PermutedGrevlex(MonomialOrder):
@@ -806,33 +774,30 @@ def format_poly(poly):
 
 # --- division and S-polynomials --------------------------------------------
 
-def reduce(f, basis, order=None):
-    """Full normal form of f against basis.
+def reduce(f, basis):
+    """Full normal form of f against basis, in f's ring order.
 
-    Returns (remainder, quotients) with f == sum(q*g) + remainder, the
-    remainder having no term divisible by any basis leading monomial.  The
-    highest reducible term is rewritten first and ties among reducers go to
-    the smallest basis index, so the result is deterministic.
+    Returns (remainder, quotients), one quotient per basis element (zero for
+    a zero element), with f == sum(q*g) + remainder and the remainder having
+    no term divisible by any basis leading monomial.  The highest reducible
+    term is rewritten first and ties among reducers go to the smallest basis
+    index, so the result is deterministic.
     """
     from . import _kernel
 
     ring = f.ring
-    basis = [g for g in basis if not g.is_zero()]
     for g in basis:
         if g.ring != ring:
             raise ValueError("basis polynomial from a different ring")
-    bound = ring.bound if order is None else order.bind(ring.nvars)
-    ctx = _kernel.Context(bound, ring.field)
+    ctx = _kernel.Context(ring.bound, ring.field)
     reducers = [_kernel.Reducer.from_packed(ctx, _kernel.to_packed(ctx, g), index=i)
-                for i, g in enumerate(basis)]
+                for i, g in enumerate(basis) if not g.is_zero()]
     rem, quots = _kernel.normal_form(ctx, _kernel.to_packed(ctx, f), reducers, track=True)
-    out_rem = _kernel.from_packed(ctx, rem, ring)
     out_quots = []
     for i, g in enumerate(basis):
         q = _kernel.from_packed(ctx, quots.get(i, {}), ring)
-        lcinv = ring.field.inv(g.lc())
-        out_quots.append(q * ring.const(lcinv))
-    return out_rem, out_quots
+        out_quots.append(q if g.is_zero() else q * ring.const(ring.field.inv(g.lc())))
+    return _kernel.from_packed(ctx, rem, ring), out_quots
 
 
 def spoly(f, g, order=None):

@@ -223,19 +223,14 @@ def check_lemma_decomp(m, n, primed, char=DEFAULT_CHAR):
         else:
             j_vars = list(range(2, m + 2))
             k_vars = [0] + list(range(2, m + 1))
-        from .groebner import Ideal
-        J = Ideal(ring, [ring.gen(i) for i in j_vars])
-        K = Ideal(ring, [ring.gen(i) for i in k_vars])
-        aj = ops.saturate_ideal(a, J)
-        ajk = ops.saturate_ideal(aj, K)
+        ajk = ops.saturate_by_variables(ops.saturate_by_variables(a, j_vars), k_vars)
         col.record("residual-support", ajk.is_unit(),
                    {"j_vars": v(j_vars, "construction"), "k_vars": v(k_vars, "construction"),
                     "after_both_saturations": v("(1)" if ajk.is_unit() else "proper", "hilbert")})
-        dim, _ = hilbert.dim_deg(I)
+        dim, deg_i = hilbert.dim_deg(I)
         codim = ring.nvars - dim
         col.record("ci-codimension", codim == len(I.gens),
                    {"codim": v(codim, "hilbert"), "generators": v(len(I.gens), "construction")})
-        _, deg_i = hilbert.dim_deg(I)
         _, deg_b = hilbert.dim_deg(b)
         _, deg_a = hilbert.dim_deg(a)
         col.record("degree-additivity", deg_i == deg_b + deg_a,

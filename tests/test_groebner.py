@@ -38,7 +38,7 @@ def test_reduced_basis_independent_of_generator_order(ring4q):
         shuffled = gens[:]
         rng.shuffle(shuffled)
         scaled = [g * rng.choice([1, 2, 5]) for g in shuffled]
-        polys = tuple(str(p) for p in buchberger(scaled, GREVLEX).polys)
+        polys = tuple(str(p) for p in buchberger(Ideal(ring4q, scaled), GREVLEX).polys)
         if reference is None:
             reference = polys
         assert polys == reference
@@ -92,6 +92,18 @@ def test_normal_form_idempotent_randomized():
         for qi, gi in zip(q1, basis):
             rebuilt = rebuilt + qi * gi
         assert rebuilt == f
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["p", "q"])
+def test_reduce_keeps_one_quotient_per_divisor_with_zero_divisors(field):
+    R = PolyRing(("x", "y"), field, GREVLEX)
+    x, y = R.gens()
+    f = x * y + y
+    divisors = [R.zero, 2 * x, R.zero]
+    r, quots = reduce(f, divisors)
+    assert len(quots) == len(divisors)
+    assert quots[0].is_zero() and quots[2].is_zero()
+    assert r == y and f == sum((q * g for q, g in zip(quots, divisors)), r)
 
 
 def test_lex_elimination_shape():
