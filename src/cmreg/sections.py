@@ -6,7 +6,10 @@ draws seeded random linear forms, performs the cut inside the hyperplane ring
 (one variable eliminated by substitution), saturates, and extracts the two
 numbers the regularity bound consumes: the degree of Z (Hilbert multiplicity
 of the saturated section) and the initial degree of its ideal (the least
-degree of a hypersurface of the hyperplane through Z).
+degree of a hypersurface of the hyperplane through Z).  The thm11 claim cuts
+the family's residual, the top-dimensional part of the almost complete
+intersection: the two differ only at finitely many points, which a general
+hyperplane misses, so both cuts saturate to the same Z.
 
 The hyperplane ring may order its variables differently from the ambient
 ring.  When dim A/(I + x_i) = dim A/I - 1, x_i lies in no top-dimensional

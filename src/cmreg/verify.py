@@ -244,13 +244,21 @@ def check_lemma_decomp(m, n, primed, char=DEFAULT_CHAR):
 
 def check_thm11(m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
     """The section-based regularity bound on the almost complete intersection:
-    reg(I) <= (d1...dm - degZ + 1)(d1+...+d(m+1) - m - iZ) + iZ."""
+    reg(I) <= (d1...dm - degZ + 1)(d1+...+d(m+1) - m - iZ) + iZ.
+
+    Z is cut from the residual a = CI : pivot, not from I.  The residual is
+    unmixed (a colon of the unmixed complete intersection by one element);
+    once I lies in a with the same dimension and degree, a is the
+    top-dimensional part of I, so I^sat = a ∩ Q with Q supported at finitely
+    many points.  A general hyperplane misses them, and (I + l)^sat =
+    (a + l)^sat.  Both hypotheses are asserted before the cut, and deg Z is
+    asserted equal to deg(A/I), the multiplicity of the cone."""
     params = {"m": m, "n": n, "primed": bool(primed), "char": char, "seed": seed}
 
     def body(col):
         fam = families.build_family(m, n, primed=primed, char=char)
         aci = fam.almost_complete_intersection
-        dim, _ = hilbert.dim_deg(aci)
+        dim, deg = hilbert.dim_deg(aci)
         if dim != 2:
             col.skip("dimension-precondition", f"dim(A/I) = {dim}, need 2")
             return
@@ -260,7 +268,21 @@ def check_thm11(m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
             col.skip("generator-count-precondition",
                      f"s = {len(degrees)} <= codim = {codim}")
             return
-        sd = sections.general_section(aci, seed)
+        where = f"thm11 ({m}, {n}, primed={bool(primed)})"
+        top = fam.residual
+        if not top.contains_ideal(aci):
+            raise AssertionError(f"{where}: the residual does not contain the almost "
+                                 "complete intersection, so it is not its top-dimensional part")
+        top_dim_deg = hilbert.dim_deg(top)
+        if top_dim_deg != (dim, deg):
+            raise AssertionError(f"{where}: the residual has (dim, deg) = {top_dim_deg}, the "
+                                 f"almost complete intersection ({dim}, {deg}), so it is not "
+                                 "its top-dimensional part")
+        sd = sections.general_section(top, seed)
+        if sd.deg_section != deg:
+            sa, sb = sd.validation["agreeing_seeds"]
+            raise AssertionError(f"{where}: deg Z = {sd.deg_section} from the sections with "
+                                 f"seeds {sa} and {sb} differs from deg(A/I) = {deg}")
         rhs = sections.thm11_rhs(degrees, codim, sd.deg_section, sd.indeg_section)
         reg = resolution.regularity_ideal(aci)
         col.record("regularity-upper-bound", reg <= rhs,

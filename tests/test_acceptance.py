@@ -244,3 +244,22 @@ def test_criterion_10_verify_all_is_byte_deterministic():
 def test_criterion_10_verify_all_char_zero_digest():
     text = render_json(grid_reports(char=0, seed=DEFAULT_SEED), char=0, seed=DEFAULT_SEED)
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SHA256[0]
+
+
+# sha256 of `cmreg verify thm11 --format json` (seed 2026) beyond the default grid.
+VERIFY_THM11_SHA256 = {
+    "--m 3 --n 3": "65ed1b21a8eacebd29d7b3329b44cb40ce46ae3748c675ea7083a311523c7e31",
+    "--m 4 --n 2": "6bbc09c8164a75b0a1c18d550f97c451e7665802e564fec7306f4fcd3f4d0c63",
+    "--m 3 --n 2 --primed": "b5a5ce4c3c758742c96f1c2b3f26690c1ad9af65e957105c2ec82e28621eafb2",
+    "--m 3 --n 3 --char 0": "b2e33a6a86865a8db2d967d1b373a06536d82126a6f76bb94a464128c554f0be",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_THM11_SHA256))
+def test_criterion_10_verify_thm11_digest_beyond_the_grid(args):
+    cmd = [sys.executable, "-m", "cmreg.cli", "verify", "thm11", *args.split(),
+           "--format", "json"]
+    proc = subprocess.run(cmd, capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_THM11_SHA256[args]
+    assert json.loads(proc.stdout)["verdict"] == "pass"

@@ -109,6 +109,10 @@ FAMILY_22_WORK = {32003: {"pairs_processed": 221, "zero_reductions": 178},
 # its grevlex basis already known, as build_family leaves it.
 SECTION_22_WORK = {"calls": 14, "pairs_processed": 104, "zero_reductions": 76}
 
+# Calls, pairs and zero reductions of general_section on the (2,2) residual
+# at F_32003, as build_family leaves it: the cut check_thm11 makes.
+RESIDUAL_SECTION_22_WORK = {"calls": 6, "pairs_processed": 17, "zero_reductions": 17}
+
 
 def _count_kernel_work(monkeypatch):
     """Running totals of _kernel.buchberger calls, pairs and zero reductions."""
@@ -144,6 +148,14 @@ def test_section_and_saturation_work_of_family_22_does_not_grow(monkeypatch):
     general_section(I, DEFAULT_SEED)
     saturate_irrelevant(I)
     for name, recorded in SECTION_22_WORK.items():
+        assert totals[name] <= recorded, (name, totals[name])
+
+
+def test_section_work_of_residual_22_does_not_grow(monkeypatch):
+    residual = build_family(2, 2).residual
+    totals = _count_kernel_work(monkeypatch)
+    general_section(residual, DEFAULT_SEED)
+    for name, recorded in RESIDUAL_SECTION_22_WORK.items():
         assert totals[name] <= recorded, (name, totals[name])
 
 

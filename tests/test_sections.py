@@ -156,6 +156,24 @@ def test_each_section_saturates_by_one_colon_on_the_grid(monkeypatch):
         assert calls == [(n - 1, n - 2)] * 2, key
 
 
+ORACLE_CASES = ([(m, n, primed, char) for m, n, primed in GRID for char in (32003, 0)]
+                + [(3, 3, False, 32003), (4, 2, False, 32003), (3, 2, True, 32003)])
+
+
+@pytest.mark.parametrize("m,n,primed,char", ORACLE_CASES)
+def test_section_of_the_residual_is_the_section_of_the_aci(m, n, primed, char):
+    # The residual is the top-dimensional part of the almost complete
+    # intersection, so a general cut of either saturates to the same points.
+    fam = build_family(m, n, primed=primed, char=char)
+    aci = fam.almost_complete_intersection
+    res = general_section(fam.residual, DEFAULT_SEED)
+    oracle = general_section(Ideal(aci.ring, aci.gens), DEFAULT_SEED)
+    for name in ("seed", "attempted_seeds", "deg_section", "indeg_section"):
+        assert getattr(res, name) == getattr(oracle, name), name
+    assert res.validation["hilbert_numerator"] == oracle.validation["hilbert_numerator"]
+    assert res.lifted_ideal.same_ideal(oracle.lifted_ideal)
+
+
 def test_general_section_requires_dim_two(ring4):
     X0, X1, X2, X3 = ring4.gens()
     I = Ideal(ring4, [X0])

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from cmreg import verify
+from cmreg import families, sections, verify
+from cmreg.groebner import Ideal
 from cmreg.verify import (CLAIM_IDS, _jsonable, check_cor13, check_lemma12,
                           check_lemma_decomp, check_lower_bound,
                           check_remark33, check_thm11, grid_reports,
@@ -76,6 +78,57 @@ def test_thm11_22():
     assert vals["rhs"]["value"] == 62
     assert vals["deg_section"]["value"] == 3
     assert vals["indeg_section"]["value"] == 2
+
+
+def _error_note(report):
+    assert report.verdict == "fail"
+    return next(sc.note for sc in report.subchecks if sc.name == "unexpected-error")
+
+
+def test_thm11_cuts_the_residual_once_per_grid_instance(monkeypatch):
+    cut = sections.general_section
+    calls = []
+
+    def counted(I, seed):
+        calls.append(I)
+        return cut(I, seed)
+
+    monkeypatch.setattr(sections, "general_section", counted)
+    for primed, grid in ((False, verify.UNPRIMED_GRID), (True, verify.PRIMED_GRID)):
+        for m, n in grid:
+            calls.clear()
+            assert check_thm11(m, n, primed).verdict == "pass", (m, n, primed)
+            assert len(calls) == 1, (m, n, primed)
+            assert calls[0] is families.build_family(m, n, primed=primed).residual
+
+
+@pytest.mark.parametrize("swap,message", [
+    # The curve ideal does not contain the extra form, so not the ACI either.
+    (lambda fam: fam.curve,
+     "the residual does not contain the almost complete intersection"),
+    # residual + (X0) contains the ACI, but X0 = 0 drops a component.
+    (lambda fam: Ideal(fam.ring, fam.residual.gens + (fam.ring.gen(0),)),
+     "the residual has (dim, deg) = (2, 1), the almost complete intersection (2, 3)"),
+], ids=["curve", "residual+X0"])
+def test_thm11_guard_rejects_a_residual_that_is_not_the_top_part(monkeypatch, swap, message):
+    fam = families.build_family(2, 2)
+    monkeypatch.setitem(families._FAMILY_CACHE, (2, 2, False, fam.char),
+                        dataclasses.replace(fam, residual=swap(fam)))
+    note = _error_note(check_thm11(2, 2, primed=False))
+    assert note.startswith(f"AssertionError: thm11 (2, 2, primed=False): {message}"), note
+
+
+def test_thm11_asserts_deg_z_is_the_degree_of_the_cone(monkeypatch):
+    cut = sections.general_section
+
+    def off_by_one(I, seed):
+        sd = cut(I, seed)
+        return dataclasses.replace(sd, deg_section=sd.deg_section + 1)
+
+    monkeypatch.setattr(sections, "general_section", off_by_one)
+    note = _error_note(check_thm11(2, 2, primed=False))
+    assert ("deg Z = 4 from the sections with seeds 2026 and 54387 differs "
+            "from deg(A/I) = 3") in note, note
 
 
 def test_lemma12_saturated_instance_skips():
