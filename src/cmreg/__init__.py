@@ -10,11 +10,11 @@ from .ring import (GREVLEX, LEX, Block, Grevlex, Lex, PermutedGrevlex,
                    field_of_characteristic, reduce, spoly, transport)
 from .groebner import (GroebnerBasis, Ideal, buchberger, member,
                        spair_certificate)
-from .idealops import (colon, eliminate, ideal_product, intersect, saturate,
+from .idealops import (a0, colon, eliminate, ideal_product, intersect, saturate,
                        saturate_by_variables, saturate_irrelevant)
 from .hilbert import (HilbertData, dim_deg, finite_length, hilbert_function,
                       hilbert_series, indeg)
-from .resolution import (BettiTable, a0, betti, minimal_resolution, pdim,
+from .resolution import (BettiTable, betti, minimal_resolution, pdim,
                          regularity, regularity_ideal)
 from .families import build_family
 from .sections import (GenericityFailure, cor13_rhs, general_section,

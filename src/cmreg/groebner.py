@@ -10,7 +10,7 @@ threads is safe.
 from __future__ import annotations
 
 from . import _kernel
-from .ring import Polynomial
+from .ring import Polynomial, spoly
 
 
 class GroebnerBasis:
@@ -139,8 +139,6 @@ def spair_certificate(gb):
     This is the defining Groebner property, asserted over emitted bases in the
     test suite rather than assumed.
     """
-    from .ring import spoly
-
     polys = gb.polys
     count = 0
     for i in range(len(polys)):

@@ -38,8 +38,6 @@ from ._kernel import Context, ModContext, Reducer, _reduce, _spair
 from ._linalg import echelon
 from .ring import GREVLEX, word_lcm
 
-NEG_INF = float("-inf")
-
 
 class BettiTable:
     """Graded Betti numbers beta_{i,j} of a module, with renderers."""
@@ -320,23 +318,3 @@ def pdim(I):
     """Projective dimension of A/I."""
     return minimal_resolution(I).betti.pdim()
 
-
-def a0(I):
-    """Top degree of the finite-length quotient I^sat / I; -inf when saturated."""
-    from .idealops import saturate_irrelevant
-
-    S = saturate_irrelevant(I)
-    data = hilbert.finite_length(I, S)
-    return data.top_degree
-
-
-def a1_via_sequence(m, n, primed=False, char=32003):
-    """a1 of the curve coordinate ring, read off the almost complete
-    intersection through the twist exact sequence: a0(A/J) - d."""
-    from .families import build_family
-
-    fam = build_family(m, n, primed=primed, char=char)
-    val = a0(fam.almost_complete_intersection)
-    if val == NEG_INF:
-        raise AssertionError("almost complete intersection is saturated; sequence degenerates")
-    return val - fam.extra_degree

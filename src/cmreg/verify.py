@@ -38,6 +38,8 @@ FAMILY_CLAIMS = {False: ("prop32", "lemma31", "thm11", "lemma12", "cor13", "rema
                  True: ("prop22", "lemma21", "thm11", "lemma12", "cor13")}
 # The claims that draw random linear forms (sections.random_linear_form).
 SECTION_CLAIMS = ("thm11", "lemma12")
+# The seeded rounds of linear forms in each lemma12 report.
+LEMMA12_ROUNDS = 3
 
 NEG_INF = float("-inf")
 
@@ -138,7 +140,7 @@ def _a0_identity_subchecks(col, fam):
     primed (2,2), (3,2), (4,2)), the identity is asserted exactly with
     a1 = reg(A/curve) - 1 computed from an independent resolution.
     """
-    a0 = resolution.a0(fam.almost_complete_intersection)
+    a0 = ops.a0(fam.almost_complete_intersection)
     pd_curve = resolution.pdim(fam.curve)
     nv = fam.ring.nvars
     col.record(
@@ -296,7 +298,7 @@ def check_thm11(m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
     return _run("thm11", params, body)
 
 
-def check_lemma12(m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR, rounds=3):
+def check_lemma12(m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
     """Saturation-exponent inequalities for random linear forms on the almost
     complete intersection: q <= a0 - indeg(sat) + 1 <= reg - indeg(sat)."""
     params = {"m": m, "n": n, "primed": bool(primed), "char": char, "seed": seed}
@@ -304,7 +306,7 @@ def check_lemma12(m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR, rounds=3):
     def body(col):
         fam = families.build_family(m, n, primed=primed, char=char)
         aci = fam.almost_complete_intersection
-        for k in range(rounds):
+        for k in range(LEMMA12_ROUNDS):
             rep = None
             used = None
             for draw in range(5):

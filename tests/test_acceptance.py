@@ -21,8 +21,8 @@ from cmreg import families
 from cmreg.families import build_family
 from cmreg.groebner import Ideal, spair_certificate
 from cmreg.hilbert import dim_deg, hilbert_series
-from cmreg.idealops import colon, saturate
-from cmreg.resolution import a0, betti, regularity, regularity_ideal
+from cmreg.idealops import a0, colon, saturate
+from cmreg.resolution import betti, regularity, regularity_ideal
 from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ, reduce
 from cmreg.sections import general_section, thm11_rhs
 from cmreg.verify import (DEFAULT_SEED, PRIMED_GRID, UNPRIMED_GRID, check_lemma12,
@@ -115,8 +115,7 @@ def test_criterion_06_decomposition_suite_full_grid():
 def test_criterion_07_section_bound_and_linear_form_inequalities():
     def compute():
         t_reports = [check_thm11(m, n, primed) for m, n, primed in FULL_GRID]
-        l_reports = [check_lemma12(m, n, primed, rounds=3)
-                     for m, n, primed in FULL_GRID]
+        l_reports = [check_lemma12(m, n, primed) for m, n, primed in FULL_GRID]
         return t_reports, l_reports
 
     t_reports, l_reports = timed(180, compute)
@@ -255,11 +254,30 @@ VERIFY_THM11_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("args", sorted(VERIFY_THM11_SHA256))
-def test_criterion_10_verify_thm11_digest_beyond_the_grid(args):
-    cmd = [sys.executable, "-m", "cmreg.cli", "verify", "thm11", *args.split(),
+def _passing_report_digest(claim, args):
+    """sha256 of `cmreg verify CLAIM ARGS --format json`, whose verdict must be pass."""
+    cmd = [sys.executable, "-m", "cmreg.cli", "verify", claim, *args.split(),
            "--format", "json"]
     proc = subprocess.run(cmd, capture_output=True, timeout=600)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_THM11_SHA256[args]
     assert json.loads(proc.stdout)["verdict"] == "pass"
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_THM11_SHA256))
+def test_criterion_10_verify_thm11_digest_beyond_the_grid(args):
+    assert _passing_report_digest("thm11", args) == VERIFY_THM11_SHA256[args]
+
+
+# sha256 of `cmreg verify lemma12 --format json` (seed 2026) beyond the default grid.
+VERIFY_LEMMA12_SHA256 = {
+    "--m 3 --n 3": "27760e811e19c3700d9fcbd64d8be1f4c2d7586b209113e068faacafaf7f633e",
+    "--m 4 --n 2": "ee0cfcf6addf04fbda0c431b41699db15e27f4d90b8888271fb5375603cd6811",
+    "--m 3 --n 2 --primed": "86400bc92bf3eee4859bb1e569fabbc27099d003909c6cf85fbd85b0fa27ee9a",
+    "--m 3 --n 3 --char 0": "08acda6fc895e9999c6f97a9e9fd86d73bc2819a65d8b6a5a32155c98b8fa017",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_LEMMA12_SHA256))
+def test_criterion_10_verify_lemma12_digest_beyond_the_grid(args):
+    assert _passing_report_digest("lemma12", args) == VERIFY_LEMMA12_SHA256[args]

@@ -18,6 +18,7 @@ from cmreg.idealops import (colon, colon_by_variable_power, eliminate,
                             saturation_exponent_bound_check,
                             substitute_variable)
 from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ
+from cmreg.verify import DEFAULT_SEED, LEMMA12_ROUNDS, PRIMED_GRID, UNPRIMED_GRID
 from cmreg._linalg import rref
 
 
@@ -422,6 +423,46 @@ def test_saturation_exponent_bound_saturated_case():
     assert res.status == "saturated"
     assert res.q == 0
     assert res.holds
+
+
+# Every default-grid instance at both characteristics, and three past it.
+CAPPED_SCAN_CASES = [(m, n, primed, char) for char in (32003, 0)
+                     for primed, grid in ((False, UNPRIMED_GRID), (True, PRIMED_GRID))
+                     for m, n in grid]
+CAPPED_SCAN_CASES += [(3, 3, False, 32003), (4, 2, False, 32003), (3, 2, True, 32003)]
+
+
+@pytest.mark.parametrize("m,n,primed,char", CAPPED_SCAN_CASES)
+def test_capped_scan_matches_the_full_scan(m, n, primed, char):
+    """q equals the largest exponent over all of S's basis, each scanned to
+    bound_mid + 3, and every exponent is within its a0 cap."""
+    from cmreg.families import build_family
+    from cmreg.sections import random_linear_form
+
+    aci = build_family(m, n, primed=primed, char=char).almost_complete_intersection
+    S = saturate_irrelevant(aci)
+    a0 = idealops.a0(aci)
+    for k in range(LEMMA12_ROUNDS):  # the first draw of each lemma12 round
+        l = random_linear_form(aci.ring, DEFAULT_SEED + 9973 * k)
+        rep = saturation_exponent_bound_check(aci, l)
+        if S.same_ideal(aci):
+            assert (rep.status, rep.q) == ("saturated", 0)
+            continue
+        bound_mid = a0 - indeg(S) + 1
+        exps = {g: membership_exponent(aci, l, g, bound_mid + 3) for g in S.groebner().polys}
+        assert rep.status == "ok" and rep.bound_mid == bound_mid
+        assert rep.q == max(exps.values())
+        assert all(e <= a0 - g.degree() + 1 for g, e in exps.items())
+
+
+def test_capped_scan_raises_on_an_exponent_past_its_cap(monkeypatch):
+    R = PolyRing(("x", "y"), PrimeField(32003), GREVLEX)
+    x, y = R.gens()
+    I = Ideal(R, [x * x, x * y])  # I^sat = (x), a0 = 1: e(x) = 1 by y, its cap
+    assert saturation_exponent_bound_check(I, y).q == 1
+    monkeypatch.setattr(idealops, "a0", lambda I: 0)
+    with pytest.raises(AssertionError, match="a0 = 0"):
+        saturation_exponent_bound_check(I, y)
 
 
 def _random_ideal_and_form(R, rng):

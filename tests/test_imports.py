@@ -1,4 +1,5 @@
-"""Every import in the package's modules is used (a stdlib ast scan)."""
+"""Every import in the package's modules is used and sits at module level
+(a stdlib ast scan)."""
 
 from __future__ import annotations
 
@@ -27,3 +28,25 @@ def test_no_module_has_an_unused_import():
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
              for line, name in unused_imports(path)]
     assert not found, f"unused imports: {found}"
+
+
+# ring.reduce imports _kernel when called: _kernel imports ring, so a
+# module-level import would be a cycle.
+ALLOWED_FUNCTION_IMPORTS = {("ring.py", "reduce", "_kernel")}
+
+
+def function_level_imports(path):
+    """(line, function, imported names) of each import statement inside a
+    function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.lineno, fn.name, *(alias.name for alias in node.names))
+            for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_no_module_imports_inside_a_function():
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, *where in function_level_imports(path)
+             if (path.name, *where) not in ALLOWED_FUNCTION_IMPORTS]
+    assert not found, f"function-level imports: {found}"

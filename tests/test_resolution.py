@@ -17,9 +17,9 @@ from cmreg.cli import parse_ideal_file
 from cmreg.families import build_family
 from cmreg.groebner import Ideal
 from cmreg.hilbert import hilbert_series
-from cmreg.resolution import (BettiTable, _betti_entries, _schreyer_levels, a0,
-                              a1_via_sequence, betti, minimal_resolution, pdim,
-                              regularity, regularity_ideal)
+from cmreg.idealops import a0
+from cmreg.resolution import (BettiTable, _betti_entries, _schreyer_levels, betti,
+                              minimal_resolution, pdim, regularity, regularity_ideal)
 from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ, transport
 
 
@@ -188,7 +188,10 @@ def test_a0_embedded_at_subvariety_not_origin():
 
 
 def test_a1_via_sequence_value():
-    assert a1_via_sequence(2, 2) == 2
+    # a1 of the curve read off the almost complete intersection through the
+    # twist exact sequence: a0(A/J) - d
+    fam = build_family(2, 2)
+    assert a0(fam.almost_complete_intersection) - fam.extra_degree == 2
 
 
 def test_betti_table_renderers(ring3f):

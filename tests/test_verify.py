@@ -139,7 +139,7 @@ def test_lemma12_saturated_instance_skips():
 
 
 def test_lemma12_22_passes():
-    rep = check_lemma12(2, 2, primed=False, rounds=1)
+    rep = check_lemma12(2, 2, primed=False)
     assert rep.verdict == "pass"
 
 
