@@ -5,10 +5,10 @@ and claim-by-claim verification of a family of almost complete intersections
 supported on monomial curves."""
 
 from ._kernel import BudgetExceeded
-from .ring import (GREVLEX, LEX, Block, Grevlex, Lex, PermutedGrevlex,
-                   PolyRing, Polynomial, PrimeField, QQ, RationalField,
-                   field_of_characteristic, reduce, spoly, transport)
-from .groebner import (GroebnerBasis, Ideal, buchberger, member,
+from .ring import (GREVLEX, Block, Grevlex, PermutedGrevlex, PolyRing, Polynomial,
+                   PrimeField, QQ, RationalField, field_of_characteristic, spoly,
+                   transport)
+from .groebner import (GroebnerBasis, Ideal, buchberger, member, reduce,
                        spair_certificate)
 from .idealops import (a0, colon, eliminate, ideal_product, intersect, saturate,
                        saturate_by_variables, saturate_irrelevant)

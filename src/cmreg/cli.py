@@ -29,7 +29,7 @@ import sys
 from . import families, resolution, verify
 from ._kernel import BudgetExceeded
 from .groebner import Ideal
-from .ring import GREVLEX, PolyRing, field_of_characteristic
+from .ring import PolyRing, field_of_characteristic
 from .sections import GenericityFailure, check_section_field
 
 _HEADER_RE = re.compile(
@@ -64,7 +64,7 @@ def parse_ideal_file(text):
         raise ValueError(f"unsupported order {m.group(3)!r} (only grevlex)")
     if len(lines) < 2 or lines[1] != "gens:":
         raise ValueError("expected 'gens:' after the header")
-    ring = PolyRing(names, field_of_characteristic(char), GREVLEX)
+    ring = PolyRing(names, field_of_characteristic(char))
     gens = [ring.from_string(ln) for ln in lines[2:]]
     return Ideal(ring, gens)
 

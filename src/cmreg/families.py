@@ -51,7 +51,8 @@ def curve_ideal(exponents, char=32003):
     e_j + (a_j - 1) e_0 - a_j e_1 (j >= 2), and inverting X_0 turns the
     quotient by the lattice-basis binomials into the domain k[X_0^+-1, X_1],
     so one saturation by X_0 gives the prime.  Stability under every
-    variable and the (dim, deg) of the result are asserted.
+    variable (each a nonzerodivisor, by hilbert.nonzerodivisor) and the
+    (dim, deg) of the result are asserted.
     """
     exponents = tuple(exponents)
     if len(exponents) < 3 or exponents[0] != 0 or exponents[1] != 1:
@@ -69,8 +70,7 @@ def curve_ideal(exponents, char=32003):
         gens.append(ring.monomial(lead) - ring.gen(1) ** a)
     cand = colon_by_variable_power(Ideal(ring, gens), 0)
     for i in range(nv):
-        sat_i = colon_by_variable_power(cand, i)
-        if not sat_i.same_ideal(cand):
+        if not hilbert.nonzerodivisor(cand, ring.gen(i)):
             raise AssertionError("curve ideal is not saturated with respect to a variable")
     dim, deg = hilbert.dim_deg(cand)
     if dim != 2 or deg != D:
@@ -164,13 +164,14 @@ def residual_ideal(ci, curve, pivot):
 
     The pivot g lies in the curve prime b, so the colon by g removes the
     b-component of the unmixed complete intersection in one step; stability
-    (a : g = a) and the product containment b * a inside I are both asserted.
+    (a : g = a, by hilbert.nonzerodivisor) and the product containment
+    b * a inside I are both asserted.
     """
     gbb = curve.groebner()
     if not gbb.reduces_to_zero(pivot):
         raise AssertionError("residual pivot is not a member of the curve ideal")
     a = colon(ci, pivot)
-    if not colon(a, pivot).same_ideal(a):
+    if not hilbert.nonzerodivisor(a, pivot):
         raise AssertionError("residual colon chain did not stabilize after one step")
     if not ci.contains_ideal(ideal_product(curve, a)):
         raise AssertionError("product of curve and residual escapes the complete intersection")
@@ -181,8 +182,8 @@ def graded_piece_basis(ideal, d):
     """Canonical echelon basis of the degree-d piece of an ideal.
 
     The rows are the degree-d monomial shifts of the Groebner basis, as
-    sparse rows over the degree-d monomials sorted descending in the ring
-    order, brought to reduced echelon form; the output is ordered by
+    sparse rows over the degree-d monomials sorted descending in grevlex,
+    brought to reduced echelon form; the output is ordered by
     descending leading monomial, so it is deterministic.
     """
     ring = ideal.ring
@@ -205,7 +206,7 @@ def graded_piece_basis(ideal, d):
 
 
 def _monomials_of_degree(ring, d):
-    """Degree-d exponent tuples, descending in the ring order."""
+    """Degree-d exponent tuples, descending in grevlex."""
     n = ring.nvars
     out = []
 

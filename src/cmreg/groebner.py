@@ -1,16 +1,42 @@
-"""Ideals and Groebner bases.
+"""Ideals, Groebner bases and division.
 
-Buchberger's algorithm with Gebauer-Moeller pair elimination and
-degree-then-sugar pair selection, always returning the reduced basis, which
-is canonical for a given ideal and order.  Ideal objects cache one basis per
-order; the cache is written once and read-only afterwards, so sharing across
-threads is safe.
+A monomial order belongs to a basis, grevlex by default; polynomials keep
+their terms in grevlex whatever the basis order.  Buchberger's algorithm
+with Gebauer-Moeller pair elimination and degree-then-sugar pair selection
+always returns the reduced basis, which is canonical for a given ideal and
+order.  Ideal objects cache one basis per order; the cache is written once
+and read-only afterwards, so sharing across threads is safe.  reduce divides
+by a list of polynomials in grevlex.
 """
 
 from __future__ import annotations
 
 from . import _kernel
-from .ring import Polynomial, spoly
+from .ring import GREVLEX, Polynomial, spoly
+
+
+def reduce(f, basis):
+    """Full normal form of f against basis, in grevlex.
+
+    Returns (remainder, quotients), one quotient per basis element (zero for
+    a zero element), with f == sum(q*g) + remainder and the remainder having
+    no term divisible by any basis leading monomial.  The highest reducible
+    term is rewritten first and ties among reducers go to the smallest basis
+    index, so the result is deterministic.
+    """
+    ring = f.ring
+    for g in basis:
+        if g.ring != ring:
+            raise ValueError("basis polynomial from a different ring")
+    ctx = _kernel.Context(ring.bound, ring.field)
+    reducers = [_kernel.Reducer.from_packed(ctx, _kernel.to_packed(ctx, g), index=i)
+                for i, g in enumerate(basis) if not g.is_zero()]
+    rem, quots = _kernel.normal_form(ctx, _kernel.to_packed(ctx, f), reducers, track=True)
+    out_quots = []
+    for i, g in enumerate(basis):
+        q = _kernel.from_packed(ctx, quots.get(i, {}), ring)
+        out_quots.append(q if g.is_zero() else q * ring.const(ring.field.inv(g.lc())))
+    return _kernel.from_packed(ctx, rem, ring), out_quots
 
 
 class GroebnerBasis:
@@ -38,6 +64,10 @@ class GroebnerBasis:
     def leading_exps(self):
         """Leading exponent tuples under this basis's own order."""
         return tuple(self._ctx.unpack(r.leadkey) for r in self._reducers)
+
+    def lead_words(self):
+        """Exponent words of the leads, in this order's word layout (see ring.py)."""
+        return [r.leadword for r in self._reducers]
 
     def normal_form(self, f):
         """Canonical remainder of f modulo the ideal, in this order."""
@@ -73,9 +103,8 @@ class Ideal:
         self._gb = {}
         self._cache = {}
 
-    def groebner(self, order=None):
-        """The reduced Groebner basis in the given order (default: ring order)."""
-        order = self.ring.order if order is None else order
+    def groebner(self, order=GREVLEX):
+        """The reduced Groebner basis in the given order."""
         key = repr(order)
         gb = self._gb.get(key)
         if gb is None:
@@ -109,14 +138,13 @@ class Ideal:
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
 
 
-def buchberger(ideal, order=None):
+def buchberger(ideal, order=GREVLEX):
     """Compute the reduced Groebner basis of an ideal.
 
     The result is independent of generator order and duplicates (reduced
     bases are unique), which the test suite asserts by recomputation.
     """
     ring = ideal.ring
-    order = ring.order if order is None else order
     ctx = _kernel.Context(order.bind(ring.nvars), ring.field)
     packed = [_kernel.to_packed(ctx, g) for g in ideal.gens]
     basis, stats = _kernel.buchberger(ctx, packed)
@@ -125,7 +153,7 @@ def buchberger(ideal, order=None):
     return GroebnerBasis(ring, order, polys, stats, ctx, reducers)
 
 
-def member(f, ideal, order=None):
+def member(f, ideal, order=GREVLEX):
     """Ideal membership by reduction to zero against a cached basis."""
     if f.ring != ideal.ring:
         raise ValueError("polynomial from a different ring")

@@ -3,12 +3,14 @@
 The Hilbert series of A/I is read off the lead-term ideal of a Groebner
 basis: HS(t) = N(t) / (1-t)^n with N the numerator computed by a pivot
 recursion on the monomial generators (split on the most frequent variable).
-The recursion runs on exponent words (see ring.py), packed once from the
-lead exponents: divisibility in the minimalization is a guarded subtraction,
-a generator's support a guarded decrement, and the variable counts of the
-pivot rule one sum of supports (Bigatti, JPAA 119, 1997).
-Dimension is the pole order at t = 1 and the degree (multiplicity) is the
-value of the cancelled numerator there.
+The recursion runs on the basis's own lead words (see ring.py): divisibility
+in the minimalization is a guarded subtraction, a generator's support a
+guarded decrement, and the variable counts of the pivot rule one sum of
+supports (Bigatti, JPAA 119, 1997).  Field i of a word is the exponent of
+some variable; which one does not matter, because N does not change when
+the variables are renamed.  So the numerator needs no monomial order, and
+any basis order gives it.  Dimension is the pole order at t = 1 and the
+degree (multiplicity) is the value of the cancelled numerator there.
 
 series_difference compares two Hilbert series exactly: their difference is
 a polynomial exactly when the Hilbert polynomials agree, which for I_small
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .groebner import Ideal
-from .ring import LEX, word_support
+from .ring import EXP_BITS, GREVLEX, word_support
 
 
 def _minimalize(gens, bound):
@@ -80,18 +82,21 @@ def _pairwise_coprime(gens, guards):
 def _split(gens, bound):
     """Children of the pivot recursion: (gens + (x), gens : x)."""
     supports = [word_support(g, bound.guards) for g in gens]
-    counts = bound.unpack(sum(supports))
-    piv = max(range(bound.n), key=lambda i: (counts[i], -i))
-    xg = bound.raw(tuple(int(i == piv) for i in range(bound.n)))
+    counts = sum(supports)  # field i: how many generators involve its variable
+    piv = max(range(bound.n), key=lambda i: ((counts >> EXP_BITS * i) % (1 << EXP_BITS), -i))
+    xg = 1 << EXP_BITS * piv
     plus = _minimalize([xg] + [g for g, s in zip(gens, supports) if not s & xg], bound)
     colon = _minimalize([g - xg if s & xg else g for g, s in zip(gens, supports)], bound)
     return plus, colon
 
 
-def monomial_numerator(lead_exps, nvars):
-    """Numerator of HS of A/(monomial ideal) over (1-t)^nvars, as coefficients."""
-    bound = LEX.bind(nvars)
-    root = _minimalize([bound.pack(e) for e in lead_exps], bound)
+def monomial_numerator(lead_words, nvars):
+    """Numerator of HS of A/(monomial ideal) over (1-t)^nvars, as coefficients.
+
+    The generators' words may be in any order's layout: guards and degree are the same.
+    """
+    bound = GREVLEX.bind(nvars)
+    root = _minimalize(lead_words, bound)
     memo = {}
     stack = [root]
     while stack:
@@ -153,7 +158,7 @@ def hilbert_series(ideal):
     if cached is not None:
         return cached
     gb = ideal.groebner()
-    num = monomial_numerator(gb.leading_exps(), ideal.ring.nvars)
+    num = monomial_numerator(gb.lead_words(), ideal.ring.nvars)
     data = _analyze(num, ideal.ring.nvars)
     ideal._cache["hilbert"] = data
     return data

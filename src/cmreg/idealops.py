@@ -32,10 +32,9 @@ import functools
 from dataclasses import dataclass
 
 from . import _kernel, hilbert
-from .groebner import Ideal
+from .groebner import Ideal, reduce
 from .resolution import regularity_ideal
 from .ring import GREVLEX, Block, PermutedGrevlex, PolyRing, Polynomial, mono_mul, transport
-from .ring import reduce as ring_reduce
 
 
 def ideal_product(I, J):
@@ -78,7 +77,7 @@ def _intersect_all(parts):
 
 def quotient_exact(f, g):
     """The exact quotient f/g; raises if g does not divide f."""
-    rem, quots = ring_reduce(f, [g])
+    rem, quots = reduce(f, [g])
     if not rem.is_zero():
         raise ValueError("polynomial division is not exact")
     return quots[0]

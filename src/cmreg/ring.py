@@ -2,8 +2,8 @@
 
 The ring layer is the substrate for everything else in this package: exact
 arithmetic over a prime field F_p or over the rationals, standard-graded
-polynomial rings, and the monomial orders (grevlex, lex, block, permuted grevlex)
-used by the Groebner engine.
+polynomial rings that keep terms in grevlex, and the monomial orders
+(grevlex, block elimination, permuted grevlex) a Groebner basis is computed in.
 
 Monomials are exponent tuples at the API surface.  Internally every bound
 order packs a monomial into a single integer key such that
@@ -23,14 +23,14 @@ monomial tests integer operations on whole words:
     total degree of w     one multiply sums the fields into the top one
     v * w                 v + w
 
-The word is -key mod 2**(21 n) for grevlex and permuted grevlex, the key
-itself for lex, and the lex block above the grevlex word of the rest for
-block orders.  Exponents and total degrees are capped at
-MAX_EXP = 2**20 - 1.  The cap is checked where tuples enter (pack, which
-Polynomial construction, parsing and monomial use).  In the kernel, a product
-whose exponent passes the cap sets that field's guard bit, which the
-normal-form loops turn into an OverflowError rather than a silent carry into
-the next field; an S-pair whose lcm passes the degree cap raises one too.
+The word is -key mod 2**(21 n) for grevlex and permuted grevlex, and the lex
+block above the grevlex word of the rest for block orders.  Exponents and
+total degrees are capped at MAX_EXP = 2**20 - 1.  The cap is checked where
+tuples enter (pack, which Polynomial construction, parsing and monomial use).
+In the kernel, a product whose exponent passes the cap sets that field's
+guard bit, which the normal-form loops turn into an OverflowError rather than
+a silent carry into the next field; an S-pair whose lcm passes the degree cap
+raises one too.
 
 All values are immutable after construction and all operations are pure, so
 objects can be shared freely between threads.
@@ -161,8 +161,6 @@ def field_of_characteristic(char):
 class MonomialOrder:
     """Base descriptor for a monomial order; bind(nvars) yields the packer."""
 
-    name = "order"
-
     def bind(self, nvars):
         key = (repr(self), nvars)
         cached = _BOUND_CACHE.get(key)
@@ -270,10 +268,6 @@ def word_support(w, guards):
     return (((w | guards) - ones) & guards) >> (EXP_BITS - 1)
 
 
-def _identity(k):
-    return k
-
-
 def _grevlex_maps(n):
     """(shifts, word, key) of grevlex on n variables.
 
@@ -296,8 +290,6 @@ def _grevlex_maps(n):
 class Grevlex(MonomialOrder):
     """Graded reverse lexicographic order; ties from the last variable."""
 
-    name = "grevlex"
-
     def _build(self, n):
         return _Bound(n, *_grevlex_maps(n))
 
@@ -305,27 +297,13 @@ class Grevlex(MonomialOrder):
         return "grevlex"
 
 
-class Lex(MonomialOrder):
-    """Pure lexicographic order, first variable dominant; the key is the word."""
-
-    name = "lex"
-
-    def _build(self, n):
-        shifts = tuple(EXP_BITS * (n - 1 - i) for i in range(n))
-        return _Bound(n, shifts, _identity, _identity)
-
-    def __repr__(self):
-        return "lex"
-
-
 class Block(MonomialOrder):
-    """Lex on the first k variables, grevlex on the rest; eliminates the block.
+    """Lexicographic on the first k variables, grevlex on the rest; eliminates them.
 
     The key is the lex block above a grevlex key of the rest; the word puts
-    the block's fields above the grevlex word of the rest.
+    the block's fields above the grevlex word of the rest.  Block(n) on n
+    variables is pure lex: its key is the lex word shifted left by EXP_BITS.
     """
-
-    name = "block"
 
     def __init__(self, k):
         if k < 1:
@@ -365,8 +343,6 @@ class PermutedGrevlex(MonomialOrder):
     reordered variables.
     """
 
-    name = "permuted-grevlex"
-
     def __init__(self, perm):
         perm = tuple(perm)
         if sorted(perm) != list(range(len(perm))):
@@ -387,7 +363,6 @@ class PermutedGrevlex(MonomialOrder):
 
 
 GREVLEX = Grevlex()
-LEX = Lex()
 
 
 def mono_mul(a, b):
@@ -399,9 +374,12 @@ def mono_lcm(a, b):
 
 
 class PolyRing:
-    """A standard-graded polynomial ring over a prime field or the rationals."""
+    """A standard-graded polynomial ring over a prime field or the rationals.
 
-    def __init__(self, names, field, order=GREVLEX):
+    Terms are kept in grevlex; a basis in another order is Ideal.groebner(order).
+    """
+
+    def __init__(self, names, field):
         names = tuple(names)
         if len(set(names)) != len(names) or not names:
             raise ValueError("variable names must be nonempty and distinct")
@@ -411,8 +389,7 @@ class PolyRing:
         self.names = names
         self.nvars = len(names)
         self.field = field
-        self.order = order
-        self.bound = order.bind(self.nvars)
+        self.bound = GREVLEX.bind(self.nvars)
         self._name_index = {nm: i for i, nm in enumerate(names)}
         self._zero_exps = (0,) * self.nvars
         self.zero = Polynomial(self, {})
@@ -448,22 +425,19 @@ class PolyRing:
     def from_string(self, text):
         return _parse_poly(self, text)
 
-    def with_order(self, order):
-        return self if order == self.order else PolyRing(self.names, self.field, order)
-
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.names == self.names
-                and other.field == self.field and other.order == self.order)
+                and other.field == self.field)
 
     def __hash__(self):
-        return hash((self.names, self.field, self.order))
+        return hash((self.names, self.field))
 
     def __repr__(self):
-        return f"{self.field}[{','.join(self.names)}] order={self.order!r}"
+        return f"{self.field}[{','.join(self.names)}]"
 
 
 class Polynomial:
-    """An immutable polynomial: terms sorted descending in the ring's order."""
+    """An immutable polynomial: terms sorted descending in grevlex."""
 
     __slots__ = ("ring", "terms", "_hash")
 
@@ -475,7 +449,7 @@ class Polynomial:
 
     @classmethod
     def _from_sorted(cls, ring, terms):
-        """A polynomial from nonzero terms already sorted descending in ring's order."""
+        """A polynomial from nonzero terms already sorted descending in grevlex."""
         poly = cls.__new__(cls)
         poly.ring = ring
         poly.terms = terms
@@ -747,7 +721,7 @@ def _coeff_text(ring, c):
 
 
 def format_poly(poly):
-    """Canonical text: terms descending in the ring order, symmetric residues."""
+    """Canonical text: terms descending in grevlex, symmetric residues."""
     if not poly.terms:
         return "0"
     ring = poly.ring
@@ -772,47 +746,18 @@ def format_poly(poly):
     return text
 
 
-# --- division and S-polynomials --------------------------------------------
+# --- S-polynomials -----------------------------------------------------------
 
-def reduce(f, basis):
-    """Full normal form of f against basis, in f's ring order.
-
-    Returns (remainder, quotients), one quotient per basis element (zero for
-    a zero element), with f == sum(q*g) + remainder and the remainder having
-    no term divisible by any basis leading monomial.  The highest reducible
-    term is rewritten first and ties among reducers go to the smallest basis
-    index, so the result is deterministic.
-    """
-    from . import _kernel
-
-    ring = f.ring
-    for g in basis:
-        if g.ring != ring:
-            raise ValueError("basis polynomial from a different ring")
-    ctx = _kernel.Context(ring.bound, ring.field)
-    reducers = [_kernel.Reducer.from_packed(ctx, _kernel.to_packed(ctx, g), index=i)
-                for i, g in enumerate(basis) if not g.is_zero()]
-    rem, quots = _kernel.normal_form(ctx, _kernel.to_packed(ctx, f), reducers, track=True)
-    out_quots = []
-    for i, g in enumerate(basis):
-        q = _kernel.from_packed(ctx, quots.get(i, {}), ring)
-        out_quots.append(q if g.is_zero() else q * ring.const(ring.field.inv(g.lc())))
-    return _kernel.from_packed(ctx, rem, ring), out_quots
-
-
-def spoly(f, g, order=None):
-    """The S-polynomial of f and g: the lcm cross-multiple with leads cancelled."""
+def spoly(f, g, order=GREVLEX):
+    """The S-polynomial of f and g: the lcm cross-multiple with leads under order cancelled."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial")
     ring = f.ring
     if g.ring != ring:
         raise ValueError("polynomials from different rings")
-    if order is not None and order != ring.order:
-        ring = ring.with_order(order)
-        f = transport(f, ring, list(range(ring.nvars)))
-        g = transport(g, ring, list(range(ring.nvars)))
-    lf, lg = f.lm(), g.lm()
+    pack = order.bind(ring.nvars).pack
+    (lf, cf), (lg, cg) = (max(h.terms, key=lambda t: pack(t[0])) for h in (f, g))
     lcm = mono_lcm(lf, lg)
-    mf = ring.monomial(tuple(a - b for a, b in zip(lcm, lf)), ring.field.inv(f.lc()))
-    mg = ring.monomial(tuple(a - b for a, b in zip(lcm, lg)), ring.field.inv(g.lc()))
+    mf = ring.monomial(tuple(a - b for a, b in zip(lcm, lf)), ring.field.inv(cf))
+    mg = ring.monomial(tuple(a - b for a, b in zip(lcm, lg)), ring.field.inv(cg))
     return mf * f - mg * g

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from . import hilbert
 from .groebner import Ideal
 from .idealops import linear_coefficients, linear_form, saturate_irrelevant, substitute_variable
-from .ring import GREVLEX, PolyRing, Polynomial, transport
+from .ring import PolyRing, Polynomial, transport
 
 
 class GenericityFailure(RuntimeError):
@@ -80,7 +80,7 @@ def substitute_linear(I, l, perm=None):
     perm = list(range(n - 1)) if perm is None else list(perm)
     if sorted(perm) != list(range(n - 1)):
         raise ValueError(f"perm must order the variables 0..{n - 2}, got {perm}")
-    S = PolyRing(tuple(ring.names[j] for j in perm), ring.field, GREVLEX)
+    S = PolyRing(tuple(ring.names[j] for j in perm), ring.field)
     f = ring.field
     scale = f.neg(f.inv(coeffs[-1]))
     return S, substitute_variable(I, n - 1, linear_form(S, [f.mul(scale, coeffs[j]) for j in perm]))

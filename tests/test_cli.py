@@ -9,12 +9,12 @@ import pytest
 from cmreg import _kernel, families, verify
 from cmreg.cli import format_ideal_file, main, parse_ideal_file
 from cmreg.groebner import Ideal
-from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ
+from cmreg.ring import PolyRing, PrimeField, QQ
 from cmreg.sections import GenericityFailure
 
 
 def test_ideal_file_roundtrip():
-    R = PolyRing(("x", "y", "z"), PrimeField(32003), GREVLEX)
+    R = PolyRing(("x", "y", "z"), PrimeField(32003))
     x, y, z = R.gens()
     I = Ideal(R, [x * z - y * y, x ** 3 - z ** 3])
     text = format_ideal_file(I, comments=("answer: 42",))
@@ -25,7 +25,7 @@ def test_ideal_file_roundtrip():
 
 
 def test_ideal_file_char_zero_roundtrip():
-    R = PolyRing(("x", "y"), QQ, GREVLEX)
+    R = PolyRing(("x", "y"), QQ)
     x, y = R.gens()
     I = Ideal(R, [x * x - y * y])
     J = parse_ideal_file(format_ideal_file(I))

@@ -11,10 +11,9 @@ from cmreg.families import (build_family, check_parameters, ci_forms, curve_expo
                             residual_pivot)
 from cmreg.groebner import Ideal, member
 from cmreg.hilbert import dim_deg
-from cmreg.idealops import colon_by_variable_power
+from cmreg.idealops import colon, colon_by_variable_power
 from cmreg.resolution import regularity_ideal
-from cmreg.ring import (GREVLEX, MAX_EXP, Block, PolyRing, QQ, field_of_characteristic,
-                        transport)
+from cmreg.ring import MAX_EXP, Block, PolyRing, QQ, field_of_characteristic, transport
 
 
 def _curve_ideal_by_elimination(exponents, char):
@@ -22,11 +21,11 @@ def _curve_ideal_by_elimination(exponents, char):
     X_i - s^(D - a_i) t^(a_i), then saturated by each variable in turn."""
     ring = PolyRing(tuple(f"X{i}" for i in range(len(exponents))),
                     field_of_characteristic(char))
-    graph = PolyRing(("s_par", "t_par") + ring.names, ring.field, Block(2))
+    graph = PolyRing(("s_par", "t_par") + ring.names, ring.field)
     s, t = graph.gen(0), graph.gen(1)
     D = max(exponents)
     gb = Ideal(graph, [graph.gen(2 + i) - s ** (D - a) * t ** a
-                       for i, a in enumerate(exponents)]).groebner()
+                       for i, a in enumerate(exponents)]).groebner(Block(2))
     down = [None, None] + list(range(ring.nvars))
     cand = Ideal(ring, [transport(g, ring, down) for g in gb
                         if all(e[0] == e[1] == 0 for e, _ in g.terms)])
@@ -86,13 +85,13 @@ def test_parametrization_defect():
 
 
 def test_pq_products_small_cases():
-    R4 = PolyRing(tuple(f"X{i}" for i in range(4)), QQ, GREVLEX)
+    R4 = PolyRing(tuple(f"X{i}" for i in range(4)), QQ)
     P, Q = pq_products(1, R4)
     assert (str(P), str(Q)) == ("X2", "X3")
-    R5 = PolyRing(tuple(f"X{i}" for i in range(5)), QQ, GREVLEX)
+    R5 = PolyRing(tuple(f"X{i}" for i in range(5)), QQ)
     P, Q = pq_products(2, R5)
     assert (str(P), str(Q)) == ("X2*X4", "X3^2")
-    R6 = PolyRing(tuple(f"X{i}" for i in range(6)), QQ, GREVLEX)
+    R6 = PolyRing(tuple(f"X{i}" for i in range(6)), QQ)
     P, Q = pq_products(3, R6)
     assert (str(P), str(Q)) == ("X2*X4^3", "X3^3*X5")
     # equal degrees, disjoint supports
@@ -102,7 +101,7 @@ def test_pq_products_small_cases():
 
 
 def test_ci_forms_hand_cases():
-    R4 = PolyRing(tuple(f"X{i}" for i in range(4)), QQ, GREVLEX)
+    R4 = PolyRing(tuple(f"X{i}" for i in range(4)), QQ)
     X0, X1, X2, X3 = R4.gens()
     primed = ci_forms(1, 2, R4, primed=True)
     assert primed == [X1 * X2 - X0 * X3, X2 ** 3 - X0 * X3 ** 2]
@@ -238,3 +237,14 @@ def test_residual_times_curve_in_ci(fam12p):
     for g in fam12p.curve.gens:
         for h in fam12p.residual.gens:
             assert gci.reduces_to_zero(g * h)
+
+
+@pytest.mark.parametrize("which", ["fam22", "fam12p"])
+def test_builder_certificates_agree_with_the_colon_route(which, request):
+    # The builder certifies I : f = I by hilbert.nonzerodivisor; the
+    # literal colons must say the same on the curve and the residual.
+    fam = request.getfixturevalue(which)
+    for i in range(fam.ring.nvars):
+        assert colon_by_variable_power(fam.curve, i).same_ideal(fam.curve)
+    pivot = residual_pivot(fam.ring, fam.m, fam.n)
+    assert colon(fam.residual, pivot).same_ideal(fam.residual)

@@ -1,5 +1,5 @@
-"""Every import in the package's modules is used and sits at module level
-(a stdlib ast scan)."""
+"""Every import in the package's modules is used, sits at module level and
+names nothing private of a public module (a stdlib ast scan)."""
 
 from __future__ import annotations
 
@@ -7,6 +7,9 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cmreg"
+
+# Internal modules: their underscore names are for the package's own layers.
+INTERNAL_MODULES = {"_kernel", "_linalg"}
 
 
 def unused_imports(path):
@@ -30,23 +33,34 @@ def test_no_module_has_an_unused_import():
     assert not found, f"unused imports: {found}"
 
 
-# ring.reduce imports _kernel when called: _kernel imports ring, so a
-# module-level import would be a cycle.
-ALLOWED_FUNCTION_IMPORTS = {("ring.py", "reduce", "_kernel")}
-
-
 def function_level_imports(path):
-    """(line, function, imported names) of each import statement inside a
-    function."""
+    """(line, function) of each import statement inside a function."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return [(node.lineno, fn.name, *(alias.name for alias in node.names))
+    return [(node.lineno, fn.name)
             for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def test_no_module_imports_inside_a_function():
-    found = [f"{path.name}:{line}"
+    found = [f"{path.name}:{line} in {fn}"
              for path in sorted(SRC.glob("*.py"))
-             for line, *where in function_level_imports(path)
-             if (path.name, *where) not in ALLOWED_FUNCTION_IMPORTS]
+             for line, fn in function_level_imports(path)]
     assert not found, f"function-level imports: {found}"
+
+
+def private_imports(path):
+    """(line, module, name) of each underscore name that path imports from a
+    public sibling module (from .ring import _x)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.lineno, node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module not in INTERNAL_MODULES | {None}
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_a_private_name_of_a_public_module():
+    found = [f"{path.name}:{line} {module}.{name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, module, name in private_imports(path)]
+    assert not found, f"private names imported from public modules: {found}"

@@ -25,7 +25,7 @@ from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ, transport
 
 @pytest.fixture(scope="module")
 def ring3f():
-    return PolyRing(("x", "y", "z"), PrimeField(32003), GREVLEX)
+    return PolyRing(("x", "y", "z"), PrimeField(32003))
 
 
 def test_koszul_complex_of_the_variables(ring3f):
@@ -59,7 +59,7 @@ def test_complete_intersection_regularity(ring3f):
 
 
 def test_twisted_cubic_resolution():
-    R = PolyRing(("x", "y", "z", "w"), PrimeField(32003), GREVLEX)
+    R = PolyRing(("x", "y", "z", "w"), PrimeField(32003))
     x, y, z, w = R.gens()
     I = Ideal(R, [x * z - y * y, x * w - y * z, y * w - z * z])
     B = betti(I)
@@ -122,7 +122,7 @@ def test_constant_entry_across_degrees_fails_the_degree_check():
 
 def test_euler_identity_random_monomial_ideals():
     rng = random.Random(55221)
-    R = PolyRing(("x", "y", "z"), QQ, GREVLEX)
+    R = PolyRing(("x", "y", "z"), QQ)
     for _ in range(15):
         gens = []
         for _ in range(rng.randrange(1, 6)):
@@ -148,7 +148,7 @@ def test_euler_identity_random_monomial_ideals():
 
 def test_graded_betti_of_irrational_looking_curve():
     # a non-CM monomial curve: (t^4, t^3 s, t s^3, s^4) projection style ideal
-    R = PolyRing(("x", "y", "z", "w"), PrimeField(32003), GREVLEX)
+    R = PolyRing(("x", "y", "z", "w"), PrimeField(32003))
     x, y, z, w = R.gens()
     I = Ideal(R, [x * z - y * y, y * w - z * z, x * w * w - z ** 3,
                   x * x * w - y * z * z])
@@ -166,7 +166,7 @@ def test_regularity_ideal_vs_quotient(ring3f):
 
 
 def test_a0_two_variable_example():
-    R = PolyRing(("x", "y"), PrimeField(32003), GREVLEX)
+    R = PolyRing(("x", "y"), PrimeField(32003))
     x, y = R.gens()
     I = Ideal(R, [x * x, x * y])
     # saturation is (x); the quotient (x)/(x^2,xy) is k in degree 1
@@ -174,7 +174,7 @@ def test_a0_two_variable_example():
 
 
 def test_a0_saturated_is_minus_infinity():
-    R = PolyRing(("x", "y", "z"), PrimeField(32003), GREVLEX)
+    R = PolyRing(("x", "y", "z"), PrimeField(32003))
     x, y, z = R.gens()
     assert a0(Ideal(R, [x * z - y * y])) == -math.inf
 
@@ -182,7 +182,7 @@ def test_a0_saturated_is_minus_infinity():
 def test_a0_embedded_at_subvariety_not_origin():
     # embedded prime (x,y) in three variables is not the irrelevant ideal,
     # so saturation at the origin changes nothing
-    R = PolyRing(("x", "y", "z"), PrimeField(32003), GREVLEX)
+    R = PolyRing(("x", "y", "z"), PrimeField(32003))
     x, y, z = R.gens()
     assert a0(Ideal(R, [x * x, x * y])) == -math.inf
 
@@ -422,7 +422,7 @@ def test_constant_ranks_match_the_minimization(m, n, primed, char):
 def test_constant_ranks_match_the_minimization_over_f7():
     # Small coefficients cancel by accident most often over a small field.
     rng = random.Random(7)
-    R = PolyRing(("a", "b", "c", "d"), PrimeField(7), GREVLEX)
+    R = PolyRing(("a", "b", "c", "d"), PrimeField(7))
     cancelled = 0
     for _ in range(12):
         gens = []
@@ -443,8 +443,8 @@ def test_rational_schreyer_syzygies_with_fractional_leads():
     # above 1, so the S-pair carries lambda = lcm(lc_i, lc_j) != 1.  The
     # Schreyer work and the Betti table must be those over F_32003.
     rng = random.Random(20261018)
-    R = PolyRing(("a", "b", "c", "d"), QQ, GREVLEX)
-    Rp = PolyRing(R.names, PrimeField(32003), GREVLEX)
+    R = PolyRing(("a", "b", "c", "d"), QQ)
+    Rp = PolyRing(R.names, PrimeField(32003))
     for _ in range(3):
         gens = []
         for _ in range(4):
