@@ -5,10 +5,13 @@ Ideal files are plain text: a header line
 
     ring: char=32003 vars=[X0,X1,X2,X3] order=grevlex
 
-then a ``gens:`` line followed by one polynomial per line in the same syntax
-the parser accepts (integer or a/b coefficients, ^ powers, optional *).
-Blank lines and lines starting with ``#`` are ignored, so emitted files can
-carry their metadata inline as comments.
+then a ``gens:`` line and one polynomial per line: terms joined by signs (a
+run such as ``- -`` is one sign), a term being factors side by side with
+whitespace or one ``*`` between two, and a factor an integer, a fraction
+``a/b`` or a name with an optional ``^k``; whitespace may surround each.
+Run-together names split greedily into the ring's names, longest first, and
+a power goes to the last: ``X0X1^2`` is X0*X1^2.  Blank lines and lines
+starting with ``#`` are ignored, so emitted files can carry metadata in them.
 
 Errors are one line on stderr, ``cmreg: error: <message>``: exit code 2 for
 bad input, 3 for an exhausted budget, a failed genericity search or an
@@ -136,10 +139,7 @@ def _cmd_verify(args):
         families.check_parameters(args.m, args.n, args.primed)
         wanted = verify.FAMILY_CLAIMS[args.primed]
         if args.claim != "all":
-            if args.claim not in wanted:
-                family = "primed" if args.primed else "unprimed"
-                raise ValueError(f"{args.claim} is not a claim of the {family} family: "
-                                 f"choose one of {', '.join(wanted)}")
+            verify.check_claim_family(args.claim, args.primed)
             wanted = [args.claim]
         reports = [verify.run_claim(c, args.m, args.n, args.primed,
                                     seed=args.seed, char=args.char)

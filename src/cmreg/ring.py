@@ -598,17 +598,25 @@ def transport(poly, target, index_map):
 
 # --- parsing and printing ---------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-)|(/)|(\())|(\))")
+# The grammar of one term: factors, each an integer with an optional /integer
+# or a name with an optional ^integer, joined by whitespace or one *.  The
+# lookaheads keep a run of digits or of name characters whole.
+_INT = r"\d+(?!\d)"
+_FACTOR = re.compile(rf"({_INT})(?:\s*/\s*({_INT}))?"
+                     rf"|([A-Za-z_][A-Za-z_0-9]*)(?![A-Za-z_0-9])(?:\s*\^\s*({_INT}))?")
+_TERM = re.compile(rf"(?:{_FACTOR.pattern})(?:\s*(?:\*\s*)?(?:{_FACTOR.pattern}))*")
+# A run of signs, with the whitespace in and after it, between two terms.
+_SIGNS = re.compile(r"([+-][\s+-]*)")
 
 
 def _split_vars(ring, ident):
-    """Split an identifier like X1X2 into known variable names, greedily."""
+    """Split an identifier like X1X2 into the indices of known variable names, greedily."""
     out = []
     rest = ident
     while rest:
         for ln in range(len(rest), 0, -1):
             if rest[:ln] in ring._name_index:
-                out.append(rest[:ln])
+                out.append(ring._name_index[rest[:ln]])
                 rest = rest[ln:]
                 break
         else:
@@ -617,89 +625,31 @@ def _split_vars(ring, ident):
 
 
 def _parse_poly(ring, text):
-    """Parse ASCII polynomial text: integer or a/b coefficients, ^ powers, and
-    an optional * between two factors."""
-    if not text.strip():
-        raise ValueError("empty polynomial text")
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ValueError(f"cannot tokenize polynomial at {text[pos:pos + 12]!r}")
-        pos = m.end()
-        if m.group(1):
-            tokens.append(("int", int(m.group(1))))
-        elif m.group(2):
-            for nm in _split_vars(ring, m.group(2)):
-                tokens.append(("var", nm))
-        elif m.group(3):
-            tokens.append(("pow", None))
-        elif m.group(4):
-            tokens.append(("mul", None))
-        elif m.group(5):
-            tokens.append(("plus", None))
-        elif m.group(6):
-            tokens.append(("minus", None))
-        elif m.group(7):
-            tokens.append(("slash", None))
-        elif m.group(8) or m.group(9):
-            raise ValueError("parentheses are not part of the ideal file grammar")
-
+    """Parse ASCII polynomial text: terms joined by runs of + and - signs, each
+    term a product of integer or a/b coefficients and names with ^ powers."""
+    pieces = _SIGNS.split(text.strip())
+    if not pieces[-1]:
+        raise ValueError("empty polynomial text" if len(pieces) == 1
+                         else "dangling sign in polynomial text")
     result = ring.zero
-    i = 0
-    nt = len(tokens)
-    terms = iter([t.strip() for t in re.split("[+-]", text) if t.strip()])  # to name a bad term
-    while i < nt:
-        sign = 1
-        while i < nt and tokens[i][0] in ("plus", "minus"):
-            if tokens[i][0] == "minus":
-                sign = -sign
-            i += 1
-        if i >= nt:
-            raise ValueError("dangling sign in polynomial text")
-        term = next(terms)
-        coeff = Fraction(sign)
+    for signs, piece in zip(["+", *pieces[1::2]], pieces[0::2]):
+        term = piece.strip()
+        if not term:  # the text starts with a sign
+            continue
+        if not _TERM.fullmatch(term):
+            raise ValueError(f"cannot parse term {term!r}")
+        coeff = Fraction(-1 if signs.count("-") % 2 else 1)
         exps = [0] * ring.nvars
-        saw_factor = False
-        while i < nt and tokens[i][0] not in ("plus", "minus"):
-            kind, val = tokens[i]
-            if kind == "mul":
-                i += 1
-                if not saw_factor or i >= nt or tokens[i][0] not in ("int", "var"):
-                    raise ValueError(f"* does not join two factors in term {term!r}")
-                continue
-            if kind == "int":
-                num = val
-                i += 1
-                if i < nt and tokens[i][0] == "slash":
-                    i += 1
-                    if i >= nt or tokens[i][0] != "int":
-                        raise ValueError("fraction without denominator")
-                    if tokens[i][1] == 0:
-                        raise ValueError(f"zero denominator in term {term!r}")
-                    coeff *= Fraction(num, tokens[i][1])
-                    i += 1
-                else:
-                    coeff *= num
-                saw_factor = True
-                continue
-            if kind == "var":
-                vi = ring._name_index[val]
-                i += 1
-                power = 1
-                if i < nt and tokens[i][0] == "pow":
-                    i += 1
-                    if i >= nt or tokens[i][0] != "int":
-                        raise ValueError("^ without integer exponent")
-                    power = tokens[i][1]
-                    i += 1
-                exps[vi] += power
-                saw_factor = True
-                continue
-            raise ValueError(f"unexpected token {kind} in polynomial text")
-        if not saw_factor:
-            raise ValueError("empty term in polynomial text")
+        for num, den, name, power in _FACTOR.findall(term):
+            if name:
+                *firsts, last = _split_vars(ring, name)
+                for i in firsts:
+                    exps[i] += 1
+                exps[last] += int(power or 1)
+            elif den and int(den) == 0:
+                raise ValueError(f"zero denominator in term {term!r}")
+            else:
+                coeff *= Fraction(int(num), int(den or 1))
         try:
             result = result + ring.monomial(exps, coeff)
         except OverflowError as exc:

@@ -414,9 +414,21 @@ def grid_reports(claims=None, char=DEFAULT_CHAR, seed=DEFAULT_SEED):
             for claim, m, n, primed in jobs]
 
 
+def check_claim_family(claim, primed):
+    """Raise ValueError unless claim is one of the primed (or unprimed) family's."""
+    wanted = FAMILY_CLAIMS[primed]
+    if claim not in wanted:
+        if claim not in CLAIM_IDS:
+            raise ValueError(f"unknown claim id: {claim}")
+        family = "primed" if primed else "unprimed"
+        raise ValueError(f"{claim} is not a claim of the {family} family: "
+                         f"choose one of {', '.join(wanted)}")
+
+
 def run_claim(claim, m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
+    check_claim_family(claim, primed)
     if claim in ("prop22", "prop32"):
-        return check_lower_bound(m, n, claim == "prop22", char)
+        return check_lower_bound(m, n, primed, char)
     if claim in ("lemma21", "lemma31"):
         return check_lemma_decomp(m, n, primed, char)
     if claim == "thm11":
@@ -425,9 +437,7 @@ def run_claim(claim, m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
         return check_lemma12(m, n, primed, seed, char)
     if claim == "cor13":
         return check_cor13(m, n, primed, char)
-    if claim == "remark33":
-        return check_remark33(m, n, char)
-    raise ValueError(f"unknown claim id: {claim}")
+    return check_remark33(m, n, char)
 
 
 def render_json(reports, char=DEFAULT_CHAR, seed=DEFAULT_SEED):

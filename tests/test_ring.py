@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,68 @@ def test_parser_roundtrip(ring3):
     for s in cases:
         f = ring3.from_string(s)
         assert ring3.from_string(str(f)) == f
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_parser_roundtrip_of_random_polynomials(char):
+    """from_string(str(f)) == f on seeded random polynomials in up to 4
+    variables, exponents up to 40, coefficients over all residues or fractions."""
+    rng = random.Random(char)
+    F = field_of_characteristic(char)
+    for nvars in range(1, 5):
+        R = PolyRing(("x", "y", "X0", "X1")[:nvars], F)
+        for _ in range(60):
+            terms = {}
+            for _ in range(rng.randint(0, 6)):
+                e = tuple(rng.randint(0, 40) for _ in range(nvars))
+                terms[e] = (rng.randrange(char) if char else
+                            Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)))
+            f = R.poly(terms)
+            assert R.from_string(str(f)) == f
+
+
+# The ideal-file grammar on a ring whose names run together (X0X1).
+GRAMMAR_NAMES = ("x", "y", "X0", "X1")
+# (text, the polynomial it denotes as a function of the generators x, y, X0, X1)
+GRAMMAR_ACCEPTED = [
+    ("2x", lambda x, y, X0, X1: 2 * x),
+    ("2 3 x", lambda x, y, X0, X1: 6 * x),
+    ("X0X1^2", lambda x, y, X0, X1: X0 * X1 ** 2),
+    ("x ^ 2", lambda x, y, X0, X1: x ** 2),
+    ("- -x", lambda x, y, X0, X1: x),
+    ("1/2*x", lambda x, y, X0, X1: Fraction(1, 2) * x),
+    ("  x*y - 3", lambda x, y, X0, X1: x * y - 3),
+    ("x ", lambda x, y, X0, X1: x),
+    ("x - y ", lambda x, y, X0, X1: x - y),
+    ("x\t", lambda x, y, X0, X1: x),
+]
+# (text, the term its error names)
+GRAMMAR_BAD_TERMS = [("x^", "x^"), ("1/", "1/"), ("1/2/3", "1/2/3"), ("y^13/2", "y^13/2"),
+                     ("(x)", "(x)"), ("x.y", "x.y"), ("x^-1", "x^")]
+# (text, its own error message)
+GRAMMAR_REJECTED = [("", "empty polynomial text"), ("x +", "dangling sign"),
+                    ("x + w", "unknown variable in 'w'")]
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("text,poly", GRAMMAR_ACCEPTED, ids=[repr(t) for t, _ in GRAMMAR_ACCEPTED])
+def test_grammar_accepts(text, poly, char):
+    R = PolyRing(GRAMMAR_NAMES, field_of_characteristic(char))
+    assert R.from_string(text) == poly(*R.gens())
+
+
+@pytest.mark.parametrize("text,term", GRAMMAR_BAD_TERMS, ids=[t for t, _ in GRAMMAR_BAD_TERMS])
+def test_grammar_names_the_bad_term(text, term):
+    R = PolyRing(GRAMMAR_NAMES, QQ)
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse term {term!r}")):
+        R.from_string(text)
+
+
+@pytest.mark.parametrize("text,message", GRAMMAR_REJECTED, ids=["empty", "dangling", "unknown"])
+def test_grammar_rejects(text, message):
+    R = PolyRing(GRAMMAR_NAMES, QQ)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        R.from_string(text)
 
 
 def test_parser_adjacent_names():

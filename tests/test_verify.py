@@ -174,6 +174,12 @@ def test_run_claim_dispatch_and_unknown():
         run_claim("nonsense", 2, 2, primed=False)
 
 
+@pytest.mark.parametrize("claim,m,n", [("prop32", 2, 2), ("lemma31", 1, 2), ("remark33", 1, 2)])
+def test_run_claim_rejects_a_claim_of_the_other_family(claim, m, n):
+    with pytest.raises(ValueError, match=f"{claim} is not a claim of the primed family"):
+        run_claim(claim, m, n, primed=True)
+
+
 def test_render_json_deterministic_bytes():
     reports = [check_lower_bound(2, 2, primed=False), check_remark33(2, 2)]
     s1 = render_json(reports)
