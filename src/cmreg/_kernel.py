@@ -3,10 +3,13 @@
 Polynomials enter as {packed_key: coeff} dicts under a bound monomial order
 (see ring.py): key addition is monomial multiplication and integer comparison
 is the order comparison, so the hot loops touch only ints and dicts.  A
-free module in a Schreyer order packs the same way (see ModContext): a term
-x^k e_c is one int whose integer order is the Schreyer order and whose low
-bits name the component, so Schreyer syzygies go through the same Reducer,
-_spair and _reduce as ideals do, with reducers grouped by component.
+Polynomial is such a dict in grevlex, so for a grevlex context to_packed
+copies it and from_packed wraps one; block and permuted orders convert
+through exponent tuples.  A free module in a Schreyer order packs the same
+way (see ModContext): a term x^k e_c is one int whose integer order is the
+Schreyer order and whose low bits name the component, so Schreyer syzygies
+go through the same Reducer, _spair and _reduce as ideals do, with reducers
+grouped by component.
 
 Monomial tests run on exponent words, derived from a key when a term is
 popped: a reducer's lead word divides w when (w - lead) & guards == 0, the
@@ -27,8 +30,8 @@ denominator for all its terms and reduces fraction-free (see _reduce), so
 Buchberger's S-pairs and remainders never leave the integers.  Fractions
 appear only at the boundary: normal_form returns them and the reduced basis
 is monic in them.  Schreyer syzygies over Q reduce fraction-free the same
-way.  pdict_addmul, the fused target += scale * a * b that multiplies
-packed dicts outside the normal-form loop, runs on Fractions over Q.
+way.  Products of packed dicts outside the normal-form loop go through
+ring.pdict_addmul, which runs on Fractions over Q.
 
 Everything here is internal; the public API wraps it in ring.py, groebner.py
 and resolution.py.
@@ -115,16 +118,18 @@ def _overflow(ctx, k):
 
 
 def to_packed(ctx, poly):
-    raw = ctx.bound.raw
-    return {raw(e): c for e, c in poly.terms}
+    """A new packed dict of poly under ctx's order; poly's own dict is never shared."""
+    if ctx.bound is poly.ring.bound:
+        return dict(poly.pdict)
+    raw, unpack = ctx.bound.raw, poly.ring.bound.unpack
+    return {raw(unpack(k)): c for k, c in poly.pdict.items()}
 
 
 def from_packed(ctx, pdict, ring):
     """The ring polynomial of a packed dict of field elements; zero entries are dropped."""
-    unpack = ctx.unpack
     if ctx.bound is ring.bound:
-        return Polynomial._from_sorted(ring, tuple(
-            (unpack(k), pdict[k]) for k in sorted(pdict, reverse=True) if pdict[k]))
+        return Polynomial._wrap(ring, {k: c for k, c in pdict.items() if c})
+    unpack = ctx.unpack
     return ring.poly({unpack(k): c for k, c in pdict.items()})
 
 
@@ -431,26 +436,3 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     final.sort(key=max, reverse=True)
     stats["basis_size"] = len(final)
     return final, stats
-
-
-def pdict_addmul(ctx, target, a, b, scale=1):
-    """target += scale * a * b on packed dicts, in place; returns target.
-
-    Key addition is monomial multiplication.  On prime fields every sum is
-    reduced mod p, so target keeps its coefficients in [1, p), and a term
-    that cancels is removed.  target must not be a or b.
-    """
-    p = ctx.p
-    for k1, c1 in a.items():
-        c1 *= scale
-        for k2, c2 in b.items():
-            k = k1 + k2
-            prev = target.get(k)
-            v = c1 * c2 if prev is None else prev + c1 * c2
-            if p is not None:
-                v %= p
-            if v:
-                target[k] = v
-            elif prev is not None:
-                del target[k]
-    return target

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import hilbert
 from .groebner import Ideal
 from .idealops import colon, colon_by_variable_power, ideal_product
-from .ring import MAX_EXP, PolyRing, Polynomial, field_of_characteristic
+from .ring import MAX_EXP, PolyRing, Polynomial, field_of_characteristic, pdict_addmul
 from ._linalg import rref
 
 
@@ -51,8 +51,10 @@ def curve_ideal(exponents, char=32003):
     e_j + (a_j - 1) e_0 - a_j e_1 (j >= 2), and inverting X_0 turns the
     quotient by the lattice-basis binomials into the domain k[X_0^+-1, X_1],
     so one saturation by X_0 gives the prime.  Stability under every
-    variable (each a nonzerodivisor, by hilbert.nonzerodivisor) and the
-    (dim, deg) of the result are asserted.
+    variable and the (dim, deg) of the result are asserted.  X_i is a
+    nonzerodivisor exactly when I : X_i = I, and by Bayer-Stillman that
+    holds exactly when no lead of the basis with X_i last contains X_i,
+    which is when colon_by_variable_power returns I itself.
     """
     exponents = tuple(exponents)
     if len(exponents) < 3 or exponents[0] != 0 or exponents[1] != 1:
@@ -70,7 +72,7 @@ def curve_ideal(exponents, char=32003):
         gens.append(ring.monomial(lead) - ring.gen(1) ** a)
     cand = colon_by_variable_power(Ideal(ring, gens), 0)
     for i in range(nv):
-        if not hilbert.nonzerodivisor(cand, ring.gen(i)):
+        if colon_by_variable_power(cand, i) is not cand:
             raise AssertionError("curve ideal is not saturated with respect to a variable")
     dim, deg = hilbert.dim_deg(cand)
     if dim != 2 or deg != D:
@@ -84,13 +86,8 @@ def parametrization_defect(poly, exponents):
     on the affine chart of the curve."""
     out = {}
     for e, c in poly.terms:
-        k = sum(x * a for x, a in zip(e, exponents))
-        prev = out.get(k)
-        v = c if prev is None else poly.ring.field.add(prev, c)
-        if v == 0:
-            out.pop(k, None)
-        else:
-            out[k] = v
+        # A dict keyed by powers of t is a packed dict in one variable.
+        pdict_addmul(poly.ring.p, out, {sum(x * a for x, a in zip(e, exponents)): c}, {0: 1})
     return out
 
 
@@ -182,21 +179,20 @@ def graded_piece_basis(ideal, d):
     """Canonical echelon basis of the degree-d piece of an ideal.
 
     The rows are the degree-d monomial shifts of the Groebner basis, as
-    sparse rows over the degree-d monomials sorted descending in grevlex,
+    sparse rows over the packed degree-d monomials sorted descending,
     brought to reduced echelon form; the output is ordered by
     descending leading monomial, so it is deterministic.
     """
     ring = ideal.ring
     monomials = _monomials_of_degree(ring, d)
-    col_of = {e: i for i, e in enumerate(monomials)}
+    col_of = {k: i for i, k in enumerate(monomials)}
     rows = []
     gb = ideal.groebner().polys
     shifts = {k: _monomials_of_degree(ring, k) for k in {d - g.degree() for g in gb} if k >= 0}
     for g in gb:
         for shift in shifts.get(d - g.degree(), ()):
-            rows.append({col_of[tuple(x + y for x, y in zip(e, shift))]: c
-                         for e, c in g.terms})
-    out = [Polynomial(ring, {monomials[j]: c for j, c in row.items()})
+            rows.append({col_of[k + shift]: c for k, c in g.pdict.items()})
+    out = [Polynomial._wrap(ring, {monomials[j]: c for j, c in row.items()})
            for row in rref(rows, ring.field)]
     expected = (math.comb(d + ring.nvars - 1, ring.nvars - 1)
                 - hilbert.hilbert_function(ideal, d))
@@ -206,7 +202,7 @@ def graded_piece_basis(ideal, d):
 
 
 def _monomials_of_degree(ring, d):
-    """Degree-d exponent tuples, descending in grevlex."""
+    """The packed grevlex keys of the degree-d monomials, descending."""
     n = ring.nvars
     out = []
 
@@ -218,9 +214,7 @@ def _monomials_of_degree(ring, d):
             rec(prefix + [v], remaining - v, pos + 1)
 
     rec([], d, 0)
-    pack = ring.bound.pack
-    out.sort(key=pack, reverse=True)
-    return out
+    return sorted(map(ring.bound.pack, out), reverse=True)
 
 
 def extra_form(residual, curve, d):

@@ -1,7 +1,7 @@
 """Ideals, Groebner bases and division.
 
-A monomial order belongs to a basis, grevlex by default; polynomials keep
-their terms in grevlex whatever the basis order.  Buchberger's algorithm
+A monomial order belongs to a basis, grevlex by default; polynomials are
+packed in grevlex whatever the basis order.  Buchberger's algorithm
 with Gebauer-Moeller pair elimination and degree-then-sugar pair selection
 always returns the reduced basis, which is canonical for a given ideal and
 order.  Ideal objects cache one basis per order; the cache is written once

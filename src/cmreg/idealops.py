@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from . import _kernel, hilbert
 from .groebner import Ideal, reduce
 from .resolution import regularity_ideal
-from .ring import GREVLEX, Block, PermutedGrevlex, PolyRing, Polynomial, mono_mul, transport
+from .ring import (GREVLEX, Block, PermutedGrevlex, PolyRing, Polynomial, pdict_addmul,
+                   transport)
 
 
 def ideal_product(I, J):
@@ -126,22 +127,20 @@ def substitute_variable(I, i, repl):
     if set(target.names) - {names[i]} != {names[j] for j in keep}:
         raise ValueError(f"cannot substitute {names} into {target.names}")
     slots = [target._name_index[names[j]] for j in keep]
-    f = target.field
+    unpack, pack = I.ring.bound.unpack, target.bound.pack
     powers = [target.one]
     images = []
     for g in I.gens:
         data = {}
-        for e, c in g.terms:
+        for k, c in g.pdict.items():
+            e = unpack(k)
             while len(powers) <= e[i]:
                 powers.append(powers[-1] * repl)
             base = [0] * target.nvars
             for j, s in zip(keep, slots):
                 base[s] = e[j]
-            for e2, c2 in powers[e[i]].terms:
-                m = mono_mul(base, e2)
-                prev = data.get(m)
-                data[m] = f.mul(c, c2) if prev is None else f.add(prev, f.mul(c, c2))
-        images.append(target.poly(data))
+            pdict_addmul(target.p, data, {pack(base): c}, powers[e[i]].pdict)
+        images.append(Polynomial._product(target, data))
     return Ideal(target, images)
 
 
@@ -179,15 +178,13 @@ def saturate_by_variables(I, indices):
 
 
 def _divide_variable_power(g, i):
-    v = min(e[i] for e, _ in g.terms)
+    """g divided by the largest power x_i^v that divides it: one key subtracted."""
+    bound = g.ring.bound
+    v = min(bound.unpack(k)[i] for k in g.pdict)
     if v == 0:
         return g
-    data = {}
-    for e, c in g.terms:
-        e2 = list(e)
-        e2[i] -= v
-        data[tuple(e2)] = c
-    return Polynomial(g.ring, data)
+    shift = bound.pack(tuple(v if j == i else 0 for j in range(bound.n)))
+    return Polynomial._wrap(g.ring, {k - shift: c for k, c in g.pdict.items()})
 
 
 def _variable_last(n, i):
@@ -250,7 +247,8 @@ def eliminate(I, k):
     if not 1 <= k < I.ring.nvars:
         raise ValueError(f"can eliminate 1 to {I.ring.nvars - 1} leading variables, not {k}")
     gb = I.groebner(Block(k))
-    return Ideal(I.ring, [g for g in gb if all(not any(e[:k]) for e, _ in g.terms)])
+    # In Block(k) a lead free of the first k variables makes every term free of them.
+    return Ideal(I.ring, [g for g, e in zip(gb, gb.leading_exps()) if not any(e[:k])])
 
 
 def membership_exponent(I, l, g, jmax):
@@ -264,12 +262,11 @@ def membership_exponent(I, l, g, jmax):
         raise ValueError("polynomial from a different ring")
     gb = I.groebner()
     ctx, reducers = gb._ctx, gb._reducers
-    lp = _kernel.to_packed(ctx, l)
     cur, _ = _kernel.normal_form(ctx, _kernel.to_packed(ctx, g), reducers)
     for j in range(jmax + 1):
         if not cur:
             return j
-        cur, _ = _kernel.normal_form(ctx, _kernel.pdict_addmul(ctx, {}, cur, lp), reducers)
+        cur, _ = _kernel.normal_form(ctx, pdict_addmul(ctx.p, {}, cur, l.pdict), reducers)
     return None
 
 

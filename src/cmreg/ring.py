@@ -2,8 +2,9 @@
 
 The ring layer is the substrate for everything else in this package: exact
 arithmetic over a prime field F_p or over the rationals, standard-graded
-polynomial rings that keep terms in grevlex, and the monomial orders
-(grevlex, block elimination, permuted grevlex) a Groebner basis is computed in.
+polynomial rings, and the monomial orders (grevlex, block elimination,
+permuted grevlex) a Groebner basis is computed in.  It imports no other
+module of the package.
 
 Monomials are exponent tuples at the API surface.  Internally every bound
 order packs a monomial into a single integer key such that
@@ -13,6 +14,12 @@ order packs a monomial into a single integer key such that
 
 which is what makes the reduction kernel fast.  Each exponent sits in a
 field of EXP_BITS = 21 bits: 20 value bits and a guard bit above them.
+
+A Polynomial is one {grevlex key: nonzero coeff} dict, the packed dict the
+kernel (_kernel.py) computes on in grevlex.  pdict_addmul, the fused target
++= scale * a * b on packed dicts, does all polynomial arithmetic: +, - and *,
+parsing, and the substitutions and remainder products of idealops.  Exponent
+tuples appear only at the edge: construction, terms, lm, parsing, printing.
 
 Each bound order also maps a key to its exponent word, word(key), and back,
 key(word).  The word holds one field per variable, which makes the kernel's
@@ -26,11 +33,11 @@ monomial tests integer operations on whole words:
 The word is -key mod 2**(21 n) for grevlex and permuted grevlex, and the lex
 block above the grevlex word of the rest for block orders.  Exponents and
 total degrees are capped at MAX_EXP = 2**20 - 1.  The cap is checked where
-tuples enter (pack, which Polynomial construction, parsing and monomial use).
-In the kernel, a product whose exponent passes the cap sets that field's
-guard bit, which the normal-form loops turn into an OverflowError rather than
-a silent carry into the next field; an S-pair whose lcm passes the degree cap
-raises one too.
+tuples enter (pack, which Polynomial construction and parsing use) and after
+every product of polynomials, where an exponent past the cap shows as its
+field's guard bit.  In the kernel, such a guard bit makes the normal-form
+loops raise an OverflowError rather than carry silently into the next field;
+an S-pair whose lcm passes the degree cap raises one too.
 
 All values are immutable after construction and all operations are pure, so
 objects can be shared freely between threads.
@@ -226,7 +233,6 @@ def _check_exps(e):
         d += x
     if d > MAX_EXP:
         raise OverflowError(f"total degree {d} exceeds {MAX_EXP}")
-    return d
 
 
 def _guards(n):
@@ -363,21 +369,36 @@ class PermutedGrevlex(MonomialOrder):
 
 
 GREVLEX = Grevlex()
+# The packed grevlex dict of the polynomial 1: the zero exponent tuple has key 0.
+_ONE = {0: 1}
 
 
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def pdict_addmul(p, target, a, b, scale=1):
+    """target += scale * a * b on packed dicts, in place; returns target.
 
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    Key addition is monomial multiplication.  With p a prime every sum is
+    reduced mod p, so target keeps its coefficients in [1, p); with p None
+    the coefficients are Fractions.  A term that cancels is removed.  target
+    must not be a or b.
+    """
+    for k1, c1 in a.items():
+        c1 *= scale
+        for k2, c2 in b.items():
+            k = k1 + k2
+            prev = target.get(k)
+            v = c1 * c2 if prev is None else prev + c1 * c2
+            if p is not None:
+                v %= p
+            if v:
+                target[k] = v
+            elif prev is not None:
+                del target[k]
+    return target
 
 
 class PolyRing:
-    """A standard-graded polynomial ring over a prime field or the rationals.
-
-    Terms are kept in grevlex; a basis in another order is Ideal.groebner(order).
-    """
+    """A standard-graded polynomial ring over a prime field (of prime p) or the
+    rationals (p None).  A basis in another order is Ideal.groebner(order)."""
 
     def __init__(self, names, field):
         names = tuple(names)
@@ -389,16 +410,14 @@ class PolyRing:
         self.names = names
         self.nvars = len(names)
         self.field = field
+        self.p = getattr(field, "p", None)
         self.bound = GREVLEX.bind(self.nvars)
         self._name_index = {nm: i for i, nm in enumerate(names)}
-        self._zero_exps = (0,) * self.nvars
         self.zero = Polynomial(self, {})
-        self.one = Polynomial(self, {self._zero_exps: field(1)})
+        self.one = self.const(1)
 
     def gen(self, i):
-        e = [0] * self.nvars
-        e[i] = 1
-        return Polynomial(self, {tuple(e): self.field(1)})
+        return self.monomial(tuple(int(j == i) for j in range(self.nvars)))
 
     def gens(self):
         return tuple(self.gen(i) for i in range(self.nvars))
@@ -410,17 +429,12 @@ class PolyRing:
         return Polynomial(self, {tuple(exps): c})
 
     def const(self, c):
-        c = self.field(c)
-        return Polynomial(self, {self._zero_exps: c} if c != 0 else {})
+        return self.monomial((0,) * self.nvars, c)
 
     def poly(self, terms):
         """Build a polynomial from an {exps: coeff} mapping."""
-        data = {}
-        for e, c in terms.items():
-            c = self.field(c)
-            if c != 0:
-                data[tuple(e)] = c
-        return Polynomial(self, data)
+        data = {tuple(e): self.field(c) for e, c in terms.items()}
+        return Polynomial(self, {e: c for e, c in data.items() if c})
 
     def from_string(self, text):
         return _parse_poly(self, text)
@@ -437,104 +451,107 @@ class PolyRing:
 
 
 class Polynomial:
-    """An immutable polynomial: terms sorted descending in grevlex."""
+    """An immutable polynomial: one {grevlex key: nonzero coeff} dict, pdict.
 
-    __slots__ = ("ring", "terms", "_hash")
+    Polynomial(ring, {exps: coeff}) packs each exponent tuple, checking its
+    length and the cap; the coefficients must be nonzero field elements.
+    The dict is never mutated after construction.  terms is the view of it
+    as (exps, coeff) pairs, descending in grevlex.
+    """
+
+    __slots__ = ("ring", "pdict", "_hash")
 
     def __init__(self, ring, data):
-        self.ring = ring
         pack = ring.bound.pack
-        self.terms = tuple(sorted(data.items(), key=lambda t: pack(t[0]), reverse=True))
+        self.ring = ring
+        self.pdict = {pack(e): c for e, c in data.items()}
         self._hash = None
 
     @classmethod
-    def _from_sorted(cls, ring, terms):
-        """A polynomial from nonzero terms already sorted descending in grevlex."""
+    def _wrap(cls, ring, pdict):
+        """The polynomial of a packed dict of nonzero field elements, taken over."""
         poly = cls.__new__(cls)
         poly.ring = ring
-        poly.terms = terms
+        poly.pdict = pdict
         poly._hash = None
         return poly
 
+    @classmethod
+    def _product(cls, ring, pdict):
+        """_wrap of a sum of products of in-cap monomials, checked against the cap:
+        an exponent past it sets its field's guard bit, and grevlex is graded,
+        so the largest key has the largest total degree."""
+        if pdict:
+            bound = ring.bound
+            word, guards = bound.word, bound.guards
+            over = [k for k in pdict if word(k) & guards] or [max(pdict)]
+            _check_exps(bound.unpack(over[0]))
+        return cls._wrap(ring, pdict)
+
+    @property
+    def terms(self):
+        unpack = self.ring.bound.unpack
+        return tuple((unpack(k), self.pdict[k]) for k in sorted(self.pdict, reverse=True))
+
     def is_zero(self):
-        return not self.terms
+        return not self.pdict
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.pdict)
 
     def lm(self):
         """Leading monomial as an exponent tuple."""
-        if not self.terms:
+        if not self.pdict:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][0]
+        return self.ring.bound.unpack(max(self.pdict))
 
     def lc(self):
-        if not self.terms:
+        if not self.pdict:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][1]
+        return self.pdict[max(self.pdict)]
+
+    def _degree_of(self, k):
+        bound = self.ring.bound
+        return bound.degree(bound.word(k))
 
     def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        """Total degree, that of the largest key; -1 for the zero polynomial."""
+        if not self.pdict:
             return -1
-        return max(sum(e) for e, _ in self.terms)
+        return self._degree_of(max(self.pdict))
 
     def is_homogeneous(self):
-        if not self.terms:
+        """Whether the largest and the smallest key have one degree."""
+        if not self.pdict:
             return True
-        degs = {sum(e) for e, _ in self.terms}
-        return len(degs) == 1
+        return self._degree_of(max(self.pdict)) == self._degree_of(min(self.pdict))
 
     def coeff(self, exps):
-        exps = tuple(exps)
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return self.ring.field(0)
+        return self.pdict.get(self.ring.bound.pack(tuple(exps)), self.ring.field(0))
 
-    def _require_same_ring(self, other):
+    def _coerce(self, other):
+        if not isinstance(other, Polynomial):
+            return self.ring.const(other)
         if self.ring != other.ring:
             raise ValueError("polynomials from different rings")
+        return other
+
+    def _plus(self, other, sign):
+        pdict = pdict_addmul(self.ring.p, dict(self.pdict), self._coerce(other).pdict, _ONE, sign)
+        return Polynomial._wrap(self.ring, pdict)
 
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = self.ring.const(other)
-        self._require_same_ring(other)
-        f = self.ring.field
-        data = dict(self.terms)
-        for e, c in other.terms:
-            s = f.add(data.get(e, 0), c) if e in data else c
-            if e in data and s == 0:
-                del data[e]
-            else:
-                data[e] = s
-        return Polynomial(self.ring, data)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = self.ring.const(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        f = self.ring.field
-        return Polynomial(self.ring, {e: f.neg(c) for e, c in self.terms})
+        return Polynomial._wrap(self.ring, pdict_addmul(self.ring.p, {}, self.pdict, _ONE, -1))
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            other = self.ring.const(other)
-        self._require_same_ring(other)
-        f = self.ring.field
-        data = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = mono_mul(e1, e2)
-                prev = data.get(e)
-                s = f.mul(c1, c2) if prev is None else f.add(prev, f.mul(c1, c2))
-                if s == 0:
-                    data.pop(e, None)
-                else:
-                    data[e] = s
-        return Polynomial(self.ring, data)
+        pdict = pdict_addmul(self.ring.p, {}, self.pdict, self._coerce(other).pdict)
+        return Polynomial._product(self.ring, pdict)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -557,13 +574,13 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             if other == 0:
-                return not self.terms
+                return not self.pdict
             other = self.ring.const(other)
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.pdict == other.pdict
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, self.terms))
+            self._hash = hash((self.ring, frozenset(self.pdict.items())))
         return self._hash
 
     def __repr__(self):
@@ -575,25 +592,19 @@ def transport(poly, target, index_map):
 
     index_map[i] may be None only when variable i does not occur in poly.
     """
+    unpack = poly.ring.bound.unpack
     data = {}
-    f = target.field
-    for e, c in poly.terms:
+    for k, c in poly.pdict.items():
         out = [0] * target.nvars
-        for i, x in enumerate(e):
+        for i, x in enumerate(unpack(k)):
             if x == 0:
                 continue
             j = index_map[i]
             if j is None:
                 raise ValueError(f"variable {poly.ring.names[i]} has no image in target ring")
             out[j] = x
-        c2 = f(c)
-        if c2 != 0:
-            exps = tuple(out)
-            prev = data.get(exps)
-            data[exps] = f.add(prev, c2) if prev is not None else c2
-            if data[exps] == 0:
-                del data[exps]
-    return Polynomial(target, data)
+        data[tuple(out)] = c
+    return target.poly(data)
 
 
 # --- parsing and printing ---------------------------------------------------
@@ -631,7 +642,8 @@ def _parse_poly(ring, text):
     if not pieces[-1]:
         raise ValueError("empty polynomial text" if len(pieces) == 1
                          else "dangling sign in polynomial text")
-    result = ring.zero
+    pack = ring.bound.pack
+    data = {}
     for signs, piece in zip(["+", *pieces[1::2]], pieces[0::2]):
         term = piece.strip()
         if not term:  # the text starts with a sign
@@ -650,11 +662,15 @@ def _parse_poly(ring, text):
                 raise ValueError(f"zero denominator in term {term!r}")
             else:
                 coeff *= Fraction(int(num), int(den or 1))
+        c = ring.field(coeff)
+        if not c:
+            continue
         try:
-            result = result + ring.monomial(exps, coeff)
+            key = pack(exps)
         except OverflowError as exc:
             raise ValueError(f"term {term!r}: {exc}") from None
-    return result
+        pdict_addmul(ring.p, data, {key: c}, _ONE)
+    return Polynomial._wrap(ring, data)
 
 
 def _coeff_text(ring, c):
@@ -672,7 +688,7 @@ def _coeff_text(ring, c):
 
 def format_poly(poly):
     """Canonical text: terms descending in grevlex, symmetric residues."""
-    if not poly.terms:
+    if not poly.pdict:
         return "0"
     ring = poly.ring
     parts = []
@@ -707,7 +723,7 @@ def spoly(f, g, order=GREVLEX):
         raise ValueError("polynomials from different rings")
     pack = order.bind(ring.nvars).pack
     (lf, cf), (lg, cg) = (max(h.terms, key=lambda t: pack(t[0])) for h in (f, g))
-    lcm = mono_lcm(lf, lg)
+    lcm = tuple(map(max, lf, lg))
     mf = ring.monomial(tuple(a - b for a, b in zip(lcm, lf)), ring.field.inv(cf))
     mg = ring.monomial(tuple(a - b for a, b in zip(lcm, lg)), ring.field.inv(cg))
     return mf * f - mg * g

@@ -10,10 +10,11 @@ from cmreg.families import (build_family, check_parameters, ci_forms, curve_expo
                             parametrization_defect, pq_products,
                             residual_pivot)
 from cmreg.groebner import Ideal, member
-from cmreg.hilbert import dim_deg
+from cmreg.hilbert import dim_deg, nonzerodivisor
 from cmreg.idealops import colon, colon_by_variable_power
 from cmreg.resolution import regularity_ideal
 from cmreg.ring import MAX_EXP, Block, PolyRing, QQ, field_of_characteristic, transport
+from cmreg.verify import PRIMED_GRID, UNPRIMED_GRID
 
 
 def _curve_ideal_by_elimination(exponents, char):
@@ -67,6 +68,26 @@ def test_curve_ideal_matches_elimination_oracle(exponents, char):
     oracle = _curve_ideal_by_elimination(exponents, char)
     assert [str(g) for g in I.groebner().polys] == \
         [str(g) for g in oracle.groebner().polys]
+
+
+GRID_CURVES = [curve_exponents(m, n) for m, n in UNPRIMED_GRID] + \
+    [curve_exponents(m, n, primed=True) for m, n in PRIMED_GRID]
+
+
+@pytest.mark.parametrize("exponents", GRID_CURVES, ids=lambda e: ",".join(map(str, e)))
+def test_variable_certificate_from_leads_agrees_with_the_hilbert_series(exponents):
+    """curve_ideal certifies X_i a nonzerodivisor by colon_by_variable_power(I, i)
+    returning I; the Hilbert-series test agrees on every variable, and both
+    reject X_0 on the lattice-basis ideal that is not yet saturated by it."""
+    ring, I = curve_ideal(exponents)
+    for i, X in enumerate(ring.gens()):
+        assert colon_by_variable_power(I, i) is I
+        assert nonzerodivisor(I, X)
+    X0, X1 = ring.gen(0), ring.gen(1)
+    lattice = Ideal(ring, [ring.gen(j) * X0 ** (a - 1) - X1 ** a
+                           for j, a in enumerate(exponents) if j >= 2])
+    assert colon_by_variable_power(lattice, 0) is not lattice
+    assert not nonzerodivisor(lattice, X0)
 
 
 def test_curve_ideal_input_validation():
@@ -181,7 +202,8 @@ def test_graded_piece_basis_rows_are_normal_form_differences(fam22, which):
     ring = ideal.ring
     gb = ideal.groebner()
     leads = gb.leading_exps()
-    initial = [u for u in families._monomials_of_degree(ring, d)
+    monomials = map(ring.bound.unpack, families._monomials_of_degree(ring, d))
+    initial = [u for u in monomials
                if any(all(x >= y for x, y in zip(u, lead)) for lead in leads)]
     assert initial
     expected = [ring.monomial(u) - gb.normal_form(ring.monomial(u)) for u in initial]

@@ -1,5 +1,6 @@
 """Every import in the package's modules is used, sits at module level and
-names nothing private of a public module (a stdlib ast scan)."""
+names nothing private of a public module, and ring.py, the representation
+every other module builds on, imports none of them (a stdlib ast scan)."""
 
 from __future__ import annotations
 
@@ -64,3 +65,23 @@ def test_no_module_imports_a_private_name_of_a_public_module():
              for path in sorted(SRC.glob("*.py"))
              for line, module, name in private_imports(path)]
     assert not found, f"private names imported from public modules: {found}"
+
+
+def package_imports(path):
+    """(line, module) of each import of a module of the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.split(".")[0] == "cmreg":
+                found.append((node.lineno, module))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "cmreg"]
+    return found
+
+
+def test_ring_imports_no_module_of_the_package():
+    assert package_imports(SRC / "_kernel.py"), "the scan finds the kernel's import of ring"
+    found = [f"ring.py:{line} {module}" for line, module in package_imports(SRC / "ring.py")]
+    assert not found, f"ring.py must stay the bottom layer: {found}"

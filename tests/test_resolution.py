@@ -20,7 +20,7 @@ from cmreg.hilbert import hilbert_series
 from cmreg.idealops import a0
 from cmreg.resolution import (BettiTable, _betti_entries, _schreyer_levels, betti,
                               minimal_resolution, pdim, regularity, regularity_ideal)
-from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ, transport
+from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ, pdict_addmul, transport
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +278,7 @@ def _minimize(ctx, cols_by_level, top_level):
             v = col.pop(ri)
             for r2, pd in pivot_col.items():
                 tgt = col.setdefault(r2, {})
-                _kernel.pdict_addmul(ctx, tgt, v, pd, scale)
+                pdict_addmul(ctx.p, tgt, v, pd, scale)
                 if not tgt:
                     del col[r2]
                     rows[r2].discard(cj)
