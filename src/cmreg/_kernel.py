@@ -4,7 +4,7 @@ Polynomials enter as {packed_key: coeff} dicts under a bound monomial order
 (see ring.py): key addition is monomial multiplication and integer comparison
 is the order comparison, so the hot loops touch only ints and dicts.  A
 Polynomial is such a dict in grevlex, so for a grevlex context to_packed
-copies it and from_packed wraps one; block and permuted orders convert
+copies it and from_packed wraps one; block and permuted orders re-key
 through exponent tuples.  A free module in a Schreyer order packs the same
 way (see ModContext): a term x^k e_c is one int whose integer order is the
 Schreyer order and whose low bits name the component, so Schreyer syzygies
@@ -20,9 +20,17 @@ a guard bit set is a term whose exponent passed the cap; the normal-form
 loop raises OverflowError for it rather than reduce a term that is not there.
 
 Buchberger autoreduces its inputs in one ascending pass, keeps its S-pairs in
-a heap in normal order, and prunes them by Gebauer-Moeller.  On prime fields
-every stored coefficient is in [1, p): no path stores a negative residue or
-a zero term.
+a heap in normal order, and prunes them by Gebauer-Moeller.  The update for a
+new lead f computes each lcm(lead_i, f) once: the old-pair deletion reads
+that list, one dict keeps the first index of each lcm class and one set the
+classes with a coprime member.  ring.minimal_words keeps the minimal classes
+(the chain criterion) by one int sort; heap ties break on the pair's
+indices, so the push order does not matter.  The final pass keeps the
+elements of minimal lead, sorts them once by lead, and reduces each tail
+against that one list, the element itself included (a lead divides no
+smaller term), before putting the monic lead back.  On prime fields every
+stored coefficient is in [1, p): no path stores a negative residue or a zero
+term.
 
 Over Q the Groebner work runs on Python ints.  A Reducer holds the primitive
 integer multiple of its polynomial, and a normal form carries one common
@@ -44,7 +52,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .ring import MAX_EXP, Polynomial, word_lcm
+from .ring import MAX_EXP, Polynomial, minimal_words, word_lcm
 
 
 class BudgetExceeded(RuntimeError):
@@ -129,8 +137,10 @@ def from_packed(ctx, pdict, ring):
     """The ring polynomial of a packed dict of field elements; zero entries are dropped."""
     if ctx.bound is ring.bound:
         return Polynomial._wrap(ring, {k: c for k, c in pdict.items() if c})
-    unpack = ctx.unpack
-    return ring.poly({unpack(k): c for k, c in pdict.items()})
+    # Each coefficient is a field element and each exponent is inside the
+    # cap: the kernel raises on any guard bit.
+    raw, unpack = ring.bound.raw, ctx.unpack
+    return Polynomial._wrap(ring, {raw(unpack(k)): c for k, c in pdict.items() if c})
 
 
 class Reducer:
@@ -341,6 +351,7 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     """
     p = ctx.p
     key, degree, guards = ctx.key, ctx.degree, ctx.guards
+    one = 1 if p is not None else Fraction(1)
     stats = {"pairs_processed": 0, "zero_reductions": 0}
     G = []
     lme = []
@@ -352,26 +363,23 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
         # Gebauer-Moeller update of the pair set for a newly appended element.
         t = newred.index
         lmf = newred.leadword
+        lcms = [word_lcm(lme[i], lmf, guards) for i in range(t)]
         for i, j in [(i, j) for (i, j), gam in pairs.items()
-                     if not (gam - lmf) & guards and gam != word_lcm(lme[i], lmf, guards)
-                     and gam != word_lcm(lme[j], lmf, guards)]:
+                     if not (gam - lmf) & guards and gam != lcms[i] and gam != lcms[j]]:
             del pairs[(i, j)]
-        groups = {}
-        for i in range(t):
-            groups.setdefault(word_lcm(lme[i], lmf, guards), []).append(i)
-        kept = []
-        # A proper divisor has lower degree, so a degree sort settles the chain
-        # criterion, and only the surviving classes need a heap key.
+        first = {}
+        coprime = set()
+        for i, gam in enumerate(lcms):
+            first.setdefault(gam, i)
+            if lme[i] + lmf == gam:
+                coprime.add(gam)
+        # Chain criterion: only the minimal lcm classes need a heap key.
         fsug = newred.sugar - degree(lmf)
-        for gam in sorted(groups, key=degree):
-            if any(not (gam - k) & guards for k in kept):
-                continue
-            kept.append(gam)
-            members = groups[gam]
+        for gam in minimal_words(first, guards):
             # Product criterion: a coprime member retires the whole lcm class.
-            if any(lme[m] + lmf == gam for m in members):
+            if gam in coprime:
                 continue
-            i = members[0]
+            i = first[gam]
             deg = degree(gam)
             if deg > MAX_EXP:
                 raise OverflowError(f"S-pair lcm of total degree {deg} exceeds {MAX_EXP}")
@@ -396,7 +404,7 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
             continue
         red = Reducer.from_packed(ctx, rem)
         if red.leadkey == 0:
-            return [{0: 1 if p is not None else Fraction(1)}], stats
+            return [{0: one}], stats
         for s in [s for s in start if not (s.leadword - red.leadword) & guards]:
             start.remove(s)
             push(todo, (s.leadkey, next(tick), reducer_dict(s)))
@@ -422,17 +430,15 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     if not G:
         return [], stats
     # Minimalize leads, then one tail-reduction pass gives the reduced basis.
-    order_idx = sorted(range(len(G)), key=lambda i: G[i].leadkey)
-    kept = []
-    for i in order_idx:
-        if not any(not (G[i].leadword - G[j].leadword) & guards for j in kept):
-            kept.append(i)
-    # Leads are now minimal, so each monic lead survives its tail reduction.
+    minimal = set(minimal_words([r.leadword for r in G], guards))
+    kept = sorted((r for r in G if r.leadword in minimal), key=lambda r: r.leadkey)
+    # A lead divides no smaller term, so each tail reduces against all of
+    # kept, itself included, and the monic lead goes back on top.
     final = []
-    for i in kept:
-        others = [G[j] for j in kept if j != i]
-        rem, den, _ = _reduce(ctx, reducer_dict(G[i]), others, den=G[i].lc)
-        final.append(rem if p is not None else _fractions(rem, den))
-    final.sort(key=max, reverse=True)
+    for red in reversed(kept):
+        rem, den, _ = _reduce(ctx, dict(red.tail), kept, den=red.lc)
+        out = {red.leadkey: one}
+        out.update(rem if p is not None else _fractions(rem, den))
+        final.append(out)
     stats["basis_size"] = len(final)
     return final, stats

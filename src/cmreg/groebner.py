@@ -5,8 +5,10 @@ packed in grevlex whatever the basis order.  Buchberger's algorithm
 with Gebauer-Moeller pair elimination and degree-then-sugar pair selection
 always returns the reduced basis, which is canonical for a given ideal and
 order.  Ideal objects cache one basis per order; the cache is written once
-and read-only afterwards, so sharing across threads is safe.  reduce divides
-by a list of polynomials in grevlex.
+and read-only afterwards.  A basis keeps the kernel's packed dicts, and its
+tuple of polynomials, polys, is built the first time it is read; that fill
+is idempotent (a race builds equal tuples), so sharing across threads stays
+safe.  reduce divides by a list of polynomials in grevlex.
 """
 
 from __future__ import annotations
@@ -40,23 +42,37 @@ def reduce(f, basis):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic polynomials sorted by decreasing lead."""
+    """A reduced Groebner basis: monic polynomials sorted by decreasing lead.
 
-    __slots__ = ("ring", "order", "polys", "stats", "_ctx", "_reducers")
+    It keeps the kernel's packed basis; polys, the tuple of ring
+    polynomials, is built the first time it is read.
+    """
 
-    def __init__(self, ring, order, polys, stats, ctx, reducers):
+    __slots__ = ("ring", "order", "stats", "_ctx", "_basis", "_reducers", "_polys")
+
+    def __init__(self, ring, order, basis, stats, ctx):
         self.ring = ring
         self.order = order
-        self.polys = tuple(polys)
         self.stats = dict(stats)
         self._ctx = ctx
-        self._reducers = reducers
+        self._basis = basis
+        self._reducers = [_kernel.Reducer.from_packed(ctx, d, index=i, sugar=0)
+                          for i, d in enumerate(basis)]
+        self._polys = None
+
+    @property
+    def polys(self):
+        polys = self._polys
+        if polys is None:
+            polys = self._polys = tuple(_kernel.from_packed(self._ctx, d, self.ring)
+                                        for d in self._basis)
+        return polys
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._basis)
 
     def __getitem__(self, i):
         return self.polys[i]
@@ -83,7 +99,7 @@ class GroebnerBasis:
         return not rem
 
     def __repr__(self):
-        return f"GroebnerBasis({len(self.polys)} polys, order={self.order!r})"
+        return f"GroebnerBasis({len(self)} polys, order={self.order!r})"
 
 
 class Ideal:
@@ -148,9 +164,7 @@ def buchberger(ideal, order=GREVLEX):
     ctx = _kernel.Context(order.bind(ring.nvars), ring.field)
     packed = [_kernel.to_packed(ctx, g) for g in ideal.gens]
     basis, stats = _kernel.buchberger(ctx, packed)
-    polys = [_kernel.from_packed(ctx, d, ring) for d in basis]
-    reducers = [_kernel.Reducer.from_packed(ctx, d, index=i, sugar=0) for i, d in enumerate(basis)]
-    return GroebnerBasis(ring, order, polys, stats, ctx, reducers)
+    return GroebnerBasis(ring, order, basis, stats, ctx)
 
 
 def member(f, ideal, order=GREVLEX):

@@ -26,21 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .groebner import Ideal
-from .ring import EXP_BITS, GREVLEX, word_support
-
-
-def _minimalize(gens, bound):
-    """Minimal generating words: drop anything a kept one divides."""
-    guards = bound.guards
-    kept = []
-    # By degree, ties by word: one tuple per generator set, for the memo.
-    for g in sorted(sorted(set(gens)), key=bound.degree):
-        for h in kept:
-            if not (g - h) & guards:
-                break
-        else:
-            kept.append(g)
-    return tuple(kept)
+from .ring import EXP_BITS, GREVLEX, minimal_words, word_support
 
 
 def _poly_add(a, b):
@@ -81,12 +67,13 @@ def _pairwise_coprime(gens, guards):
 
 def _split(gens, bound):
     """Children of the pivot recursion: (gens + (x), gens : x)."""
-    supports = [word_support(g, bound.guards) for g in gens]
+    guards = bound.guards
+    supports = [word_support(g, guards) for g in gens]
     counts = sum(supports)  # field i: how many generators involve its variable
     piv = max(range(bound.n), key=lambda i: ((counts >> EXP_BITS * i) % (1 << EXP_BITS), -i))
     xg = 1 << EXP_BITS * piv
-    plus = _minimalize([xg] + [g for g, s in zip(gens, supports) if not s & xg], bound)
-    colon = _minimalize([g - xg if s & xg else g for g, s in zip(gens, supports)], bound)
+    plus = minimal_words([xg] + [g for g, s in zip(gens, supports) if not s & xg], guards)
+    colon = minimal_words([g - xg if s & xg else g for g, s in zip(gens, supports)], guards)
     return plus, colon
 
 
@@ -96,7 +83,8 @@ def monomial_numerator(lead_words, nvars):
     The generators' words may be in any order's layout: guards and degree are the same.
     """
     bound = GREVLEX.bind(nvars)
-    root = _minimalize(lead_words, bound)
+    # A tuple per generator set, ascending as ints, is the memo's key.
+    root = minimal_words(lead_words, bound.guards)
     memo = {}
     stack = [root]
     while stack:

@@ -26,6 +26,7 @@ key(word).  The word holds one field per variable, which makes the kernel's
 monomial tests integer operations on whole words:
 
     v divides w           (w - v) & guards == 0      (a short field borrows)
+    v divides w  =>       v <= w as ints             (w - v is a word)
     lcm(v, w)             one guarded subtraction picks each field's max
     total degree of w     one multiply sums the fields into the top one
     v * w                 v + w
@@ -266,6 +267,23 @@ def word_lcm(a, b, guards):
     m = ((a | guards) - b) & guards
     m -= m >> (EXP_BITS - 1)
     return b ^ ((a ^ b) & m)
+
+
+def minimal_words(words, guards):
+    """The tuple of the words that no other given word divides, once each,
+    ascending as ints.
+
+    A word that divides another is the smaller int, so after an int sort
+    one scan against the kept words settles divisibility.
+    """
+    kept = []
+    for w in sorted(words):
+        for v in kept:
+            if not (w - v) & guards:
+                break
+        else:
+            kept.append(w)
+    return tuple(kept)
 
 
 def word_support(w, guards):

@@ -8,7 +8,9 @@ import random
 import pytest
 
 from cmreg.groebner import Ideal, buchberger, member, reduce, spair_certificate
-from cmreg.ring import GREVLEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ, spoly
+from cmreg.idealops import _variable_last, colon_by_variable_power
+from cmreg.ring import (GREVLEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
+                        field_of_characteristic, spoly)
 
 
 def twisted_cubic(ring):
@@ -61,6 +63,29 @@ def test_spair_certificate_in_a_basis_order(ring4q, order):
     for (f, lf), (g, lg) in itertools.combinations(zip(gb.polys, gb.leading_exps()), 2):
         lcm = pack(tuple(map(max, lf, lg)))
         assert all(pack(e) < lcm for e, _ in spoly(f, g, order).terms)
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("order", [Block(2), PermutedGrevlex((2, 0, 3, 1))], ids=repr)
+def test_basis_in_another_order_converts_like_the_checked_route(char, order):
+    R = PolyRing(("x", "y", "z", "w"), field_of_characteristic(char))
+    x, y, z, w = R.gens()
+    I = Ideal(R, [2 * x * z - 3 * y * y, x * w - 5 * y * z + w * w, y * w - 7 * z * z])
+    gb = I.groebner(order)
+    assert gb._polys is None and len(gb) > 3
+    unpack = gb._ctx.unpack
+    want = tuple(R.poly({unpack(k): c for k, c in d.items()}) for d in gb._basis)
+    assert gb.polys == want
+    assert [g.pdict for g in gb.polys] == [g.pdict for g in want]
+    assert all(type(c) is type(R.field(1)) for g in gb.polys for c in g.pdict.values())
+
+
+def test_saturated_variable_colon_leaves_the_basis_tuple_unbuilt():
+    R = PolyRing(("x", "y", "z", "w"), PrimeField(32003))
+    I = twisted_cubic(R)
+    for i in range(R.nvars):
+        assert colon_by_variable_power(I, i) is I
+        assert I.groebner(_variable_last(R.nvars, i))._polys is None
 
 
 def test_membership(ring4q):

@@ -15,7 +15,7 @@ from cmreg.hilbert import dim_deg
 from cmreg.idealops import colon, colon_by_variable_power, saturate_irrelevant
 from cmreg.resolution import _schreyer_levels, regularity_ideal
 from cmreg.ring import (GREVLEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
-                        field_of_characteristic, pdict_addmul)
+                        field_of_characteristic, pdict_addmul, transport)
 from cmreg.sections import general_section
 from cmreg.verify import DEFAULT_SEED
 
@@ -238,6 +238,27 @@ def test_buchberger_work_is_pinned():
             _, stats = _kernel.buchberger(ctx, [_kernel.to_packed(ctx, g) for g in gens])
             got = (stats["pairs_processed"], stats["zero_reductions"], stats["basis_size"])
             assert got == PINNED_WORK[name][oname], (name, oname, got)
+
+
+# The largest basis a cold (4,3) colon computes: t*CI + (1-t)*pivot in
+# Block(1) on 7 variables.  The basis grows to about 180 elements, where the
+# chain criterion does its work; the ideals above stop at 80 pairs.
+PINNED_COLON_43 = (858, 685, 178)
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_colon_43_elimination_work_is_pinned(char):
+    F = field_of_characteristic(char)
+    R = PolyRing(tuple(f"X{i}" for i in range(6)), F)
+    ext = PolyRing(("t",) + R.names, F)
+    up = list(range(1, 7))
+    t = ext.gen(0)
+    gens = [t * transport(g, ext, up) for g in ci_forms(4, 3, R)]
+    gens.append((ext.one - t) * transport(residual_pivot(R, 4, 3), ext, up))
+    ctx = _kernel.Context(Block(1).bind(7), F)
+    _, stats = _kernel.buchberger(ctx, [_kernel.to_packed(ctx, g) for g in gens])
+    got = (stats["pairs_processed"], stats["zero_reductions"], stats["basis_size"])
+    assert got == PINNED_COLON_43
 
 
 # --- the rational kernel against the Fraction normal form it replaced -------

@@ -10,7 +10,8 @@ import pytest
 
 from cmreg import ring
 from cmreg.ring import (GREVLEX, MAX_EXP, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
-                        field_of_characteristic, transport, word_lcm, word_support)
+                        field_of_characteristic, minimal_words, transport, word_lcm,
+                        word_support)
 
 
 def test_prime_field_basics():
@@ -127,6 +128,42 @@ def test_exponent_words_match_tuple_arithmetic(order):
         assert key(word_lcm(wa, wb, guards)) == bound.raw(lcm), (a, b)
         assert key(word_lcm(wb, wa, guards)) == bound.raw(lcm), (a, b)
     assert 0 < divisible < 400
+
+
+def _degree_sorted_minimal(words, bound):
+    """The chain criterion's minimal lcm classes by a degree sort, as Buchberger
+    once kept them: a proper divisor has a lower degree."""
+    kept = []
+    for gam in sorted(words, key=bound.degree):
+        if any(not (gam - k) & bound.guards for k in kept):
+            continue
+        kept.append(gam)
+    return kept
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_a_divisor_is_the_smaller_word(n):
+    rng = random.Random(20261019 + n)
+    orders = [GREVLEX, Block(1), Block(n), PermutedGrevlex(rng.sample(range(n), n))]
+    for order in orders:
+        bound = order.bind(n)
+        word, guards = bound.word, bound.guards
+
+        def small():
+            return tuple(rng.choice((0, 0, 1, 2, rng.randrange(3, 9))) for _ in range(n))
+
+        for _ in range(300):
+            a, b = small(), small()
+            ab = tuple(x + y for x, y in zip(a, b))
+            assert word(bound.pack(a)) <= word(bound.pack(ab)), (order, a, b)
+        for _ in range(60):
+            f = word(bound.pack(small()))
+            lcms = {word_lcm(word(bound.pack(small())), f, guards)
+                    for _ in range(rng.randrange(1, 30))}
+            got = minimal_words(lcms, guards)
+            assert list(got) == sorted(got)
+            assert set(got) == set(_degree_sorted_minimal(lcms, bound)), order
+            assert minimal_words(list(lcms) * 2, guards) == got
 
 
 def test_exponent_overflow_rejected(ring3):
