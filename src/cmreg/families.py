@@ -11,7 +11,8 @@ binomial forms inside it, the residual ideal (the colon by the curve), and a
 canonically chosen extra form of prescribed degree from the residual that
 avoids the curve, giving the almost complete intersection whose regularity
 the verification layer studies.  Graded pieces are echelonized as sparse
-rows: every row is a monomial shift of a Groebner basis element.
+rows, one per monomial of in(I)_d: the first monomial shift of a Groebner
+basis element with that lead.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from . import hilbert
 from .groebner import Ideal
 from .idealops import colon, colon_by_variable_power, ideal_product
-from .ring import MAX_EXP, PolyRing, Polynomial, field_of_characteristic, pdict_addmul
+from .ring import (MAX_EXP, PolyRing, Polynomial, field_of_characteristic,
+                   grevlex_keys_of_degree, pdict_addmul)
 from ._linalg import rref
 
 
@@ -178,20 +180,31 @@ def residual_ideal(ci, curve, pivot):
 def graded_piece_basis(ideal, d):
     """Canonical echelon basis of the degree-d piece of an ideal.
 
-    The rows are the degree-d monomial shifts of the Groebner basis, as
-    sparse rows over the packed degree-d monomials sorted descending,
-    brought to reduced echelon form; the output is ordered by
-    descending leading monomial, so it is deterministic.
+    The rows are one degree-d monomial shift s * g of a Groebner basis
+    element per monomial of in(I)_d: walking the basis in order, s * g is
+    kept when its lead s * lead(g) is not claimed yet.  Rows with distinct
+    leads are independent, and every monomial of in(I)_d is such a lead, so
+    they span I_d.  They are sparse rows over the packed degree-d monomials
+    sorted descending, brought to reduced echelon form; the output is
+    ordered by descending leading monomial, so it is deterministic.
     """
     ring = ideal.ring
-    monomials = _monomials_of_degree(ring, d)
+    monomials = grevlex_keys_of_degree(ring.nvars, d)
     col_of = {k: i for i, k in enumerate(monomials)}
     rows = []
-    gb = ideal.groebner().polys
-    shifts = {k: _monomials_of_degree(ring, k) for k in {d - g.degree() for g in gb} if k >= 0}
-    for g in gb:
-        for shift in shifts.get(d - g.degree(), ()):
-            rows.append({col_of[k + shift]: c for k, c in g.pdict.items()})
+    claimed = set()
+    shifts = {}
+    for g in ideal.groebner().polys:
+        k = d - g.degree()
+        if k < 0:
+            continue
+        if k not in shifts:
+            shifts[k] = grevlex_keys_of_degree(ring.nvars, k)
+        lead = max(g.pdict)
+        for shift in shifts[k]:
+            if shift + lead not in claimed:
+                claimed.add(shift + lead)
+                rows.append({col_of[key + shift]: c for key, c in g.pdict.items()})
     out = [Polynomial._wrap(ring, {monomials[j]: c for j, c in row.items()})
            for row in rref(rows, ring.field)]
     expected = (math.comb(d + ring.nvars - 1, ring.nvars - 1)
@@ -199,22 +212,6 @@ def graded_piece_basis(ideal, d):
     if len(out) != expected:
         raise AssertionError("echelon basis size disagrees with the Hilbert function")
     return out
-
-
-def _monomials_of_degree(ring, d):
-    """The packed grevlex keys of the degree-d monomials, descending."""
-    n = ring.nvars
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == n - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for v in range(remaining, -1, -1):
-            rec(prefix + [v], remaining - v, pos + 1)
-
-    rec([], d, 0)
-    return sorted(map(ring.bound.pack, out), reverse=True)
 
 
 def extra_form(residual, curve, d):

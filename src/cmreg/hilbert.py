@@ -2,11 +2,16 @@
 
 The Hilbert series of A/I is read off the lead-term ideal of a Groebner
 basis: HS(t) = N(t) / (1-t)^n with N the numerator computed by a pivot
-recursion on the monomial generators (split on the most frequent variable).
-The recursion runs on the basis's own lead words (see ring.py): divisibility
-in the minimalization is a guarded subtraction, a generator's support a
-guarded decrement, and the variable counts of the pivot rule one sum of
-supports (Bigatti, JPAA 119, 1997).  Field i of a word is the exponent of
+recursion on the monomial generators (Bigatti, JPAA 119, 1997).  A
+generator whose support meets no other generator's splits off a factor:
+N(I) = (1 - t^deg g) N(rest).  Otherwise the pivot is x^e for the most
+frequent variable x and its smallest positive exponent e.  Every generator
+with x is divisible by x^e, so I + (x^e) is the generators without x plus
+the coprime x^e, and N(I) = (1 - t^e) N(without x) + t^e N(I : x^e); only
+I : x^e is minimalized.  The recursion runs on the basis's own lead words
+(see ring.py): divisibility in the minimalization is a guarded subtraction,
+a generator's support a guarded decrement, and the variable counts of the
+pivot rule one sum of supports.  Field i of a word is the exponent of
 some variable; which one does not matter, because N does not change when
 the variables are renamed.  So the numerator needs no monomial order, and
 any basis order gives it.  Dimension is the pole order at t = 1 and the
@@ -26,26 +31,12 @@ import math
 from dataclasses import dataclass
 
 from .groebner import Ideal
-from .ring import EXP_BITS, GREVLEX, minimal_words, word_support
+from .ring import EXP_BITS, GREVLEX, minimal_words
 
 
 def _poly_add(a, b):
     n = max(len(a), len(b))
     return tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-
-
-def _poly_shift(a, k):
-    return (0,) * k + tuple(a)
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return tuple(out)
 
 
 def _trim(a):
@@ -55,26 +46,12 @@ def _trim(a):
     return tuple(a)
 
 
-def _pairwise_coprime(gens, guards):
-    seen = 0
-    for g in gens:
-        s = word_support(g, guards)
-        if s & seen:
-            return False
-        seen |= s
-    return True
-
-
-def _split(gens, bound):
-    """Children of the pivot recursion: (gens + (x), gens : x)."""
-    guards = bound.guards
-    supports = [word_support(g, guards) for g in gens]
-    counts = sum(supports)  # field i: how many generators involve its variable
-    piv = max(range(bound.n), key=lambda i: ((counts >> EXP_BITS * i) % (1 << EXP_BITS), -i))
-    xg = 1 << EXP_BITS * piv
-    plus = minimal_words([xg] + [g for g, s in zip(gens, supports) if not s & xg], guards)
-    colon = minimal_words([g - xg if s & xg else g for g, s in zip(gens, supports)], guards)
-    return plus, colon
+def _times_one_minus(a, d):
+    """(1 - t^d) * a by one shifted subtraction."""
+    out = list(a) + [0] * d
+    for i, c in enumerate(a):
+        out[i + d] -= c
+    return _trim(out)
 
 
 def monomial_numerator(lead_words, nvars):
@@ -83,33 +60,62 @@ def monomial_numerator(lead_words, nvars):
     The generators' words may be in any order's layout: guards and degree are the same.
     """
     bound = GREVLEX.bind(nvars)
+    guards, degree = bound.guards, bound.degree
+    ones = guards >> EXP_BITS - 1
+    field = (1 << EXP_BITS) - 1
+    shifts = range(0, EXP_BITS * nvars, EXP_BITS)
+    # A field of a sum of supports counts the generators with that variable;
+    # its bits 1 and up are set exactly when two generators share it.
+    shared_bits = (field - 1) * ones & ~guards
+
+    def step(gens):
+        """(rest, None, degrees) when generators of these degrees meet no
+        other's support and split off their factors (1 - t^deg); else
+        (the generators without x, gens : x^e, e) for the pivot x^e."""
+        # Each support has the guard bit of each nonzero field: a guarded decrement.
+        supports = [((g | guards) - ones) & guards for g in gens]
+        counts = sum(supports) >> EXP_BITS - 1
+        shared = (((counts & shared_bits) | guards) - ones) & guards
+        rest = tuple(g for g, s in zip(gens, supports) if s & shared)
+        if len(rest) < len(gens):
+            return rest, None, [degree(g) for g, s in zip(gens, supports) if not s & shared]
+        best = sh = 0
+        for i in shifts:
+            c = counts >> i & field
+            if c > best:
+                best, sh = c, i
+        xg = guards & field << sh
+        e = min(g >> sh & field for g, s in zip(gens, supports) if s & xg)
+        plus = tuple(g for g, s in zip(gens, supports) if not s & xg)
+        xe = e << sh
+        colon = minimal_words([g - xe if s & xg else g for g, s in zip(gens, supports)], guards)
+        return plus, colon, e
+
     # A tuple per generator set, ascending as ints, is the memo's key.
-    root = minimal_words(lead_words, bound.guards)
-    memo = {}
+    root = minimal_words(lead_words, guards)
+    memo = {(): (1,), (0,): ()}
+    steps = {}
     stack = [root]
     while stack:
         gens = stack[-1]
         if gens in memo:
             stack.pop()
             continue
-        if not gens:
-            memo[gens] = (1,)
-            stack.pop()
-            continue
-        if _pairwise_coprime(gens, bound.guards):
-            val = (1,)
-            for g in gens:
-                d = bound.degree(g)
-                val = _poly_mul(val, (1,) + (0,) * (d - 1) + (-1,)) if d else (0,)
-            memo[gens] = _trim(val) if val != (0,) else ()
-            stack.pop()
-            continue
-        plus, colon = _split(gens, bound)
-        pending = [c for c in (plus, colon) if c not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        memo[gens] = _trim(_poly_add(memo[plus], _poly_shift(memo[colon], 1)))
+        if gens not in steps:
+            steps[gens] = step(gens)
+            pending = [c for c in steps[gens][:2] if c is not None and c not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+        first, second, e = steps.pop(gens)
+        if second is None:
+            val = memo[first]
+            for d in e:
+                val = _times_one_minus(val, d)
+        else:
+            # N(I) = (1 - t^e) N(without x) + t^e N(I : x^e)
+            val = _trim(_poly_add(_times_one_minus(memo[first], e), (0,) * e + memo[second]))
+        memo[gens] = val
         stack.pop()
     return memo[root]
 
@@ -202,7 +208,7 @@ def nonzerodivisor(ideal, f):
     if not ideal.is_homogeneous():
         raise ValueError("the Hilbert-series certificate needs a homogeneous ideal")
     num = hilbert_series(ideal).numerator
-    shifted = _trim(_poly_add(num, _poly_shift(tuple(-c for c in num), f.degree())))
+    shifted = _times_one_minus(num, f.degree())
     return hilbert_series(Ideal(ideal.ring, ideal.gens + (f,))).numerator == shifted
 
 

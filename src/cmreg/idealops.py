@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from . import _kernel, hilbert
 from .groebner import Ideal, reduce
 from .resolution import regularity_ideal
-from .ring import (GREVLEX, Block, PermutedGrevlex, PolyRing, Polynomial, pdict_addmul,
-                   transport)
+from .ring import (EXP_BITS, GREVLEX, Block, PermutedGrevlex, PolyRing, Polynomial,
+                   pdict_addmul, transport)
 
 
 def ideal_product(I, J):
@@ -59,8 +59,7 @@ def intersect(I, J):
     t = ext.gen(0)
     gens = [t * transport(g, ext, up) for g in I.gens]
     gens += [(ext.one - t) * transport(h, ext, up) for h in J.gens]
-    down = [None] + list(range(ring.nvars))
-    return Ideal(ring, [transport(g, ring, down) for g in eliminate(Ideal(ext, gens), 1).gens])
+    return eliminate(Ideal(ext, gens), 1, ring)
 
 
 def _intersect_all(parts):
@@ -241,14 +240,25 @@ def a0(I):
     return hilbert.finite_length(I, saturate_irrelevant(I)).top_degree
 
 
-def eliminate(I, k):
+def eliminate(I, k, ring=None):
     """The elimination ideal of the first k variables: the elements of I's
-    basis in the block order Block(k) that are free of them, in I's ring."""
-    if not 1 <= k < I.ring.nvars:
-        raise ValueError(f"can eliminate 1 to {I.ring.nvars - 1} leading variables, not {k}")
+    basis in the block order Block(k) that are free of them.  It lies in I's
+    ring, or in ring when given: a ring over the same field on the other
+    variables, in order."""
+    n = I.ring.nvars
+    if not 1 <= k < n:
+        raise ValueError(f"can eliminate 1 to {n - 1} leading variables, not {k}")
+    if ring is not None and (ring.nvars != n - k or ring.field != I.ring.field):
+        raise ValueError(f"the target ring needs {n - k} variables over {I.ring.field}")
     gb = I.groebner(Block(k))
-    # In Block(k) a lead free of the first k variables makes every term free of them.
-    return Ideal(I.ring, [g for g, e in zip(gb, gb.leading_exps()) if not any(e[:k])])
+    # The first k fields are the top of a Block(k) word, and in Block(k) a
+    # lead free of them makes every term free of them.
+    rest = 1 << EXP_BITS * (n - k)
+    kept = [pd for pd, w in zip(gb._basis, gb.lead_words()) if w < rest]
+    if ring is None:
+        return Ideal(I.ring, [_kernel.from_packed(gb._ctx, pd, I.ring) for pd in kept])
+    # Free of the block, a Block(k) key is the grevlex key of the other variables.
+    return Ideal(ring, [Polynomial._wrap(ring, dict(pd)) for pd in kept])
 
 
 def membership_exponent(I, l, g, jmax):

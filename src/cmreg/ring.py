@@ -311,6 +311,23 @@ def _grevlex_maps(n):
     return tuple(EXP_BITS * i for i in range(n)), word, key
 
 
+def grevlex_keys_of_degree(n, d):
+    """The grevlex keys of the degree-d monomials in n variables, descending.
+
+    At one degree the key d * S - w descends as the word w ascends, and the
+    words ascend with the last variable's exponent rising slowest.  Each
+    word starts with all of d in field 0; moving e units up to field i adds
+    e * (2**(EXP_BITS * i) - 1), from the last variable down, so no key is
+    packed or sorted.
+    """
+    words = [d]
+    for i in range(n - 1, 0, -1):
+        step = (1 << EXP_BITS * i) - 1
+        words = [v for w in words for v in range(w, w + ((w & _FIELD) + 1) * step, step)]
+    top = d << EXP_BITS * n
+    return [top - w for w in words]
+
+
 class Grevlex(MonomialOrder):
     """Graded reverse lexicographic order; ties from the last variable."""
 

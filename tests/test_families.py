@@ -13,7 +13,9 @@ from cmreg.groebner import Ideal, member
 from cmreg.hilbert import dim_deg, nonzerodivisor
 from cmreg.idealops import colon, colon_by_variable_power
 from cmreg.resolution import regularity_ideal
-from cmreg.ring import MAX_EXP, Block, PolyRing, QQ, field_of_characteristic, transport
+from cmreg._linalg import rref
+from cmreg.ring import (MAX_EXP, Block, PolyRing, Polynomial, QQ, field_of_characteristic,
+                        grevlex_keys_of_degree, transport)
 from cmreg.verify import PRIMED_GRID, UNPRIMED_GRID
 
 
@@ -202,7 +204,7 @@ def test_graded_piece_basis_rows_are_normal_form_differences(fam22, which):
     ring = ideal.ring
     gb = ideal.groebner()
     leads = gb.leading_exps()
-    monomials = map(ring.bound.unpack, families._monomials_of_degree(ring, d))
+    monomials = map(ring.bound.unpack, grevlex_keys_of_degree(ring.nvars, d))
     initial = [u for u in monomials
                if any(all(x >= y for x, y in zip(u, lead)) for lead in leads)]
     assert initial
@@ -270,3 +272,42 @@ def test_builder_certificates_agree_with_the_colon_route(which, request):
         assert colon_by_variable_power(fam.curve, i).same_ideal(fam.curve)
     pivot = residual_pivot(fam.ring, fam.m, fam.n)
     assert colon(fam.residual, pivot).same_ideal(fam.residual)
+
+
+def _all_shifts_piece_basis(ideal, d):
+    """Oracle: rref of every degree-d monomial shift of every basis element,
+    over the monomials packed one by one and sorted."""
+    ring = ideal.ring
+    bound = ring.bound
+
+    def keys(k):
+        tuples = [()]
+        for i in range(ring.nvars - 1):
+            tuples = [t + (a,) for t in tuples for a in range(k - sum(t) + 1)]
+        return sorted((bound.pack(t + (k - sum(t),)) for t in tuples), reverse=True)
+
+    monomials = keys(d)
+    col_of = {k: i for i, k in enumerate(monomials)}
+    rows = []
+    for g in ideal.groebner().polys:
+        if g.degree() <= d:
+            for shift in keys(d - g.degree()):
+                rows.append({col_of[k + shift]: c for k, c in g.pdict.items()})
+    return [Polynomial._wrap(ring, {monomials[j]: c for j, c in row.items()})
+            for row in rref(rows, ring.field)]
+
+
+RESIDUAL_CASES = ([(m, n, False, char) for m, n in UNPRIMED_GRID for char in (32003, 0)]
+                  + [(m, n, True, char) for m, n in PRIMED_GRID for char in (32003, 0)]
+                  + [(3, 3, False, 32003), (4, 2, False, 32003), (3, 2, True, 32003)])
+
+
+@pytest.mark.parametrize("m, n, primed, char", RESIDUAL_CASES)
+def test_graded_piece_basis_equals_the_all_shifts_echelon(m, n, primed, char, monkeypatch):
+    inst = build_family(m, n, primed, char)
+    residual, d = inst.residual, inst.extra_degree
+    fed = []
+    monkeypatch.setattr(families, "rref", lambda rows, field: fed.append(len(rows)) or rref(rows, field))
+    basis = graded_piece_basis(residual, d)
+    assert basis == _all_shifts_piece_basis(residual, d)
+    assert fed == [len(basis)]  # one row per monomial of in(I)_d

@@ -12,7 +12,9 @@ from cmreg.families import build_family
 from cmreg.groebner import Ideal
 from cmreg.hilbert import (dim_deg, finite_length, hilbert_function,
                            hilbert_series, indeg, monomial_numerator)
-from cmreg.ring import GREVLEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ
+from cmreg.ring import (EXP_BITS, GREVLEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
+                        minimal_words, word_support)
+from cmreg.verify import PRIMED_GRID, UNPRIMED_GRID
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +173,125 @@ def test_series_cache_reused(ring4):
     d1 = hilbert_series(I)
     d2 = hilbert_series(I)
     assert d1 is d2
+
+
+# The oracle: the numerator recursion that splits on a variable x, with
+# I + (x) and I : x as children, and multiplies out pairwise-coprime
+# generators.
+def _oracle_add(a, b):
+    n = max(len(a), len(b))
+    return tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _oracle_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _oracle_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def _oracle_pairwise_coprime(gens, guards):
+    seen = 0
+    for g in gens:
+        s = word_support(g, guards)
+        if s & seen:
+            return False
+        seen |= s
+    return True
+
+
+def _oracle_split(gens, bound):
+    guards = bound.guards
+    supports = [word_support(g, guards) for g in gens]
+    counts = sum(supports)
+    piv = max(range(bound.n), key=lambda i: ((counts >> EXP_BITS * i) % (1 << EXP_BITS), -i))
+    xg = 1 << EXP_BITS * piv
+    plus = minimal_words([xg] + [g for g, s in zip(gens, supports) if not s & xg], guards)
+    colon = minimal_words([g - xg if s & xg else g for g, s in zip(gens, supports)], guards)
+    return plus, colon
+
+
+def _oracle_numerator(lead_words, nvars):
+    bound = GREVLEX.bind(nvars)
+    root = minimal_words(lead_words, bound.guards)
+    memo = {}
+    stack = [root]
+    while stack:
+        gens = stack[-1]
+        if gens in memo:
+            stack.pop()
+            continue
+        if not gens:
+            memo[gens] = (1,)
+            stack.pop()
+            continue
+        if _oracle_pairwise_coprime(gens, bound.guards):
+            val = (1,)
+            for g in gens:
+                d = bound.degree(g)
+                val = _oracle_mul(val, (1,) + (0,) * (d - 1) + (-1,)) if d else (0,)
+            memo[gens] = _oracle_trim(val) if val != (0,) else ()
+            stack.pop()
+            continue
+        plus, colon = _oracle_split(gens, bound)
+        pending = [c for c in (plus, colon) if c not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        memo[gens] = _oracle_trim(_oracle_add(memo[plus], (0,) + memo[colon]))
+        stack.pop()
+    return memo[root]
+
+
+def _words(n, exps):
+    bound = GREVLEX.bind(n)
+    return [bound.word(bound.pack(e)) for e in exps]
+
+
+def test_numerator_matches_the_variable_split_oracle_on_random_ideals():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        top = rng.choice((2, 5, 40))
+        exps = [tuple(rng.randint(1, top) if rng.random() < 0.5 else 0 for _ in range(n))
+                for _ in range(rng.randint(0, 30))]
+        words = _words(n, exps)
+        assert monomial_numerator(words, n) == _oracle_numerator(words, n), (n, exps)
+
+
+@pytest.mark.parametrize("n, exps, want", [
+    (3, [], (1,)),  # the zero ideal
+    (3, [(0, 0, 0)], ()),  # the unit ideal
+    (3, [(0, 0, 0), (1, 2, 0)], ()),
+    (2, [(1, 1), (1, 1), (2, 1)], (1, 0, -1)),  # duplicate and non-minimal words
+    (3, [(4, 0, 0), (0, 2, 0), (0, 0, 7)], None),  # pure powers
+    (3, [(3, 0, 0), (5, 0, 0), (0, 0, 1)], (1, -1, 0, -1, 1)),
+    (1, [(40,)], (1,) + (0,) * 39 + (-1,)),
+    (4, [(2, 3, 0, 0), (0, 3, 1, 0), (1, 0, 0, 5), (0, 0, 2, 2)], None),
+])
+def test_numerator_edge_cases_match_the_oracle(n, exps, want):
+    words = _words(n, exps)
+    got = monomial_numerator(words, n)
+    assert got == _oracle_numerator(words, n)
+    if want is not None:
+        assert got == want
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_numerator_matches_the_oracle_on_the_grid_lead_words(char):
+    for primed, grid in ((False, UNPRIMED_GRID), (True, PRIMED_GRID)):
+        for m, n in grid:
+            inst = build_family(m, n, primed, char)
+            for ideal in (inst.curve, inst.complete_intersection, inst.residual,
+                          inst.almost_complete_intersection):
+                words = ideal.groebner().lead_words()
+                nv = ideal.ring.nvars
+                assert monomial_numerator(words, nv) == _oracle_numerator(words, nv)

@@ -17,7 +17,7 @@ from cmreg.idealops import (colon, colon_by_variable_power, eliminate,
                             saturate_irrelevant,
                             saturation_exponent_bound_check,
                             substitute_variable)
-from cmreg.ring import PolyRing, PrimeField, QQ
+from cmreg.ring import PolyRing, PrimeField, QQ, field_of_characteristic, transport
 from cmreg.verify import DEFAULT_SEED, LEMMA12_ROUNDS, PRIMED_GRID, UNPRIMED_GRID
 from cmreg._linalg import rref
 
@@ -353,6 +353,23 @@ def test_eliminate_gens_really_avoid_variables():
             assert e[0] == 0  # a is gone
     # b*c^2 - 1 generates the elimination ideal
     assert E.same_ideal(Ideal(R, [b * c * c - 1]))
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_eliminate_into_the_smaller_ring_matches_transport(char):
+    # The kept Block(k) dicts are taken over as the grevlex dicts of the
+    # other variables; the checked route transports each generator down.
+    field = field_of_characteristic(char)
+    R = PolyRing(("s", "t", "x", "y", "z", "w"), field)
+    small = PolyRing(("x", "y", "z", "w"), field)
+    s, t, x, y, z, w = R.gens()
+    I = Ideal(R, [x - s ** 3, y - s * s * t, z - s * t * t, w - t ** 3])
+    down = [None, None, 0, 1, 2, 3]
+    E = eliminate(I, 2, small)
+    assert E.ring is small
+    assert E.gens == tuple(transport(g, small, down) for g in eliminate(I, 2).gens)
+    with pytest.raises(ValueError, match="target ring"):
+        eliminate(I, 1, small)
 
 
 @pytest.mark.parametrize("k", [0, 3])

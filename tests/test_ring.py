@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -10,8 +11,8 @@ import pytest
 
 from cmreg import ring
 from cmreg.ring import (GREVLEX, MAX_EXP, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
-                        field_of_characteristic, minimal_words, transport, word_lcm,
-                        word_support)
+                        field_of_characteristic, grevlex_keys_of_degree, minimal_words,
+                        transport, word_lcm, word_support)
 
 
 def test_prime_field_basics():
@@ -330,3 +331,18 @@ def test_identity_permutation_is_grevlex(first, monkeypatch):
         for i in range(m - 1):
             order = _variable_last(m, i)
             assert order != GREVLEX and order.perm[-1] == i
+
+
+def _exponent_tuples(n, d):
+    if n == 1:
+        return [(d,)]
+    return [(a,) + rest for a in range(d + 1) for rest in _exponent_tuples(n - 1, d - a)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_degree_d_keys_are_the_packed_monomials_descending(n):
+    bound = GREVLEX.bind(n)
+    for d in range(13):
+        keys = grevlex_keys_of_degree(n, d)
+        assert keys == sorted(map(bound.pack, _exponent_tuples(n, d)), reverse=True)
+        assert len(keys) == math.comb(d + n - 1, n - 1)
