@@ -27,8 +27,8 @@ classes with a coprime member.  ring.minimal_words keeps the minimal classes
 (the chain criterion) by one int sort; heap ties break on the pair's
 indices, so the push order does not matter.  The final pass keeps the
 elements of minimal lead, sorts them once by lead, and reduces each tail
-against that one list, the element itself included (a lead divides no
-smaller term), before putting the monic lead back.  On prime fields every
+against the elements of smaller lead only (a lead divides no smaller term)
+before putting the monic lead back.  On prime fields every
 stored coefficient is in [1, p): no path stores a negative residue or a zero
 term.
 
@@ -37,9 +37,13 @@ integer multiple of its polynomial, and a normal form carries one common
 denominator for all its terms and reduces fraction-free (see _reduce), so
 Buchberger's S-pairs and remainders never leave the integers.  Fractions
 appear only at the boundary: normal_form returns them and the reduced basis
-is monic in them.  Schreyer syzygies over Q reduce fraction-free the same
-way.  Products of packed dicts outside the normal-form loop go through
-ring.pdict_addmul, which runs on Fractions over Q.
+is monic in them.  Schreyer syzygies over Q never meet a Fraction: _reduce
+tracks its steps in one flat integer dict keyed like the next module, which
+it rescales with the pending terms, so a syzygy is written once, during the
+reduction that proves it, and divided by its content is the primitive
+reducer of the next level.  Products of packed dicts outside the
+normal-form loop go through ring.pdict_addmul, which runs on Fractions
+over Q.
 
 Everything here is internal; the public API wraps it in ring.py, groebner.py
 and resolution.py.
@@ -62,7 +66,8 @@ class BudgetExceeded(RuntimeError):
 class Context:
     """A bound order plus field, with the order's key and word maps."""
 
-    __slots__ = ("bound", "field", "p", "unpack", "word", "key", "degree", "guards", "cmask")
+    __slots__ = ("bound", "field", "p", "unpack", "word", "key", "degree", "guards",
+                 "cmask", "cbits")
 
     def __init__(self, bound, field):
         self.bound = bound
@@ -74,6 +79,7 @@ class Context:
         self.degree = bound.degree
         self.guards = bound.guards
         self.cmask = None
+        self.cbits = 0
 
 
 class ModContext:
@@ -167,25 +173,38 @@ class Reducer:
         if not pdict:
             raise ValueError("zero polynomial cannot reduce")
         leadkey = max(pdict)
-        if ctx.p is not None:
-            lc = pdict[leadkey]
-            field = ctx.field
-            if lc != field(1):
-                inv = field.inv(lc)
-                pdict = {k: c * inv % ctx.p for k, c in pdict.items()}
-            lc = 1
-        else:
-            pdict, _ = _integral(pdict)
-            content = gcd(*pdict.values())
-            if pdict[leadkey] < 0:
-                content = -content
-            pdict = {k: c // content for k, c in pdict.items()}
-            lc = pdict[leadkey]
+        pdict = reducer_form(ctx, pdict, leadkey)
         tail = tuple((k, c) for k, c in pdict.items() if k != leadkey)
         if sugar is None:
             word, degree = ctx.word, ctx.degree
             sugar = max(degree(word(k)) for k in pdict)
-        return cls(index, leadkey, ctx.word(leadkey), tail, sugar=sugar, lc=lc)
+        return cls(index, leadkey, ctx.word(leadkey), tail, sugar=sugar,
+                   lc=pdict[leadkey])
+
+
+def reducer_form(ctx, pdict, leadkey):
+    """The multiple of a nonzero packed dict that a Reducer holds, pdict
+    itself when it is one already: monic over F_p; over Q primitive
+    integers with a positive lead.
+
+    Over Q a dict of Fractions (a Polynomial's, or a basis made monic) is
+    cleared of denominators first; the kernel's own remainders and
+    syzygies are already integers.
+    """
+    lc = pdict[leadkey]
+    p = ctx.p
+    if p is not None:
+        if lc == 1:
+            return pdict
+        inv = ctx.field.inv(lc)
+        return {k: c * inv % p for k, c in pdict.items()}
+    if type(lc) is not int:
+        pdict, _ = _integral(pdict)
+        lc = pdict[leadkey]
+    content = gcd(*pdict.values())
+    if lc < 0:
+        content = -content
+    return pdict if content == 1 else {k: c // content for k, c in pdict.items()}
 
 
 def reducer_dict(red):
@@ -208,29 +227,55 @@ def normal_form(ctx, f, reducers, track=False):
     quotient dict with f == sum(q * monic reducer) + remainder.  The highest
     term is rewritten first and the first reducer in list order wins, so the
     result is deterministic in the given reducer order.  Over Q the work is
-    done on integers (see _reduce); only the results are Fractions.
+    done on integers (see _reduce); only the results are Fractions.  The
+    quotients are read once, at the end, off _reduce's flat track, whose
+    key (k << bits) | index holds the step at ring key k.
     """
-    if ctx.p is not None:
-        rem, _, quots = _reduce(ctx, dict(f), reducers, track)
-        return rem, quots
-    h, den = _integral(f)
-    rem, den, quots = _reduce(ctx, h, reducers, track, den)
-    return _fractions(rem, den), quots
+    p = ctx.p
+    h, den = (dict(f), 1) if p is not None else _integral(f)
+    if track:
+        bits = max([red.index for red in reducers], default=0).bit_length()
+        track = ({}, bits, range(1 << bits))
+    rem, den, syz = _reduce(ctx, h, reducers, track, den)
+    if p is None:
+        rem = _fractions(rem, den)
+    if syz is None:
+        return rem, None
+    by_index = {red.index: red for red in reducers}
+    mask = (1 << bits) - 1
+    quots = {}
+    for K, v in syz.items():
+        red = by_index[K & mask]
+        # The step subtracted -v * x^shift * red from den * f; red / lc is monic.
+        q = -v % p if p is not None else Fraction(-v * red.lc, den)
+        quots.setdefault(red.index, {})[(K >> bits) - red.leadkey] = q
+    return rem, quots
 
 
 def _fractions(h, den):
     return {k: Fraction(c, den) for k, c in h.items()}
 
 
-def _reduce(ctx, h, reducers, track=False, den=1):
-    """The normal-form loop; returns (rem, den, quots), the remainder rem / den.
+def _reduce(ctx, h, reducers, track=None, den=1):
+    """The normal-form loop; returns (rem, den, syz), the remainder rem / den.
 
     h is consumed.  Over F_p, den stays 1 and the loop is field arithmetic.
     Over Q, h holds ints and stands for h / den, and each step is a
     fraction-free pseudo-reduction: for top coefficient c and reducer lead
     lc, with g = gcd(c, lc) and a = lc / g, the pending terms, the remainder
-    and den are multiplied by a, and (c / g) * x^shift * tail is subtracted.
-    The quotient term of that step is c / den.
+    and den are multiplied by a, and (c / g) * x^shift * reducer is
+    subtracted.
+
+    track, when given, is (syz, bits, tags): a dict written in place and the
+    layout of its keys.  A step at popped key k with reducer red writes minus
+    its multiple, p - c over F_p and -(c / g) over Q, at key
+    ((k >> cbits) << bits) | tags[red.index]; over Q every rescale by a
+    multiplies syz too.  So syz * reducers - (h + rem) only ever changes by
+    the common scale.  Popped keys strictly decrease, so no step key is
+    written twice; seeded with a vector whose image is h, syz ends as a
+    syzygy when h reduces to zero.  When the tags are the next module's
+    ranks of the reducers, that key is the next module's key of
+    x^shift * e_t.
 
     A ring Context (cmask None) scans the reducer list.  A ModContext takes
     reducers grouped by lead component, {rank: list}, and scans only the
@@ -240,10 +285,11 @@ def _reduce(ctx, h, reducers, track=False, den=1):
     word = ctx.word
     guards = ctx.guards
     cmask = ctx.cmask
+    cbits = ctx.cbits
     heap = [-k for k in h]
     heapq.heapify(heap)
     rem = {}
-    quots = {} if track else None
+    syz, bits, tags = track if track else (None, 0, None)
     pop = heapq.heappop
     push = heapq.heappush
     while heap:
@@ -262,10 +308,8 @@ def _reduce(ctx, h, reducers, track=False, den=1):
             continue
         shift = k - red.leadkey
         if p is not None:
-            if track:
-                qd = quots.setdefault(red.index, {})
-                prev = qd.get(shift)
-                qd[shift] = c if prev is None else (prev + c) % p
+            if syz is not None:
+                syz[((k >> cbits) << bits) | tags[red.index]] = p - c
             for tk, tc in red.tail:
                 nk = tk + shift
                 prev = h.get(nk)
@@ -281,11 +325,6 @@ def _reduce(ctx, h, reducers, track=False, den=1):
                     else:
                         del h[nk]
         else:
-            if track:
-                q = Fraction(c, den)
-                qd = quots.setdefault(red.index, {})
-                prev = qd.get(shift)
-                qd[shift] = q if prev is None else prev + q
             lc = red.lc
             if lc != 1:
                 g = gcd(c, lc)
@@ -294,7 +333,12 @@ def _reduce(ctx, h, reducers, track=False, den=1):
                     h = {t: v * a for t, v in h.items()}
                     rem = {t: v * a for t, v in rem.items()}
                     den *= a
+                    if syz is not None:
+                        for t, v in syz.items():
+                            syz[t] = v * a
                 c //= g
+            if syz is not None:
+                syz[((k >> cbits) << bits) | tags[red.index]] = -c
             for tk, tc in red.tail:
                 nk = tk + shift
                 prev = h.get(nk)
@@ -307,7 +351,7 @@ def _reduce(ctx, h, reducers, track=False, den=1):
                         h[nk] = v
                     else:
                         del h[nk]
-    return rem, den, quots
+    return rem, den, syz
 
 
 def _spair(gi, gj, lcmkey, p):
@@ -432,11 +476,14 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     # Minimalize leads, then one tail-reduction pass gives the reduced basis.
     minimal = set(minimal_words([r.leadword for r in G], guards))
     kept = sorted((r for r in G if r.leadword in minimal), key=lambda r: r.leadkey)
-    # A lead divides no smaller term, so each tail reduces against all of
-    # kept, itself included, and the monic lead goes back on top.
+    # Every term met while reducing the tail of kept[r] is below its lead,
+    # and a lead divides no smaller term, so kept[:r] holds every reducer
+    # that can act, in the same first-divisor order as all of kept.  The
+    # monic lead goes back on top.
     final = []
-    for red in reversed(kept):
-        rem, den, _ = _reduce(ctx, dict(red.tail), kept, den=red.lc)
+    for r in range(len(kept) - 1, -1, -1):
+        red = kept[r]
+        rem, den, _ = _reduce(ctx, dict(red.tail), kept[:r], den=red.lc)
         out = {red.leadkey: one}
         out.update(rem if p is not None else _fractions(rem, den))
         final.append(out)

@@ -5,9 +5,10 @@ packed in grevlex whatever the basis order.  Buchberger's algorithm
 with Gebauer-Moeller pair elimination and degree-then-sugar pair selection
 always returns the reduced basis, which is canonical for a given ideal and
 order.  Ideal objects cache one basis per order; the cache is written once
-and read-only afterwards.  A basis keeps the kernel's packed dicts, and its
-tuple of polynomials, polys, is built the first time it is read; that fill
-is idempotent (a race builds equal tuples), so sharing across threads stays
+and read-only afterwards.  A basis keeps the kernel's packed dicts; its
+tuple of polynomials, polys, is built the first time it is read, and its
+kernel reducers the first time a normal form needs them.  Each fill is
+idempotent (a race builds equal values), so sharing across threads stays
 safe.  reduce divides by a list of polynomials in grevlex.
 """
 
@@ -45,7 +46,9 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic polynomials sorted by decreasing lead.
 
     It keeps the kernel's packed basis; polys, the tuple of ring
-    polynomials, is built the first time it is read.
+    polynomials, is built the first time it is read, and the reducers the
+    first time a normal form needs them.  The leads are read off the
+    packed dicts.
     """
 
     __slots__ = ("ring", "order", "stats", "_ctx", "_basis", "_reducers", "_polys")
@@ -56,8 +59,7 @@ class GroebnerBasis:
         self.stats = dict(stats)
         self._ctx = ctx
         self._basis = basis
-        self._reducers = [_kernel.Reducer.from_packed(ctx, d, index=i, sugar=0)
-                          for i, d in enumerate(basis)]
+        self._reducers = None
         self._polys = None
 
     @property
@@ -77,25 +79,38 @@ class GroebnerBasis:
     def __getitem__(self, i):
         return self.polys[i]
 
+    @property
+    def reducers(self):
+        """The kernel's reducers of the basis, built the first time a normal
+        form needs them; most bases are only read for their leads."""
+        reducers = self._reducers
+        if reducers is None:
+            ctx = self._ctx
+            reducers = self._reducers = [_kernel.Reducer.from_packed(ctx, d, index=i, sugar=0)
+                                         for i, d in enumerate(self._basis)]
+        return reducers
+
     def leading_exps(self):
         """Leading exponent tuples under this basis's own order."""
-        return tuple(self._ctx.unpack(r.leadkey) for r in self._reducers)
+        unpack = self._ctx.unpack
+        return tuple(unpack(max(d)) for d in self._basis)
 
     def lead_words(self):
         """Exponent words of the leads, in this order's word layout (see ring.py)."""
-        return [r.leadword for r in self._reducers]
+        word = self._ctx.word
+        return [word(max(d)) for d in self._basis]
 
     def normal_form(self, f):
         """Canonical remainder of f modulo the ideal, in this order."""
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         pd = _kernel.to_packed(self._ctx, f)
-        rem, _ = _kernel.normal_form(self._ctx, pd, self._reducers)
+        rem, _ = _kernel.normal_form(self._ctx, pd, self.reducers)
         return _kernel.from_packed(self._ctx, rem, self.ring)
 
     def reduces_to_zero(self, f):
         pd = _kernel.to_packed(self._ctx, f)
-        rem, _ = _kernel.normal_form(self._ctx, pd, self._reducers)
+        rem, _ = _kernel.normal_form(self._ctx, pd, self.reducers)
         return not rem
 
     def __repr__(self):

@@ -271,7 +271,7 @@ def membership_exponent(I, l, g, jmax):
     if g.ring != I.ring or l.ring != I.ring:
         raise ValueError("polynomial from a different ring")
     gb = I.groebner()
-    ctx, reducers = gb._ctx, gb._reducers
+    ctx, reducers = gb._ctx, gb.reducers
     cur, _ = _kernel.normal_form(ctx, _kernel.to_packed(ctx, g), reducers)
     for j in range(jmax + 1):
         if not cur:

@@ -3,8 +3,8 @@
 The resolution of A/I is built by iterated syzygies in the Schreyer order:
 the reduced Groebner basis gives the first matrix, and at each level the
 surviving S-pairs (after lead-divisibility pruning inside each component)
-reduce to zero with tracked quotients, which are exactly the next level's
-syzygies.  Each level's free module is a _kernel.ModContext: a module term
+reduce to zero, and each reduction writes the next level's syzygy as it
+goes.  Each level's free module is a _kernel.ModContext: a module term
 is one packed int in the Schreyer order, so the S-pairs and their
 reductions are the kernel's _spair and _reduce, as for ideals.
 
@@ -16,25 +16,31 @@ the degree-j generators of F_i and C_{i,j} is the block of constant entries
 of d_i between degree-j generators (Erocal, Motsak, Schreyer and Steenpass,
 "Refined algorithms to compute syzygies", JSC 74, 2016).
 
+Every level is stored as its reducers hold it: monic over F_p, and over Q
+each element a primitive integer vector with a positive lead.  A syzygy is
+written once, by the reduction that proves it (_kernel._reduce tracks its
+steps in the next module's keys), so over Q no syzygy passes through a
+Fraction.
+
 Certification is part of the construction: every S-pair must reduce to zero
 with its predicted syzygy lead.  One pass over the finished levels then
 decodes each stored term once: it adds the term's image into the level
-below, so consecutive Schreyer differentials must compose to zero, and it
-collects the constant entries, which must join generators of one degree,
-while it counts the generators by degree.  No Betti number may come out
-negative, the length must not exceed the number of variables, and the
-alternating sum of the Betti numbers must reproduce the Hilbert numerator
-computed independently from lead terms.  Any failure is a hard error, not a
-warning.
+below, an integer sum on both fields, so consecutive Schreyer differentials
+must compose to zero, and it collects the constant entries, which must join
+generators of one degree, while it counts the generators by degree.  No
+Betti number may come out negative, the length must not exceed the number
+of variables, and the alternating sum of the Betti numbers must reproduce
+the Hilbert numerator computed independently from lead terms.  Any failure
+is a hard error, not a warning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd
 
 from . import _kernel, hilbert
-from ._kernel import Context, ModContext, Reducer, _reduce, _spair
+from ._kernel import Context, ModContext, Reducer, _reduce, _spair, reducer_form
 from ._linalg import echelon
 from .ring import GREVLEX, word_lcm
 
@@ -111,13 +117,18 @@ def _schreyer_levels(ctx, gb_packed, nvars):
 
     levels[l] lists the elements of level l + 1, sorted descending by lead,
     as packed dicts in the keys of modules[l], the free module they live in.
-    modules[0] is the ring, of rank one, where a module key is the ring key;
-    modules[l + 1] has one basis element per element of levels[l].
+    Each element is stored as its reducer holds it (see
+    _kernel.reducer_form): monic over F_p, a primitive integer vector with
+    a positive lead over Q, so the next level's syzygies refer to exactly
+    these elements.  modules[0] is the ring, of rank one, where a module key
+    is the ring key; modules[l + 1] has one basis element per element of
+    levels[l].
     """
     word, degree = ctx.word, ctx.degree
     module = ModContext(ctx, [0], [()], [0])
     modules = [module]
-    current = sorted(gb_packed, key=max, reverse=True)
+    current = [reducer_form(ctx, d, max(d)) for d in gb_packed]
+    current.sort(key=max, reverse=True)
     levels = []
     while current:
         levels.append(current)
@@ -139,23 +150,24 @@ def _schreyer_levels(ctx, gb_packed, nvars):
 
 
 def _syzygies(ctx, module, new, elems):
-    """The Schreyer syzygies of the monic elems of module, keyed in new.
+    """The Schreyer syzygies of elems, in reducer form, keyed in new.
 
     Within each lead component, a pair (i, j) survives when no kept pair
-    (i, j') has a monomial cofactor T' dividing its T.  Its S-pair, lambda
-    times x^si e_i - x^sj e_j mapped to module, reduces to zero by _reduce
-    against the elems, and lambda e_i x^si - lambda e_j x^sj minus the
-    quotients, made monic, is the syzygy.  Over F_p, lambda is 1; over Q
-    _spair forms lambda = lcm(lc_i, lc_j) times the monic S-pair.
+    (i, j') has a monomial cofactor T' dividing its T.  Its S-pair,
+    a_i x^si e_i - a_j x^sj e_j mapped to module with the scalars of _spair
+    (1 over F_p), reduces to zero by _reduce against the elems.  That
+    reduction writes its steps into the syzygy seeded with those two terms,
+    in new's keys, so it ends as the syzygy itself: monic over F_p, and over
+    Q an integer vector with a positive lead, divided by its content.
     """
-    field, p = ctx.field, ctx.p
+    p = ctx.p
     keyof, degree, guards = ctx.key, ctx.degree, ctx.guards
     cbits, cmask = module.cbits, module.cmask
     reds = [Reducer.from_packed(module, el, index=i, sugar=0) for i, el in enumerate(elems)]
     by_rank = {}
     for red in reds:
         by_rank.setdefault(red.leadkey & cmask, []).append(red)
-    enc = new.enc
+    ncbits, rank = new.cbits, new.rank
     out = []
     for group in by_rank.values():
         for a, ri in enumerate(group):
@@ -175,30 +187,22 @@ def _syzygies(ctx, module, new, elems):
             i = ri.index
             for T, j in kept:
                 rj = reds[j]
-                si = keyof(T)
-                lcmkey = ri.leadkey + (si << cbits)
-                rem, _, quots = _reduce(module, _spair(ri, rj, lcmkey, p), by_rank, True)
+                lcmkey = ri.leadkey + (keyof(T) << cbits)
+                # x^si e_i and x^sj e_j both map to the S-pair's lcm.  No
+                # step of the reduction writes over them: each reduces a term
+                # below the lcm, with a reducer other than i and j when the
+                # term shares the lcm's ring part.
+                top = (lcmkey >> cbits) << ncbits
+                lead = top | rank[i]
+                g = gcd(ri.lc, rj.lc)
+                aj = ri.lc // g
+                syz = {lead: rj.lc // g, top | rank[j]: p - aj if p else -aj}
+                rem, _, _ = _reduce(module, _spair(ri, rj, lcmkey, p), by_rank, (syz, ncbits, rank))
                 if rem:
                     raise AssertionError("S-pair of a Schreyer basis failed to reduce to zero")
-                lam = field(lcm(ri.lc, rj.lc))
-                lead = enc(i, si)
-                syz = {lead: lam, enc(j, (lcmkey - rj.leadkey) >> cbits): field.neg(lam)}
-                for t, qd in quots.items():
-                    for shift, coef in qd.items():
-                        key = enc(t, shift >> cbits)
-                        prev = syz.get(key)
-                        val = field.neg(coef) if prev is None else field.sub(prev, coef)
-                        if val:
-                            syz[key] = val
-                        else:
-                            syz.pop(key, None)
                 if max(syz) != lead:
                     raise AssertionError("Schreyer syzygy lead differs from its predicted value")
-                lc = syz[lead]
-                if lc != field(1):
-                    inv = field.inv(lc)
-                    syz = {t: field.mul(cf, inv) for t, cf in syz.items()}
-                out.append(syz)
+                out.append(reducer_form(module, syz, lead))
     return out
 
 
@@ -207,9 +211,12 @@ def _betti_entries(levels, modules):
     Schreyer levels in one certified pass.
 
     Each term x^k e_c of a level-i element is decoded once.  Above level 1
-    it adds x^k times element c of level i - 1 into the element's image; the
-    sums accumulate without reduction, so over F_p an image vanishes when it
-    is 0 mod p, and every image must vanish.  A constant term (k = 0) is an
+    it adds x^k times element c of level i - 1, as stored, into the
+    element's image.  Every stored coefficient is an int on both fields
+    (over Q the levels are primitive integer vectors), so the image is an
+    integer sum; it accumulates without reduction, so over F_p an image
+    vanishes when it is 0 mod p, and every image must vanish.  A constant
+    term (k = 0) is an
     entry of the element's row in C_{i,j}, whose row and column must both
     have degree j.  Returns ({(i, j): beta_{i,j}}, sum of the ranks).
     """

@@ -88,6 +88,19 @@ def test_saturated_variable_colon_leaves_the_basis_tuple_unbuilt():
         assert I.groebner(_variable_last(R.nvars, i))._polys is None
 
 
+@pytest.mark.parametrize("char", [32003, 0])
+def test_reducers_are_built_on_the_first_normal_form(char):
+    R = PolyRing(("x", "y", "z", "w"), field_of_characteristic(char))
+    x, y, z, w = R.gens()
+    I = Ideal(R, [2 * x * z - 3 * y * y, x * w - 5 * y * z + w * w, y * w - 7 * z * z])
+    gb = I.groebner(Block(2))
+    words, exps = gb.lead_words(), gb.leading_exps()
+    assert gb._reducers is None
+    assert gb.reduces_to_zero(I.gens[0])
+    assert [r.leadword for r in gb.reducers] == words
+    assert tuple(gb._ctx.unpack(r.leadkey) for r in gb.reducers) == exps
+
+
 def test_membership(ring4q):
     x, y, z, w = ring4q.gens()
     I = twisted_cubic(ring4q)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cmreg import _kernel
-from cmreg._kernel import Context
+from cmreg._kernel import Context, ModContext
 from cmreg.cli import parse_ideal_file
 from cmreg.families import build_family
 from cmreg.groebner import Ideal
@@ -20,7 +20,8 @@ from cmreg.hilbert import hilbert_series
 from cmreg.idealops import a0
 from cmreg.resolution import (BettiTable, _betti_entries, _schreyer_levels, betti,
                               minimal_resolution, pdim, regularity, regularity_ideal)
-from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ, pdict_addmul, transport
+from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ, pdict_addmul, transport, word_lcm
+from cmreg.verify import PRIMED_GRID, UNPRIMED_GRID
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +100,15 @@ def test_resolution_matrices_compose_to_zero(ring3f):
 
 
 def test_corrupted_syzygy_fails_the_complex_check():
-    ctx, levels, modules = _schreyer(build_family(2, 2).almost_complete_intersection)
-    _betti_entries(levels, modules)
-    syz = levels[1][0]
-    key = min(syz)
-    syz[key] = ctx.field.mul(syz[key], 2)
-    with pytest.raises(AssertionError, match="do not compose to zero"):
+    for char in (32003, 0):
+        ctx, levels, modules = _schreyer(build_family(2, 2, char=char).almost_complete_intersection)
         _betti_entries(levels, modules)
+        syz = levels[1][0]
+        key = min(syz)
+        # Doubled over F_p; over Q, where the sums are integers, off by one.
+        syz[key] = ctx.field.mul(syz[key], 2) if char else syz[key] + 1
+        with pytest.raises(AssertionError, match="do not compose to zero"):
+            _betti_entries(levels, modules)
 
 
 def test_constant_entry_across_degrees_fails_the_degree_check():
@@ -438,14 +441,11 @@ def test_constant_ranks_match_the_minimization_over_f7():
     assert cancelled > 0
 
 
-def test_rational_schreyer_syzygies_with_fractional_leads():
-    # Fractional coefficients give reducers with integer lead coefficients
-    # above 1, so the S-pair carries lambda = lcm(lc_i, lc_j) != 1.  The
-    # Schreyer work and the Betti table must be those over F_32003.
-    rng = random.Random(20261018)
-    R = PolyRing(("a", "b", "c", "d"), QQ)
-    Rp = PolyRing(R.names, PrimeField(32003))
-    for _ in range(3):
+def _fractional_terms(seed, count):
+    """Seeded generator lists over Q, {exponents: Fraction}, with fractional
+    and non-unit coefficients."""
+    rng = random.Random(seed)
+    for _ in range(count):
         gens = []
         for _ in range(4):
             terms = {}
@@ -456,11 +456,178 @@ def test_rational_schreyer_syzygies_with_fractional_leads():
                 terms[tuple(e)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
                                            rng.randint(1, 5))
             gens.append(terms)
+        yield gens
+
+
+def test_rational_schreyer_syzygies_with_fractional_leads():
+    # Fractional coefficients give reducers with integer lead coefficients
+    # above 1, so the S-pair carries lambda = lcm(lc_i, lc_j) != 1.  The
+    # Schreyer work and the Betti table must be those over F_32003.
+    R = PolyRing(("a", "b", "c", "d"), QQ)
+    Rp = PolyRing(R.names, PrimeField(32003))
+    for gens in _fractional_terms(20261018, 3):
         res = minimal_resolution(Ideal(R, [R.poly(t) for t in gens]))
         resp = minimal_resolution(Ideal(Rp, [Rp.poly({e: Rp.field(c) for e, c in t.items()})
                                              for t in gens]))
         assert res.stats == resp.stats and res.betti == resp.betti
         assert res.stats["cancelled"] > 0
+
+
+# The monic-Fraction oracle.  Before the integer resolution over Q, every
+# level was stored monic: level 1 the monic Fraction basis, and each syzygy
+# assembled from the tracked quotients of its S-pair's reduction, one
+# Fraction per term, then divided by its lead.  These functions keep that
+# route on Fractions, with a plain division loop, so the integer levels can
+# be checked against it element by element.
+
+def _oracle_reduce(module, h, groups, elems):
+    """Highest term first, the first element of the term's component whose
+    lead divides it; returns (remainder, {(element, shift): quotient})."""
+    word, guards, cmask = module.word, module.guards, module.cmask
+    h = dict(h)
+    heap = [-k for k in h]
+    heapq.heapify(heap)
+    rem, quots = {}, {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = h.pop(k, None)
+        if c is None:
+            continue
+        t = next((t for t in groups.get(k & cmask, ())
+                  if not (word(k) - word(max(elems[t]))) & guards), None)
+        if t is None:
+            rem[k] = c
+            continue
+        lead = max(elems[t])
+        quots[(t, k - lead)] = quots.get((t, k - lead), 0) + c
+        for tk, tc in elems[t].items():
+            if tk == lead:
+                continue
+            nk = tk + k - lead
+            if nk not in h:
+                heapq.heappush(heap, -nk)
+            v = h.get(nk, 0) - c * tc
+            if v:
+                h[nk] = v
+            else:
+                h.pop(nk, None)
+    return rem, quots
+
+
+def _oracle_syzygies(ctx, module, new, elems):
+    keyof, degree, guards = ctx.key, ctx.degree, ctx.guards
+    cbits, cmask = module.cbits, module.cmask
+    groups = {}
+    for i, el in enumerate(elems):
+        groups.setdefault(max(el) & cmask, []).append(i)
+    out = []
+    for group in groups.values():
+        for a, i in enumerate(group):
+            wi = module.word(max(elems[i]))
+            cands = sorted((degree(T), j, T) for j in group[a + 1:]
+                           for T in [word_lcm(wi, module.word(max(elems[j])), guards) - wi])
+            kept = []
+            for _, j, T in cands:
+                if not any(not (T - Tk) & guards for Tk, _ in kept):
+                    kept.append((T, j))
+            for T, j in kept:
+                lcmkey = max(elems[i]) + (keyof(T) << cbits)
+                si, sj = lcmkey - max(elems[i]), lcmkey - max(elems[j])
+                spair = {}
+                for e, s, sign in ((i, si, 1), (j, sj, -1)):
+                    for k, c in elems[e].items():
+                        spair[k + s] = spair.get(k + s, 0) + sign * c
+                rem, quots = _oracle_reduce(module, {k: c for k, c in spair.items() if c},
+                                            groups, elems)
+                assert not rem
+                lead = new.enc(i, si >> cbits)
+                syz = {lead: Fraction(1), new.enc(j, sj >> cbits): Fraction(-1)}
+                for (t, shift), coef in quots.items():
+                    key = new.enc(t, shift >> cbits)
+                    val = syz.get(key, 0) - coef
+                    if val:
+                        syz[key] = val
+                    else:
+                        syz.pop(key, None)
+                assert max(syz) == lead
+                out.append({k: c / syz[lead] for k, c in syz.items()})
+    return out
+
+
+def _oracle_levels(ctx, gb_packed, nvars):
+    """The Schreyer levels with every element monic in Fractions."""
+    word, degree = ctx.word, ctx.degree
+    module = ModContext(ctx, [0], [()], [0])
+    current = sorted(({k: Fraction(c) for k, c in d.items()} for d in gb_packed),
+                     key=max, reverse=True)
+    levels = []
+    while current:
+        levels.append(current)
+        imgkeys, chains, degs = [], [], []
+        for i, el in enumerate(current):
+            lead = max(el)
+            imgkeys.append(lead >> module.cbits)
+            chains.append(module.chains[module.comp[lead & module.cmask]] + (i,))
+            degs.append(degree(word(lead >> module.cbits)))
+        new = ModContext(ctx, imgkeys, chains, degs)
+        current = sorted(_oracle_syzygies(ctx, module, new, current), key=max, reverse=True)
+        module = new
+        assert len(levels) <= nvars + 5
+    return levels
+
+
+ORACLE_QQ = sorted({(m, n, False) for m, n in UNPRIMED_GRID}
+                   | {(m, n, True) for m, n in PRIMED_GRID}
+                   | {(3, 3, False), (4, 2, False), (3, 2, True)})
+
+
+def _assert_matches_the_oracle(I):
+    ctx, levels, modules = _schreyer(I)
+    gb = [_kernel.to_packed(ctx, g) for g in I.groebner(GREVLEX).polys]
+    oracle = _oracle_levels(ctx, gb, I.ring.nvars)
+    assert [len(level) for level in levels] == [len(level) for level in oracle]
+    # scales[c] is element c of the level below over the oracle's element c,
+    # so a coefficient on e_c reads as coef * scales[c] in the oracle's basis.
+    scales = [Fraction(1)]
+    for level, expected, module in zip(levels, oracle, modules):
+        ratios = []
+        for el, want in zip(level, expected):
+            # A primitive integer vector with a positive lead ...
+            assert all(type(c) is int for c in el.values())
+            assert math.gcd(*el.values()) == 1 and el[max(el)] > 0
+            # ... and a nonzero rational multiple of the oracle's element.
+            assert el.keys() == want.keys()
+            ratio = el[max(el)] * scales[module.dec(max(el))[0]] / want[max(want)]
+            assert all(c * scales[module.dec(k)[0]] == ratio * want[k] for k, c in el.items())
+            ratios.append(ratio)
+        scales = ratios
+    res = minimal_resolution(Ideal(I.ring, I.gens))
+    entries, cancelled = _betti_entries(oracle, modules)
+    assert res.betti == BettiTable("A/I", entries)
+    assert res.stats["cancelled"] == cancelled
+    assert res.stats["nonminimal_ranks"] == [len(level) for level in oracle]
+
+
+@pytest.mark.parametrize("m,n,primed", ORACLE_QQ)
+def test_integer_levels_are_multiples_of_the_monic_fraction_oracle(m, n, primed):
+    _assert_matches_the_oracle(build_family(m, n, primed=primed, char=0).almost_complete_intersection)
+
+
+def test_integer_levels_with_fractional_leads_match_the_oracle():
+    # Integer leads above 1 make the reductions rescale their syzygies.
+    R = PolyRing(("a", "b", "c", "d"), QQ)
+    for gens in _fractional_terms(20261018, 3):
+        _assert_matches_the_oracle(Ideal(R, [R.poly(t) for t in gens]))
+
+
+@pytest.mark.parametrize("m,n,primed", ORACLE_QQ)
+def test_prime_field_levels_are_monic_and_reduced(m, n, primed):
+    I = build_family(m, n, primed=primed, char=32003).almost_complete_intersection
+    _, levels, _ = _schreyer(I)
+    for level in levels:
+        for el in level:
+            assert el[max(el)] == 1
+            assert all(0 < c < 32003 for c in el.values())
 
 
 BENCH = Path(__file__).resolve().parent.parent / "cmbench"
