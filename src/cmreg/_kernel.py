@@ -25,10 +25,12 @@ new lead f computes each lcm(lead_i, f) once: the old-pair deletion reads
 that list, one dict keeps the first index of each lcm class and one set the
 classes with a coprime member.  ring.minimal_words keeps the minimal classes
 (the chain criterion) by one int sort; heap ties break on the pair's
-indices, so the push order does not matter.  The final pass keeps the
-elements of minimal lead, sorts them once by lead, and reduces each tail
-against the elements of smaller lead only (a lead divides no smaller term)
-before putting the monic lead back.  On prime fields every
+indices, so the push order does not matter.  The final pass,
+reduced_basis, keeps the elements of minimal lead, sorts them once by
+lead, and reduces each tail against the elements of smaller lead only (a
+lead divides no smaller term) before putting the monic lead back; it also
+makes the reduced basis of a Groebner basis that an ideal operation derives
+from another (see idealops).  On prime fields every
 stored coefficient is in [1, p): no path stores a negative residue or a zero
 term.
 
@@ -173,7 +175,11 @@ class Reducer:
         if not pdict:
             raise ValueError("zero polynomial cannot reduce")
         leadkey = max(pdict)
-        pdict = reducer_form(ctx, pdict, leadkey)
+        return cls.of_form(ctx, reducer_form(ctx, pdict, leadkey), leadkey, index, sugar)
+
+    @classmethod
+    def of_form(cls, ctx, pdict, leadkey, index=0, sugar=None):
+        """The reducer of a dict already in reducer_form, of lead leadkey."""
         tail = tuple((k, c) for k, c in pdict.items() if k != leadkey)
         if sugar is None:
             word, degree = ctx.word, ctx.degree
@@ -390,7 +396,7 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     the queue; that happens only when a lead drops, which a homogeneous input
     under a degree order never does.  Pairs are pruned by Gebauer-Moeller and
     taken from a heap in normal order (min lcm degree, then sugar, then lcm
-    key); a final minimalize-and-tail-reduce pass gives the reduced basis.
+    key); reduced_basis minimalizes the leads and reduces the tails.
     Returns (basis, stats) with the basis monic and sorted descending by lead.
     """
     p = ctx.p
@@ -471,15 +477,24 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
             continue
         add(Reducer.from_packed(ctx, rem, sugar=sug))
 
-    if not G:
-        return [], stats
-    # Minimalize leads, then one tail-reduction pass gives the reduced basis.
-    minimal = set(minimal_words([r.leadword for r in G], guards))
-    kept = sorted((r for r in G if r.leadword in minimal), key=lambda r: r.leadkey)
-    # Every term met while reducing the tail of kept[r] is below its lead,
-    # and a lead divides no smaller term, so kept[:r] holds every reducer
-    # that can act, in the same first-divisor order as all of kept.  The
-    # monic lead goes back on top.
+    final = reduced_basis(ctx, G)
+    stats["basis_size"] = len(final)
+    return final, stats
+
+
+def reduced_basis(ctx, reducers):
+    """The reduced basis of a Groebner basis held as reducers of distinct leads.
+
+    The elements of minimal lead are kept and sorted once by lead.  Every
+    term met while reducing the tail of kept[r] is below its lead, and a
+    lead divides no smaller term, so kept[:r] holds every reducer that can
+    act, in the same first-divisor order as all of kept.  The monic lead goes
+    back on top.  Returns the monic packed dicts sorted descending by lead.
+    """
+    p = ctx.p
+    one = 1 if p is not None else Fraction(1)
+    minimal = set(minimal_words([r.leadword for r in reducers], ctx.guards))
+    kept = sorted((r for r in reducers if r.leadword in minimal), key=lambda r: r.leadkey)
     final = []
     for r in range(len(kept) - 1, -1, -1):
         red = kept[r]
@@ -487,5 +502,4 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
         out = {red.leadkey: one}
         out.update(rem if p is not None else _fractions(rem, den))
         final.append(out)
-    stats["basis_size"] = len(final)
-    return final, stats
+    return final

@@ -5,17 +5,22 @@ packed in grevlex whatever the basis order.  Buchberger's algorithm
 with Gebauer-Moeller pair elimination and degree-then-sugar pair selection
 always returns the reduced basis, which is canonical for a given ideal and
 order.  Ideal objects cache one basis per order; the cache is written once
-and read-only afterwards.  A basis keeps the kernel's packed dicts; its
-tuple of polynomials, polys, is built the first time it is read, and its
-kernel reducers the first time a normal form needs them.  Each fill is
-idempotent (a race builds equal values), so sharing across threads stays
-safe.  reduce divides by a list of polynomials in grevlex.
+and read-only afterwards.  An ideal that an operation derives from a
+Groebner basis (a variable colon, an elimination, a colon; see idealops)
+arrives holding the reduced basis it was built from, with no Buchberger
+run, and questions that need no particular order (containment, the Hilbert
+series) read a basis the ideal holds before asking for a new one.  A basis
+keeps the kernel's packed dicts; its tuple of polynomials, polys, is built
+the first time it is read, and its kernel reducers the first time a normal
+form needs them.  Each fill is idempotent (a race builds equal values), so
+sharing across threads stays safe.  reduce divides by a list of
+polynomials in grevlex.
 """
 
 from __future__ import annotations
 
 from . import _kernel
-from .ring import GREVLEX, Polynomial, spoly
+from .ring import GREVLEX, PermutedGrevlex, Polynomial, spoly
 
 
 def reduce(f, basis):
@@ -134,6 +139,18 @@ class Ideal:
         self._gb = {}
         self._cache = {}
 
+    @classmethod
+    def _holding(cls, ring, order, ctx, basis):
+        """The ideal generated by a reduced basis in order, given as monic
+        packed dicts of ctx sorted descending by lead; it holds that basis
+        and its gens are the basis's polynomials."""
+        stats = {"pairs_processed": 0, "zero_reductions": 0, "basis_size": len(basis)}
+        gb = GroebnerBasis(ring, order, basis, stats, ctx)
+        ideal = cls(ring, ())
+        ideal.gens = gb.polys
+        ideal._gb[repr(order)] = gb
+        return ideal
+
     def groebner(self, order=GREVLEX):
         """The reduced Groebner basis in the given order."""
         key = repr(order)
@@ -143,11 +160,22 @@ class Ideal:
             self._gb[key] = gb
         return gb
 
+    def _held_basis(self, degree_order=False):
+        """A basis the ideal holds: grevlex if held, else the first other one
+        it received (a permuted grevlex, when degree_order); the grevlex basis,
+        computed, when it holds none of these."""
+        held = self._gb.get(repr(GREVLEX))
+        if held is None:
+            held = next((gb for gb in tuple(self._gb.values())
+                         if not degree_order or isinstance(gb.order, PermutedGrevlex)), None)
+        return held if held is not None else self.groebner()
+
+    # The zero and the unit ideal have one reduced basis in every order.
     def is_zero(self):
-        return len(self.groebner()) == 0
+        return len(self._held_basis()) == 0
 
     def is_unit(self):
-        gb = self.groebner()
+        gb = self._held_basis()
         return len(gb) == 1 and gb[0].degree() == 0
 
     def is_homogeneous(self):
@@ -156,7 +184,8 @@ class Ideal:
     def contains_ideal(self, other):
         if other.ring != self.ring:
             raise ValueError("ideals from different rings")
-        gb = self.groebner()
+        # Membership holds in every Groebner basis.
+        gb = self._held_basis()
         return all(gb.reduces_to_zero(g) for g in other.gens)
 
     def same_ideal(self, other):

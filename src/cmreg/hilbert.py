@@ -147,11 +147,17 @@ class HilbertData:
 
 
 def hilbert_series(ideal):
-    """HilbertData of A/I, cached on the ideal."""
+    """HilbertData of A/I, cached on the ideal.
+
+    The numerator needs no particular order, so it is read off a basis the
+    ideal holds in a degree order: grevlex if held, else the first permuted
+    grevlex it received, as a variable colon hands it over.  Only an ideal
+    that holds neither has its grevlex basis computed.
+    """
     cached = ideal._cache.get("hilbert")
     if cached is not None:
         return cached
-    gb = ideal.groebner()
+    gb = ideal._held_basis(degree_order=True)
     num = monomial_numerator(gb.lead_words(), ideal.ring.nvars)
     data = _analyze(num, ideal.ring.nvars)
     ideal._cache["hilbert"] = data

@@ -3,11 +3,15 @@ homogeneous ideals by variables and by linear forms, variable substitution
 and elimination of the leading variables.
 
 Intersections eliminate t from t*I + (1-t)*J, and colons divide the
-intersection with a principal ideal.
+intersection with a principal ideal.  Each result is read off a Groebner
+basis and keeps it: an elimination holds the kept Block elements as its
+reduced grevlex basis, and a colon the reduced basis of the divided
+intersection basis (see groebner.Ideal), so no Buchberger run rebuilds it.
 
 Saturation by a variable is one Groebner basis: in a grevlex order with x_i
 moved last, in(I : x_i) = in(I) : x_i for homogeneous I (Bayer-Stillman), so
-I : x_i^inf comes from dividing every basis element by its x_i power.
+I : x_i^inf comes from dividing every basis element by its x_i power, and
+the quotients are a Groebner basis of it in that order, which it holds.
 Saturation by a linear form l is the same computation after a linear change
 of coordinates that sends l to a variable x_i.  The largest x_i power in a
 lead of that basis is the number q of strict steps in the colon chain
@@ -84,7 +88,8 @@ def quotient_exact(f, g):
 
 
 def colon(I, f):
-    """The colon ideal I : f for a single polynomial f."""
+    """The colon ideal I : f for a single polynomial f: the basis of
+    I cap (f), each element divided by f, made reduced; the result holds it."""
     if f.ring != I.ring:
         raise ValueError("polynomial from a different ring")
     if f.is_zero():
@@ -92,7 +97,13 @@ def colon(I, f):
     if f.degree() == 0:
         return Ideal(I.ring, I.gens)
     meet = intersect(I, Ideal(I.ring, [f]))
-    return Ideal(I.ring, [quotient_exact(g, f) for g in meet.gens])
+    # lead(h * f) = lead(h) * lead(f), so in(I cap (f)) = lead(f) * in(I : f):
+    # the quotients are a grevlex Groebner basis of I : f, with minimal
+    # leads, whose tails may still reduce.
+    ctx = _kernel.Context(I.ring.bound, I.ring.field)
+    reducers = [_kernel.Reducer.from_packed(ctx, quotient_exact(g, f).pdict, sugar=0)
+                for g in meet.gens]
+    return Ideal._holding(I.ring, GREVLEX, ctx, _kernel.reduced_basis(ctx, reducers))
 
 
 def linear_coefficients(l):
@@ -176,16 +187,6 @@ def saturate_by_variables(I, indices):
     return _intersect_all([colon_by_variable_power(I, i) for i in indices])
 
 
-def _divide_variable_power(g, i):
-    """g divided by the largest power x_i^v that divides it: one key subtracted."""
-    bound = g.ring.bound
-    v = min(bound.unpack(k)[i] for k in g.pdict)
-    if v == 0:
-        return g
-    shift = bound.pack(tuple(v if j == i else 0 for j in range(bound.n)))
-    return Polynomial._wrap(g.ring, {k - shift: c for k, c in g.pdict.items()})
-
-
 def _variable_last(n, i):
     """Grevlex on n variables with x_i moved last: grevlex itself when i is last."""
     if i == n - 1:
@@ -197,14 +198,26 @@ def colon_by_variable_power(I, i):
     """I : x_i^inf for homogeneous I, from one basis with x_i moved last.
 
     When no lead of that basis contains x_i, I is saturated by x_i and is
-    returned itself, so its cached bases are reused.
+    returned itself, so its cached bases are reused.  Otherwise each basis
+    element g is divided by x_i^v, v the x_i exponent of its lead: for
+    homogeneous g in grevlex with x_i last, x_i^v divides g exactly when it
+    divides lead(g), so the division is one key subtraction.  By
+    Bayer-Stillman the quotients are a Groebner basis of I : x_i^inf in that
+    order; the result holds its reduced basis.
     """
     if not I.is_homogeneous():
         raise ValueError("variable saturation shortcut needs a homogeneous ideal")
-    gb = I.groebner(_variable_last(I.ring.nvars, i))
-    if all(e[i] == 0 for e in gb.leading_exps()):
+    order = _variable_last(I.ring.nvars, i)
+    gb = I.groebner(order)
+    ctx = gb._ctx
+    powers = [ctx.unpack(max(d))[i] for d in gb._basis]
+    if not any(powers):
         return I
-    return Ideal(I.ring, [_divide_variable_power(g, i) for g in gb])
+    # A grevlex key is linear in the exponents: dividing by x_i^v subtracts v * key(x_i).
+    xi = ctx.bound.raw([int(j == i) for j in range(I.ring.nvars)])
+    reducers = [_kernel.Reducer.from_packed(ctx, {k - v * xi: c for k, c in d.items()}, sugar=0)
+                for d, v in zip(gb._basis, powers)]
+    return Ideal._holding(I.ring, order, ctx, _kernel.reduced_basis(ctx, reducers))
 
 
 def saturate_irrelevant(I):
@@ -215,9 +228,9 @@ def saturate_irrelevant(I):
     polynomial, so J/I^sat has finite length; A/I^sat has no m-torsion, so
     then J = I^sat.  The colons are tried from the last variable down (the
     last one reuses the grevlex basis of I) and the first that passes is the
-    answer.  If none is certified, I^sat is the intersection of the
-    inclusion-minimal colons; the containment tests reduce against the
-    ring-order bases the Hilbert series already built.
+    answer.  Each colon's Hilbert series reads the basis it holds.  If none
+    is certified, I^sat is the intersection of the inclusion-minimal colons;
+    the containment tests reduce against those held bases too.
     """
     cached = I._cache.get("sat")
     if cached is None:
@@ -244,7 +257,13 @@ def eliminate(I, k, ring=None):
     """The elimination ideal of the first k variables: the elements of I's
     basis in the block order Block(k) that are free of them.  It lies in I's
     ring, or in ring when given: a ring over the same field on the other
-    variables, in order."""
+    variables, in order.
+
+    The result holds those elements as its reduced grevlex basis: on
+    polynomials free of the block, Block(k) is grevlex on the other
+    variables, and the kept elements are monic, with minimal leads and tails
+    reduced against every lead.
+    """
     n = I.ring.nvars
     if not 1 <= k < n:
         raise ValueError(f"can eliminate 1 to {n - 1} leading variables, not {k}")
@@ -255,10 +274,13 @@ def eliminate(I, k, ring=None):
     # lead free of them makes every term free of them.
     rest = 1 << EXP_BITS * (n - k)
     kept = [pd for pd, w in zip(gb._basis, gb.lead_words()) if w < rest]
+    # Free of the block, a Block(k) key is already the grevlex key of the
+    # other variables; in I's ring it is re-keyed.
     if ring is None:
-        return Ideal(I.ring, [_kernel.from_packed(gb._ctx, pd, I.ring) for pd in kept])
-    # Free of the block, a Block(k) key is the grevlex key of the other variables.
-    return Ideal(ring, [Polynomial._wrap(ring, dict(pd)) for pd in kept])
+        ring = I.ring
+        kept = [_kernel.from_packed(gb._ctx, pd, ring).pdict for pd in kept]
+    ctx = _kernel.Context(ring.bound, ring.field)
+    return Ideal._holding(ring, GREVLEX, ctx, kept)
 
 
 def membership_exponent(I, l, g, jmax):

@@ -163,7 +163,7 @@ def _syzygies(ctx, module, new, elems):
     p = ctx.p
     keyof, degree, guards = ctx.key, ctx.degree, ctx.guards
     cbits, cmask = module.cbits, module.cmask
-    reds = [Reducer.from_packed(module, el, index=i, sugar=0) for i, el in enumerate(elems)]
+    reds = [Reducer.of_form(module, el, max(el), index=i, sugar=0) for i, el in enumerate(elems)]
     by_rank = {}
     for red in reds:
         by_rank.setdefault(red.leadkey & cmask, []).append(red)
@@ -181,9 +181,11 @@ def _syzygies(ctx, module, new, elems):
             cands.sort()
             kept = []
             for _, j, T in cands:
-                if any(not (T - Tk) & guards for Tk, _ in kept):
-                    continue
-                kept.append((T, j))
+                for Tk, _ in kept:
+                    if not (T - Tk) & guards:
+                        break
+                else:
+                    kept.append((T, j))
             i = ri.index
             for T, j in kept:
                 rj = reds[j]
@@ -223,25 +225,34 @@ def _betti_entries(levels, modules):
     p, field = modules[0].p, modules[0].field
     entries, blocks = {(0, 0): 1}, {}
     for i, elems in enumerate(levels, start=1):
-        dec, lower_degs, degs = modules[i - 1].dec, modules[i - 1].degs, modules[i].degs
-        # Level 1 lives in the ring, of rank one, with no level below.
-        lower, lower_cbits = (levels[i - 2], modules[i - 2].cbits) if i > 1 else ([{}], 0)
+        module, degs = modules[i - 1], modules[i].degs
+        comp, imgkeys, lower_degs = module.comp, module.imgkeys, module.degs
+        cbits, cmask = module.cbits, module.cmask
+        # Level 1 lives in the ring, of rank one, with no level below.  The
+        # level below is read once, as item tuples.
+        if i > 1:
+            lower, lower_cbits = [tuple(d.items()) for d in levels[i - 2]], modules[i - 2].cbits
+        else:
+            lower, lower_cbits = [()], 0
         for col, el in enumerate(elems):
             j = degs[col]
             entries[(i, j)] = entries.get((i, j), 0) + 1
             acc, row = {}, {}
             for K, coef in el.items():
-                c, k = dec(K)
+                # K decodes to x^k e_c, as module.dec(K) would give it.
+                c = comp[K & cmask]
+                k = (K >> cbits) - imgkeys[c]
                 if not k:
                     if lower_degs[c] != j:
                         raise AssertionError("a constant entry joins generators of different degrees")
                     row[c] = coef
                 shift = k << lower_cbits
-                for K2, c2 in lower[c].items():
+                for K2, c2 in lower[c]:
                     key = K2 + shift
                     acc[key] = acc.get(key, 0) + coef * c2
-            if any(v % p for v in acc.values()) if p else any(acc.values()):
-                raise AssertionError("consecutive Schreyer differentials do not compose to zero")
+            for v in acc.values():
+                if v % p if p else v:
+                    raise AssertionError("consecutive Schreyer differentials do not compose to zero")
             if row:
                 blocks.setdefault((i, j), []).append(row)
     cancelled = 0

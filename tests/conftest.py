@@ -1,9 +1,11 @@
-"""Shared fixtures: small standard rings and one cached family instance."""
+"""Shared fixtures: small standard rings, cached family instances and a
+counter of the kernel's Groebner work."""
 
 from __future__ import annotations
 
 import pytest
 
+from cmreg import _kernel
 from cmreg.ring import PolyRing, field_of_characteristic
 
 
@@ -27,3 +29,24 @@ def fam22():
 def fam12p():
     from cmreg.families import build_family
     return build_family(1, 2, primed=True)
+
+
+@pytest.fixture
+def count_kernel_work(monkeypatch):
+    """A function that starts counting _kernel.buchberger calls, pairs and
+    zero reductions and returns the running totals."""
+    def start():
+        totals = {"calls": 0, "pairs_processed": 0, "zero_reductions": 0}
+        kernel_buchberger = _kernel.buchberger
+
+        def counted(ctx, pdicts, *args, **kwargs):
+            basis, stats = kernel_buchberger(ctx, pdicts, *args, **kwargs)
+            totals["calls"] += 1
+            totals["pairs_processed"] += stats["pairs_processed"]
+            totals["zero_reductions"] += stats["zero_reductions"]
+            return basis, stats
+
+        monkeypatch.setattr(_kernel, "buchberger", counted)
+        return totals
+
+    return start

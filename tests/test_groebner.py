@@ -7,7 +7,9 @@ import random
 
 import pytest
 
+from cmreg import _kernel, groebner
 from cmreg.groebner import Ideal, buchberger, member, reduce, spair_certificate
+from cmreg.hilbert import hilbert_series
 from cmreg.idealops import _variable_last, colon_by_variable_power
 from cmreg.ring import (GREVLEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
                         field_of_characteristic, spoly)
@@ -175,3 +177,78 @@ def test_same_ideal_under_different_generators(ring4q):
     assert I.same_ideal(J)
     K = Ideal(ring4q, [x * z - y * y])
     assert not I.same_ideal(K)
+
+
+# --- ideals that hold a basis -------------------------------------------------
+
+def _unreduced(gb):
+    """gb's packed basis made a Groebner basis of the same leads that is not
+    reduced: each element tripled plus the next, of smaller lead, whose lead
+    the tail then holds, and the first times its own lead appended."""
+    field, basis = gb._ctx.field, gb._basis
+    out = []
+    for d, lower in zip(basis, basis[1:] + [{}]):
+        tripled = {k: field.mul(c, field(3)) for k, c in d.items()}
+        for k, c in lower.items():
+            tripled[k] = field.add(tripled.get(k, field(0)), c)
+        out.append({k: c for k, c in tripled.items() if c})
+    first = basis[0]
+    return out + [{k + max(first): c for k, c in first.items()}]
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("order", [GREVLEX, Block(1), PermutedGrevlex((3, 1, 0, 2))], ids=repr)
+def test_reduced_basis_of_a_groebner_basis_is_buchbergers(char, order):
+    R = PolyRing(("x", "y", "z", "w"), field_of_characteristic(char))
+    x, y, z, w = R.gens()
+    gb = Ideal(R, [2 * x * z - y * y + w * w, x * w - 3 * y * z, y * w - z * z + x * y]).groebner(order)
+    ctx = gb._ctx
+    reducers = [_kernel.Reducer.from_packed(ctx, d, sugar=0) for d in _unreduced(gb)]
+    assert _kernel.reduced_basis(ctx, reducers) == gb._basis
+    assert _kernel.reduced_basis(ctx, []) == []
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_an_ideal_made_holding_its_basis_runs_no_buchberger(char, monkeypatch):
+    R = PolyRing(("x", "y", "z", "w"), field_of_characteristic(char))
+    order = PermutedGrevlex((3, 1, 0, 2))
+    source = twisted_cubic(R).groebner(order)
+    J = Ideal._holding(R, order, source._ctx, source._basis)
+    monkeypatch.setattr(groebner, "buchberger", None)
+    gb = J.groebner(order)
+    assert J._gb == {repr(order): gb}
+    assert J.gens == gb.polys == source.polys
+    assert gb.stats == {"pairs_processed": 0, "zero_reductions": 0, "basis_size": 3}
+    # Containment and the Hilbert series read the held permuted grevlex basis.
+    assert J.contains_ideal(twisted_cubic(R))
+    assert hilbert_series(J).numerator == (1, 0, -3, 2)
+    assert J._gb == {repr(order): gb}
+    monkeypatch.undo()
+    assert J.same_ideal(twisted_cubic(R))
+
+
+def test_order_free_reads_prefer_a_held_basis(count_kernel_work):
+    R = PolyRing(("x", "y", "z", "w"), PrimeField(32003))
+    I = twisted_cubic(R)
+    I.groebner(Block(1))
+    totals = count_kernel_work()
+    # Any basis decides containment; a block order's leads do not give the
+    # Hilbert series, so it computes grevlex, which both then read.
+    assert I.contains_ideal(twisted_cubic(R))
+    assert totals["calls"] == 0
+    assert hilbert_series(I).numerator == (1, 0, -3, 2)
+    assert totals["calls"] == 1
+    assert I._held_basis() is I._held_basis(degree_order=True) is I.groebner()
+
+
+def test_zero_and_unit_tests_read_a_held_basis(count_kernel_work):
+    R = PolyRing(("x", "y", "z"), PrimeField(32003))
+    x, y, z = R.gens()
+    # (x^2, x*y, x*z) : x^inf is the unit ideal, held in grevlex with x last.
+    I = Ideal(R, [x * x, x * y, x * z])
+    J = colon_by_variable_power(I, 0)
+    totals = count_kernel_work()
+    assert J.is_unit() and not J.is_zero()
+    assert not I.is_unit() and not I.is_zero()
+    assert totals["calls"] == 0
+    assert J._gb.keys() == {repr(_variable_last(3, 0))}

@@ -9,8 +9,8 @@ import random
 import pytest
 
 from cmreg import idealops
-from cmreg.groebner import Ideal, member
-from cmreg.hilbert import hilbert_function, indeg, nonzerodivisor
+from cmreg.groebner import Ideal, member, spair_certificate
+from cmreg.hilbert import hilbert_function, hilbert_series, indeg, nonzerodivisor
 from cmreg.idealops import (colon, colon_by_variable_power, eliminate,
                             ideal_product, intersect, membership_exponent,
                             quotient_exact, saturate, saturate_by_variables,
@@ -657,3 +657,104 @@ def test_saturate_irrelevant_of_m_primary_zero_and_nonhomogeneous_ideals():
     assert not I.is_homogeneous()
     with pytest.raises(ValueError):
         saturate_irrelevant(I)
+
+
+# --- derived ideals hold the reduced basis they were built from --------------
+
+def _assert_holds_its_reduced_basis(J):
+    """J holds one basis, with no Buchberger work behind it, and it is the
+    reduced basis Buchberger computes from J's own gens in that order."""
+    (gb,) = J._gb.values()
+    assert gb.stats["pairs_processed"] == 0
+    assert gb.polys == J.gens
+    oracle = Ideal(J.ring, J.gens).groebner(gb.order)
+    assert gb._basis == oracle._basis
+    spair_certificate(gb)
+
+
+def _assert_order_free_reads_run_no_buchberger(J, inside, count_kernel_work):
+    """The Hilbert series of J and a containment in J read its held basis."""
+    totals = count_kernel_work()
+    hilbert_series(J)
+    assert J.contains_ideal(inside)
+    assert totals["calls"] == 0
+
+
+def _assert_variable_colons_hold_their_bases(I, count_kernel_work):
+    """Each I : x_i^inf that is not I holds its reduced basis, contains I and
+    is saturated by x_i: no lead of its basis with x_i last contains x_i."""
+    derived = 0
+    for i in range(I.ring.nvars):
+        F = _fresh(I)
+        J = colon_by_variable_power(F, i)
+        if J is not F:
+            _assert_order_free_reads_run_no_buchberger(J, I, count_kernel_work)
+            _assert_holds_its_reduced_basis(J)
+            assert colon_by_variable_power(J, i) is J
+            derived += 1
+    return derived
+
+
+def _family_ideals(fam):
+    return (fam.curve, fam.complete_intersection, fam.residual,
+            fam.almost_complete_intersection)
+
+
+GRID_FAMILIES = [(m, n, False) for m, n in UNPRIMED_GRID] + [(m, n, True) for m, n in PRIMED_GRID]
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("m,n,primed", GRID_FAMILIES)
+def test_variable_colons_of_the_grid_families_hold_their_reduced_bases(
+        m, n, primed, char, count_kernel_work):
+    from cmreg.families import build_family
+
+    ideals = _family_ideals(build_family(m, n, primed=primed, char=char))
+    # The curve is saturated by every variable, the others by at most one.
+    assert sum(_assert_variable_colons_hold_their_bases(I, count_kernel_work)
+               for I in ideals) > 2 * (ideals[0].ring.nvars - 1)
+
+
+@pytest.mark.parametrize("m,n,primed", [(3, 3, False), (4, 2, False), (3, 2, True)])
+def test_variable_colons_of_larger_families_hold_their_reduced_bases(
+        m, n, primed, count_kernel_work):
+    from cmreg.families import build_family
+
+    ideals = _family_ideals(build_family(m, n, primed=primed))
+    assert sum(_assert_variable_colons_hold_their_bases(I, count_kernel_work)
+               for I in ideals) > 2 * (ideals[0].ring.nvars - 1)
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_intersection_colon_and_saturation_hold_their_reduced_bases(char, count_kernel_work):
+    from cmreg.families import build_family, residual_pivot
+
+    fam = build_family(2, 2, char=char)
+    curve, ci, aci = fam.curve, fam.complete_intersection, fam.almost_complete_intersection
+    meet = intersect(_fresh(curve), _fresh(fam.residual))
+    _assert_order_free_reads_run_no_buchberger(
+        meet, ideal_product(curve, fam.residual), count_kernel_work)
+    _assert_holds_its_reduced_basis(meet)
+    assert curve.contains_ideal(meet) and fam.residual.contains_ideal(meet)
+    pivot = residual_pivot(fam.ring, 2, 2)
+    residual = colon(_fresh(ci), pivot)
+    _assert_order_free_reads_run_no_buchberger(residual, ci, count_kernel_work)
+    _assert_holds_its_reduced_basis(residual)
+    assert ci.contains_ideal(Ideal(ci.ring, [pivot * g for g in residual.gens]))
+    S = saturate_irrelevant(_fresh(aci))
+    assert S.gens != aci.gens
+    _assert_order_free_reads_run_no_buchberger(S, aci, count_kernel_work)
+    _assert_holds_its_reduced_basis(S)
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["p", "q"])
+def test_colon_reduces_the_tails_of_its_quotients(field):
+    # I is prime and x + y lies outside it, so I : (x + y) = I.  The basis
+    # of I cap (x + y) divided by x + y has the lead y of one quotient in
+    # the tail of the other.
+    R = PolyRing(("x", "y", "z"), field)
+    x, y, z = R.gens()
+    I = Ideal(R, [2 * x + z, y])
+    J = colon(I, x + y)
+    _assert_holds_its_reduced_basis(J)
+    assert J.groebner().polys == I.groebner().polys

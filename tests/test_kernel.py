@@ -103,45 +103,29 @@ def test_prime_field_coefficients_in_range_on_random_ideals(p):
 
 # Pairs and zero reductions summed over every Groebner basis computed by a
 # cold build_family(2, 2) and the regularity of its almost complete
-# intersection.  The F_32003 ceiling was measured with the fixed-point start
-# autoreduction; the rational counts were measured with the Fraction normal
-# form, and the fraction-free one matches them exactly, because the pair
-# order depends only on leads and sugar.  The counts do not depend on the
-# machine, so a change that inflates the work fails here even when timings
-# are too noisy to show it.
-FAMILY_22_WORK = {32003: {"pairs_processed": 221, "zero_reductions": 178},
-                  0: {"pairs_processed": 93, "zero_reductions": 75}}
+# intersection.  Colons, variable colons and eliminations hand over the
+# reduced basis they already hold, so a change that computes such a basis
+# again fails here, and so do the section ceilings below.  Both fields give
+# the same counts, because the pair order depends only on leads
+# and sugar.  The counts do not depend on the machine, so a change that
+# inflates the work fails here even when timings are too noisy to show it.
+FAMILY_22_WORK = {32003: {"pairs_processed": 52, "zero_reductions": 38},
+                  0: {"pairs_processed": 52, "zero_reductions": 38}}
 
 
 # Calls, pairs and zero reductions of general_section plus
 # saturate_irrelevant on the (2,2) almost complete intersection at F_32003,
 # its grevlex basis already known, as build_family leaves it.
-SECTION_22_WORK = {"calls": 14, "pairs_processed": 104, "zero_reductions": 76}
+SECTION_22_WORK = {"calls": 8, "pairs_processed": 86, "zero_reductions": 58}
 
 # Calls, pairs and zero reductions of general_section on the (2,2) residual
 # at F_32003, as build_family leaves it: the cut check_thm11 makes.
-RESIDUAL_SECTION_22_WORK = {"calls": 6, "pairs_processed": 17, "zero_reductions": 17}
-
-
-def _count_kernel_work(monkeypatch):
-    """Running totals of _kernel.buchberger calls, pairs and zero reductions."""
-    totals = {"calls": 0, "pairs_processed": 0, "zero_reductions": 0}
-    kernel_buchberger = _kernel.buchberger
-
-    def counted(ctx, pdicts, *args, **kwargs):
-        basis, stats = kernel_buchberger(ctx, pdicts, *args, **kwargs)
-        totals["calls"] += 1
-        totals["pairs_processed"] += stats["pairs_processed"]
-        totals["zero_reductions"] += stats["zero_reductions"]
-        return basis, stats
-
-    monkeypatch.setattr(_kernel, "buchberger", counted)
-    return totals
+RESIDUAL_SECTION_22_WORK = {"calls": 4, "pairs_processed": 13, "zero_reductions": 13}
 
 
 @pytest.mark.parametrize("char", sorted(FAMILY_22_WORK))
-def test_groebner_work_of_family_22_does_not_grow(monkeypatch, char):
-    totals = _count_kernel_work(monkeypatch)
+def test_groebner_work_of_family_22_does_not_grow(monkeypatch, count_kernel_work, char):
+    totals = count_kernel_work()
     monkeypatch.setattr(families, "_FAMILY_CACHE", {})
     fam = build_family(2, 2, char=char)
     assert regularity_ideal(fam.almost_complete_intersection) == 7
@@ -149,31 +133,31 @@ def test_groebner_work_of_family_22_does_not_grow(monkeypatch, char):
         assert totals[name] <= recorded, (name, totals[name])
 
 
-def test_section_and_saturation_work_of_family_22_does_not_grow(monkeypatch):
+def test_section_and_saturation_work_of_family_22_does_not_grow(count_kernel_work):
     aci = build_family(2, 2).almost_complete_intersection
     I = Ideal(aci.ring, aci.gens)
     I.groebner()
-    totals = _count_kernel_work(monkeypatch)
+    totals = count_kernel_work()
     general_section(I, DEFAULT_SEED)
     saturate_irrelevant(I)
     for name, recorded in SECTION_22_WORK.items():
         assert totals[name] <= recorded, (name, totals[name])
 
 
-def test_section_work_of_residual_22_does_not_grow(monkeypatch):
+def test_section_work_of_residual_22_does_not_grow(count_kernel_work):
     residual = build_family(2, 2).residual
-    totals = _count_kernel_work(monkeypatch)
+    totals = count_kernel_work()
     general_section(residual, DEFAULT_SEED)
     for name, recorded in RESIDUAL_SECTION_22_WORK.items():
         assert totals[name] <= recorded, (name, totals[name])
 
 
-def test_last_variable_colon_reuses_the_grevlex_basis(monkeypatch):
+def test_last_variable_colon_reuses_the_grevlex_basis(count_kernel_work):
     R = PolyRing(("x", "y", "z", "w"), PrimeField(32003))
     x, y, z, w = R.gens()
     I = Ideal(R, [x * z - y * y, x * w - y * z, y * w - z * z])
     I.groebner()
-    totals = _count_kernel_work(monkeypatch)
+    totals = count_kernel_work()
     colon_by_variable_power(I, R.nvars - 1)
     assert totals["calls"] == 0
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cmreg import _kernel
+from cmreg import _kernel, resolution
 from cmreg._kernel import Context, ModContext
 from cmreg.cli import parse_ideal_file
 from cmreg.families import build_family
@@ -409,6 +409,27 @@ def test_schreyer_work_is_pinned(m, n, primed, char):
     assert res.stats["cancelled"] == cancelled
     assert [res.betti.total(i) for i in range(res.betti.pdim() + 1)] == totals
     assert res.betti.regularity() == reg
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_one_reducer_form_per_stored_schreyer_element(monkeypatch, char):
+    # Each level is stored in reducer form, and the next level reduces with
+    # it as stored: no element is brought to that form twice.
+    aci = build_family(3, 2, char=char).almost_complete_intersection
+    I = Ideal(aci.ring, aci.gens)
+    I.groebner()
+    runs = []
+    original = _kernel.reducer_form
+
+    def counted(ctx, pdict, leadkey):
+        runs.append(leadkey)
+        return original(ctx, pdict, leadkey)
+
+    monkeypatch.setattr(_kernel, "reducer_form", counted)
+    monkeypatch.setattr(resolution, "reducer_form", counted)
+    ranks = minimal_resolution(I).stats["nonminimal_ranks"]
+    assert ranks == SCHREYER_WORK[(3, 2, False)][0]
+    assert len(runs) == sum(ranks)
 
 
 # The almost complete intersections of the rescan check and of SCHREYER_WORK.
