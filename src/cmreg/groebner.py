@@ -160,14 +160,14 @@ class Ideal:
             self._gb[key] = gb
         return gb
 
-    def _held_basis(self, degree_order=False):
-        """A basis the ideal holds: grevlex if held, else the first other one
-        it received (a permuted grevlex, when degree_order); the grevlex basis,
-        computed, when it holds none of these."""
+    def _held_basis(self):
+        """A basis the ideal holds in a degree order: grevlex if held, else the
+        first permuted grevlex it received; the grevlex basis, computed, when
+        it holds neither."""
         held = self._gb.get(repr(GREVLEX))
         if held is None:
             held = next((gb for gb in tuple(self._gb.values())
-                         if not degree_order or isinstance(gb.order, PermutedGrevlex)), None)
+                         if isinstance(gb.order, PermutedGrevlex)), None)
         return held if held is not None else self.groebner()
 
     # The zero and the unit ideal have one reduced basis in every order.

@@ -157,7 +157,7 @@ def hilbert_series(ideal):
     cached = ideal._cache.get("hilbert")
     if cached is not None:
         return cached
-    gb = ideal._held_basis(degree_order=True)
+    gb = ideal._held_basis()
     num = monomial_numerator(gb.lead_words(), ideal.ring.nvars)
     data = _analyze(num, ideal.ring.nvars)
     ideal._cache["hilbert"] = data

@@ -210,7 +210,7 @@ def colon_by_variable_power(I, i):
     order = _variable_last(I.ring.nvars, i)
     gb = I.groebner(order)
     ctx = gb._ctx
-    powers = [ctx.unpack(max(d))[i] for d in gb._basis]
+    powers = [e[i] for e in gb.leading_exps()]
     if not any(powers):
         return I
     # A grevlex key is linear in the exponents: dividing by x_i^v subtracts v * key(x_i).

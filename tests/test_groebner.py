@@ -231,14 +231,21 @@ def test_order_free_reads_prefer_a_held_basis(count_kernel_work):
     R = PolyRing(("x", "y", "z", "w"), PrimeField(32003))
     I = twisted_cubic(R)
     I.groebner(Block(1))
+    permuted = I.groebner(PermutedGrevlex((3, 1, 0, 2)))
     totals = count_kernel_work()
-    # Any basis decides containment; a block order's leads do not give the
-    # Hilbert series, so it computes grevlex, which both then read.
+    # With no grevlex basis held, containment and the Hilbert series read
+    # the held permuted grevlex basis, not the block one.
+    assert I._held_basis() is permuted
     assert I.contains_ideal(twisted_cubic(R))
-    assert totals["calls"] == 0
     assert hilbert_series(I).numerator == (1, 0, -3, 2)
-    assert totals["calls"] == 1
-    assert I._held_basis() is I._held_basis(degree_order=True) is I.groebner()
+    assert totals["calls"] == 0
+    # Once grevlex is held, it is read first.
+    gb = I.groebner()
+    assert I._held_basis() is gb
+    J = twisted_cubic(R)
+    J.groebner(Block(1))
+    # A block basis alone is not read: grevlex is computed, once.
+    assert J._held_basis() is J.groebner()
 
 
 def test_zero_and_unit_tests_read_a_held_basis(count_kernel_work):
