@@ -10,9 +10,10 @@ On top of the curve ideal the builder assembles a complete intersection of
 binomial forms inside it, the residual ideal (the colon by the curve), and a
 canonically chosen extra form of prescribed degree from the residual that
 avoids the curve, giving the almost complete intersection whose regularity
-the verification layer studies.  Graded pieces are echelonized as sparse
-rows, one per monomial of in(I)_d: the first monomial shift of a Groebner
-basis element with that lead.
+the verification layer studies.  The builder records on the complete and
+the almost complete intersection how each is resolved (see resolution).
+Graded pieces are echelonized as sparse rows, one per monomial of in(I)_d:
+the first monomial shift of a Groebner basis element with that lead.
 """
 
 from __future__ import annotations
@@ -313,6 +314,11 @@ def build_family(m, n, primed=False, char=32003):
     dim_almost, _ = hilbert.dim_deg(almost)
     if dim_almost != 2:
         raise AssertionError("almost complete intersection does not define a surface cone")
+    # How each is resolved, read and certified by resolution.minimal_resolution
+    # on its first call: the forms are a regular sequence (the height check
+    # above), and the almost complete intersection is linked to the curve.
+    ci._cache["route"] = ("koszul",)
+    almost._cache["route"] = ("linkage", ci, curve, a, F)
     inst = FamilyInstance(
         m=m, n=n, primed=bool(primed), char=char, ring=ring, exponents=exps,
         curve=curve, complete_intersection=ci,

@@ -1,6 +1,33 @@
 """Graded free resolutions, Betti tables, and regularity.
 
-The resolution of A/I is built by iterated syzygies in the Schreyer order:
+A Betti table comes by one of three routes, named in Resolution.stats.
+The complete and the almost complete intersection that
+families.build_family makes record how each is resolved
+(I._cache["route"]); every other ideal takes the Schreyer route.
+
+- koszul: the builder's complete intersection, whose forms are a regular
+  sequence (the builder asserts that its height equals their number), is
+  resolved by their Koszul complex, which is minimal: beta_{i,j} counts the
+  i-subsets of the form degrees that sum to j.
+- linkage: the almost complete intersection I = CI + (F), with F of degree
+  d in the residual a and off the curve P.  The builder asserts P * a in
+  CI, and F in a is asserted here, so P lies in CI : F.  The Hilbert
+  numerators must satisfy N(A/I) = N(A/CI) - t^d N(A/P); by the exact
+  sequence 0 -> A/(CI : F)(-d) -> A/CI -> A/I -> 0, whose first map is
+  multiplication by F, that forces CI : F = P.  The mapping cone of a lift
+  of that map, from P's minimal resolution shifted by d into CI's, then
+  resolves A/I (Peskine and Szpiro, Invent. Math. 26, 1974).  It is
+  minimal unless the lift has a constant entry, which needs a degree-j
+  generator of CI's i-th module and a degree-(j - d) one of P's.  So where
+  no (i, j) has both, beta_{i,j}(A/I) = beta_{i,j}(A/CI)
+  + beta_{i-1,j-d}(A/P), and the lift is never computed; where some (i, j)
+  has both, I takes the Schreyer route.
+- schreyer: every other ideal, as below.
+
+Every route's table must pass the Euler check against the Hilbert numerator
+of A/I itself.
+
+The Schreyer resolution of A/I is built by iterated syzygies in the Schreyer order:
 the reduced Groebner basis gives the first matrix, and at each level the
 surviving S-pairs (after lead-divisibility pruning inside each component)
 reduce to zero, and each reduction writes the next level's syzygy as it
@@ -36,7 +63,9 @@ is a hard error, not a warning.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from . import _kernel, hilbert
@@ -105,7 +134,8 @@ class BettiTable:
 
 @dataclass
 class Resolution:
-    """The graded Betti table of A/I and the Schreyer work behind it."""
+    """The graded Betti table of A/I and the work behind it; stats["route"]
+    names the route (see the module docstring)."""
 
     ring: object
     betti: BettiTable
@@ -265,14 +295,28 @@ def _betti_entries(levels, modules):
 
 
 def minimal_resolution(I):
-    """The Betti table of the minimal graded free resolution of A/I, read
-    off the Schreyer resolution and certified as it is computed.
+    """The Betti table of the minimal graded free resolution of A/I, by the
+    route the ideal records (see the module docstring), certified as it is
+    computed.
 
     Requires homogeneous generators and a proper ideal.  Cached on the ideal.
     """
     cached = I._cache.get("resolution")
     if cached is not None:
         return cached
+    route, *args = I._cache.get("route", ("schreyer",))
+    res = None
+    if route == "koszul":
+        res = _minimal_route(I, route, _koszul_entries([g.degree() for g in I.gens]))
+    elif route == "linkage":
+        res = _linkage_resolution(I, *args)
+    if res is None:
+        res = _schreyer_resolution(I)
+    I._cache["resolution"] = res
+    return res
+
+
+def _schreyer_resolution(I):
     ring = I.ring
     if not I.is_homogeneous():
         raise ValueError("resolutions need homogeneous generators")
@@ -280,10 +324,8 @@ def minimal_resolution(I):
     if gb.polys and gb.polys[-1].degree() == 0:
         raise ValueError("the unit ideal has no minimal free resolution of A/I")
     if not gb.polys:
-        res = Resolution(ring, BettiTable("A/I", {(0, 0): 1}),
-                         {"levels": 0, "cancelled": 0})
-        I._cache["resolution"] = res
-        return res
+        return Resolution(ring, BettiTable("A/I", {(0, 0): 1}),
+                          {"route": "schreyer", "levels": 0, "cancelled": 0})
     ctx = Context(GREVLEX.bind(ring.nvars), ring.field)
     gb_packed = [_kernel.to_packed(ctx, g) for g in gb.polys]
     levels, modules = _schreyer_levels(ctx, gb_packed, ring.nvars)
@@ -296,22 +338,68 @@ def minimal_resolution(I):
     if table.pdim() > ring.nvars:
         raise AssertionError("resolution length exceeds the number of variables")
     _check_euler(I, table)
-    res = Resolution(ring, table,
-                     {"levels": len(levels), "cancelled": cancelled,
-                      "nonminimal_ranks": [len(l) for l in levels]})
-    I._cache["resolution"] = res
-    return res
+    return Resolution(ring, table,
+                      {"route": "schreyer", "levels": len(levels), "cancelled": cancelled,
+                       "nonminimal_ranks": [len(l) for l in levels]})
+
+
+def _koszul_entries(degrees):
+    """beta_{i,j} of the Koszul complex on forms of the given degrees: the
+    number of i-subsets of the degrees that sum to j."""
+    return Counter((i, sum(subset)) for i in range(len(degrees) + 1)
+                   for subset in combinations(degrees, i))
+
+
+def _cone_entries(ci_entries, curve_entries, d):
+    """beta_{i,j}(A/CI) + beta_{i-1,j-d}(A/P), the mapping cone's table."""
+    entries = Counter(ci_entries)
+    for (i, j), b in curve_entries.items():
+        entries[(i + 1, j + d)] += b
+    return entries
+
+
+def _linkage_resolution(I, ci, curve, residual, F):
+    """The mapping cone's Resolution of A/I for I = ci + (F), certified as
+    the module docstring says; None on a degree coincidence."""
+    d = F.degree()
+    ci_entries, curve_entries = betti(ci).entries, betti(curve).entries
+    if any((i, j - d) in curve_entries for i, j in ci_entries):
+        return None
+    if I.gens != ci.gens + (F,):
+        raise AssertionError("a linked ideal is not its complete intersection plus the extra form")
+    if not residual._held_basis().reduces_to_zero(F):
+        raise AssertionError(f"the degree-{d} extra form of a linkage is not in the residual")
+    expected = _numerator(ci)
+    for j, c in _numerator(curve).items():
+        expected[j + d] = expected.get(j + d, 0) - c
+    if {j: c for j, c in expected.items() if c} != _numerator(I):
+        raise AssertionError(f"N(A/I) is not N(A/CI) - t^{d} N(A/curve): CI : F is not the curve")
+    return _minimal_route(I, "linkage", _cone_entries(ci_entries, curve_entries, d))
+
+
+def _minimal_route(I, route, entries):
+    """The Resolution of a route that writes down a minimal resolution: its
+    ranks are its Betti totals and nothing cancels.  The table must pass
+    the Euler check."""
+    table = BettiTable("A/I", entries)
+    _check_euler(I, table)
+    pd = table.pdim()
+    return Resolution(I.ring, table,
+                      {"route": route, "levels": pd, "cancelled": 0,
+                       "nonminimal_ranks": [table.total(i) for i in range(1, pd + 1)]})
+
+
+def _numerator(I):
+    """The nonzero coefficients of the Hilbert numerator of A/I, by degree."""
+    return {j: c for j, c in enumerate(hilbert.hilbert_series(I).numerator) if c}
 
 
 def _check_euler(I, table):
     """Alternating Betti sum must equal the Hilbert numerator from lead terms."""
-    num = dict(enumerate(hilbert.hilbert_series(I).numerator))
     alt = {}
     for (i, j), b in table.entries.items():
         alt[j] = alt.get(j, 0) + (-1) ** i * b
-    alt = {j: v for j, v in alt.items() if v}
-    num = {j: v for j, v in num.items() if v}
-    if alt != num:
+    if {j: v for j, v in alt.items() if v} != _numerator(I):
         raise AssertionError("Betti numbers contradict the Hilbert numerator")
 
 

@@ -281,3 +281,21 @@ VERIFY_LEMMA12_SHA256 = {
 @pytest.mark.parametrize("args", sorted(VERIFY_LEMMA12_SHA256))
 def test_criterion_10_verify_lemma12_digest_beyond_the_grid(args):
     assert _passing_report_digest("lemma12", args) == VERIFY_LEMMA12_SHA256[args]
+
+
+# sha256 of `cmreg verify CLAIM ARGS --format json` (seed 2026) for the
+# lower-bound claims beyond the default grid: they report the almost complete
+# intersection's Betti totals (the linkage route) and the complete
+# intersection's (the Koszul route).
+VERIFY_PROP_SHA256 = {
+    "prop32 --m 3 --n 3": "081ecab2402cfd37ff12c5badb1b666eae7eb3a9c1a4b271d708fea17121dc16",
+    "prop32 --m 4 --n 2": "a4088cfd7172b7d439531c2d1f2cc2d1256c78ea6d2b9c40fb193da89ff27fb8",
+    "prop22 --m 3 --n 2 --primed": "20c0354c138f6a855fcee73395b8c2db4ed1a936c960b6e57ac69f611aa21651",
+    "prop32 --m 3 --n 3 --char 0": "8e8594a03fe16b1c559889de85001ffd496878973e09461da76ca39e508eff2c",
+}
+
+
+@pytest.mark.parametrize("run", sorted(VERIFY_PROP_SHA256))
+def test_criterion_10_verify_prop_digest_beyond_the_grid(run):
+    claim, args = run.split(" ", 1)
+    assert _passing_report_digest(claim, args) == VERIFY_PROP_SHA256[run]

@@ -11,17 +11,17 @@ from pathlib import Path
 
 import pytest
 
-from cmreg import _kernel, resolution
+from cmreg import _kernel, families, resolution
 from cmreg._kernel import Context, ModContext
 from cmreg.cli import parse_ideal_file
-from cmreg.families import build_family
+from cmreg.families import build_family, curve_ideal
 from cmreg.groebner import Ideal
 from cmreg.hilbert import hilbert_series
 from cmreg.idealops import a0
 from cmreg.resolution import (BettiTable, _betti_entries, _schreyer_levels, betti,
                               minimal_resolution, pdim, regularity, regularity_ideal)
 from cmreg.ring import GREVLEX, PolyRing, PrimeField, QQ, pdict_addmul, transport, word_lcm
-from cmreg.verify import PRIMED_GRID, UNPRIMED_GRID
+from cmreg.verify import PRIMED_GRID, UNPRIMED_GRID, grid_reports
 
 
 @pytest.fixture(scope="module")
@@ -668,3 +668,113 @@ def test_benchmark_resolve_inputs_keep_their_recorded_resolutions(entry, order):
     assert regularity_ideal(I) == entry["regularity_ideal"]
     assert res.stats["nonminimal_ranks"] == order["nonminimal_ranks"]
     assert res.stats["cancelled"] == order["cancelled"]
+
+
+# The builder's complete and almost complete intersections take the Koszul
+# and the linkage route; a fresh Ideal on the same generators records no
+# route and is the Schreyer oracle.
+ROUTE_ORACLE = sorted({(m, n, False, char) for m, n in UNPRIMED_GRID for char in (32003, 0)}
+                      | {(m, n, True, char) for m, n in PRIMED_GRID for char in (32003, 0)}
+                      | {(3, 3, False, 32003), (4, 2, False, 32003), (3, 2, True, 32003)})
+
+
+@pytest.mark.parametrize("m,n,primed,char", ROUTE_ORACLE)
+def test_koszul_and_linkage_tables_match_the_schreyer_oracle(m, n, primed, char):
+    fam = build_family(m, n, primed=primed, char=char)
+    for I, route in ((fam.complete_intersection, "koszul"),
+                     (fam.almost_complete_intersection, "linkage")):
+        res = minimal_resolution(I)
+        oracle = minimal_resolution(Ideal(I.ring, I.gens))
+        assert (res.stats["route"], oracle.stats["route"]) == (route, "schreyer")
+        assert res.betti == oracle.betti
+        # A written-down minimal resolution: its ranks are its Betti totals.
+        pd = res.betti.pdim()
+        assert res.stats == {"route": route, "levels": pd, "cancelled": 0,
+                             "nonminimal_ranks": [res.betti.total(i) for i in range(1, pd + 1)]}
+
+
+def _cold_family_22(monkeypatch):
+    monkeypatch.setattr(families, "_FAMILY_CACHE", {})
+    return build_family(2, 2)
+
+
+def test_a_wrong_cone_shift_fails_the_euler_check(monkeypatch):
+    cone = resolution._cone_entries
+    monkeypatch.setattr(resolution, "_cone_entries", lambda ci, curve, d: cone(ci, curve, d + 1))
+    fam = _cold_family_22(monkeypatch)
+    with pytest.raises(AssertionError, match="contradict the Hilbert numerator"):
+        minimal_resolution(fam.almost_complete_intersection)
+
+
+def test_a_dropped_koszul_summand_fails_the_euler_check(monkeypatch):
+    koszul = resolution._koszul_entries
+
+    def dropped(degrees):
+        entries = koszul(degrees)
+        entries[(len(degrees), sum(degrees))] -= 1
+        return entries
+
+    monkeypatch.setattr(resolution, "_koszul_entries", dropped)
+    fam = _cold_family_22(monkeypatch)
+    for I in (fam.complete_intersection, fam.almost_complete_intersection):
+        with pytest.raises(AssertionError, match="contradict the Hilbert numerator"):
+            minimal_resolution(I)
+
+
+def _linked(fam, F):
+    """fam's complete intersection plus F, recorded as linked to the curve by F."""
+    ci = fam.complete_intersection
+    I = Ideal(fam.ring, ci.gens + (F,))
+    I._cache["route"] = ("linkage", ci, fam.curve, fam.residual, F)
+    return I
+
+
+def test_a_linkage_form_outside_the_residual_fails(fam22):
+    F = fam22.ring.gen(1) ** fam22.extra_degree
+    assert not fam22.residual.groebner().reduces_to_zero(F)
+    with pytest.raises(AssertionError, match="degree-4 extra form of a linkage is not in the residual"):
+        minimal_resolution(_linked(fam22, F))
+
+
+def test_a_linkage_form_inside_the_complete_intersection_fails(fam22):
+    # F in CI lies in the residual, but CI : F is the unit ideal, not the curve.
+    ci = fam22.complete_intersection
+    F = ci.gens[0] * fam22.ring.gen(0) ** (fam22.extra_degree - ci.gens[0].degree())
+    with pytest.raises(AssertionError, match="CI : F is not the curve"):
+        minimal_resolution(_linked(fam22, F))
+
+
+def test_a_degree_coincidence_takes_the_schreyer_route():
+    # The twisted cubic is linked to the line X1 = X2 = 0 by two quadrics.
+    # Linking by F = X1 (d = 1) puts the Koszul generator of degree 4 at
+    # level 2 against the cubic's level-2 generators of degree 3 = 4 - d, so
+    # the cone may have a constant entry, and here it has one.
+    ring, curve = curve_ideal((0, 1, 2, 3))
+    x0, x1, x2, x3 = ring.gens()
+    ci = Ideal(ring, [x0 * x2 - x1 ** 2, x1 * x3 - x2 ** 2])
+    ci._cache["route"] = ("koszul",)
+    residual = Ideal(ring, [x1, x2])
+    I = Ideal(ring, ci.gens + (x1,))
+    I._cache["route"] = ("linkage", ci, curve, residual, x1)
+    res = minimal_resolution(I)
+    assert res.stats["route"] == "schreyer"
+    assert res.betti == minimal_resolution(Ideal(ring, I.gens)).betti
+    cone = resolution._cone_entries(betti(ci).entries, betti(curve).entries, 1)
+    assert res.betti != BettiTable("A/I", cone)
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_a_cold_grid_pass_resolves_only_the_curves_by_schreyer(monkeypatch, char):
+    # The work, not the time: one Schreyer resolution per grid curve; the
+    # complete and almost complete intersections take their recorded routes.
+    calls = []
+    schreyer = resolution._schreyer_levels
+
+    def counted(*args):
+        calls.append(args)
+        return schreyer(*args)
+
+    monkeypatch.setattr(resolution, "_schreyer_levels", counted)
+    monkeypatch.setattr(families, "_FAMILY_CACHE", {})
+    grid_reports(char=char)
+    assert len(calls) == len(UNPRIMED_GRID) + len(PRIMED_GRID) == 7
