@@ -37,15 +37,17 @@ term.
 Over Q the Groebner work runs on Python ints.  A Reducer holds the primitive
 integer multiple of its polynomial, and a normal form carries one common
 denominator for all its terms and reduces fraction-free (see _reduce), so
-Buchberger's S-pairs and remainders never leave the integers.  Fractions
-appear only at the boundary: normal_form returns them and the reduced basis
-is monic in them.  Schreyer syzygies over Q never meet a Fraction: _reduce
-tracks its steps in one flat integer dict keyed like the next module, which
-it rescales with the pending terms, so a syzygy is written once, during the
-reduction that proves it, and divided by its content is the primitive
-reducer of the next level.  Products of packed dicts outside the
-normal-form loop go through ring.pdict_addmul, which runs on Fractions
-over Q.
+Buchberger's S-pairs and remainders never leave the integers.  At the
+boundary, normal_form's results and the monic reduced basis are rationals
+in ring.QQ's form: an int where the common denominator divides the value,
+a Fraction only where one is left.  So a basis of monomials and binomials
+with coefficients +-1 never builds a Fraction.  Schreyer syzygies over Q
+never meet a Fraction: _reduce tracks its steps in one flat integer dict
+keyed like the next module, which it rescales with the pending terms, so a
+syzygy is written once, during the reduction that proves it, and divided
+by its content is the primitive reducer of the next level.  Products of
+packed dicts outside the normal-form loop go through ring.pdict_addmul,
+which keeps QQ's form.
 
 Everything here is internal; the public API wraps it in ring.py, groebner.py
 and resolution.py.
@@ -193,9 +195,9 @@ def reducer_form(ctx, pdict, leadkey):
     itself when it is one already: monic over F_p; over Q primitive
     integers with a positive lead.
 
-    Over Q a dict of Fractions (a Polynomial's, or a basis made monic) is
-    cleared of denominators first; the kernel's own remainders and
-    syzygies are already integers.
+    Over Q a dict with a Fraction anywhere (a Polynomial's, or a basis made
+    monic, whose lead is the int 1) is cleared of denominators first; the
+    kernel's own remainders and syzygies, and any all-int dict, skip that.
     """
     lc = pdict[leadkey]
     p = ctx.p
@@ -204,7 +206,7 @@ def reducer_form(ctx, pdict, leadkey):
             return pdict
         inv = ctx.field.inv(lc)
         return {k: c * inv % p for k, c in pdict.items()}
-    if type(lc) is not int:
+    if not all(type(c) is int for c in pdict.values()):
         pdict, _ = _integral(pdict)
         lc = pdict[leadkey]
     content = gcd(*pdict.values())
@@ -221,8 +223,11 @@ def reducer_dict(red):
 
 
 def _integral(f):
-    """(h, den) with integer h and h / den == f, for a packed dict over Q."""
+    """(h, den) with integer h and h / den == f, for a packed dict over Q;
+    h is a new dict, a plain copy when every value is an int."""
     den = lcm(*[c.denominator for c in f.values()])
+    if den == 1:
+        return dict(f), 1
     return {k: c.numerator * (den // c.denominator) for k, c in f.items()}, den
 
 
@@ -233,7 +238,7 @@ def normal_form(ctx, f, reducers, track=False):
     quotient dict with f == sum(q * monic reducer) + remainder.  The highest
     term is rewritten first and the first reducer in list order wins, so the
     result is deterministic in the given reducer order.  Over Q the work is
-    done on integers (see _reduce); only the results are Fractions.  The
+    done on integers (see _reduce); only the results are rationals.  The
     quotients are read once, at the end, off _reduce's flat track, whose
     key (k << bits) | index holds the step at ring key k.
     """
@@ -244,7 +249,7 @@ def normal_form(ctx, f, reducers, track=False):
         track = ({}, bits, range(1 << bits))
     rem, den, syz = _reduce(ctx, h, reducers, track, den)
     if p is None:
-        rem = _fractions(rem, den)
+        rem = _ratios(rem, den)
     if syz is None:
         return rem, None
     by_index = {red.index: red for red in reducers}
@@ -253,13 +258,21 @@ def normal_form(ctx, f, reducers, track=False):
     for K, v in syz.items():
         red = by_index[K & mask]
         # The step subtracted -v * x^shift * red from den * f; red / lc is monic.
-        q = -v % p if p is not None else Fraction(-v * red.lc, den)
+        q = -v % p if p is not None else _ratio(-v * red.lc, den)
         quots.setdefault(red.index, {})[(K >> bits) - red.leadkey] = q
     return rem, quots
 
 
-def _fractions(h, den):
-    return {k: Fraction(c, den) for k, c in h.items()}
+def _ratio(n, den):
+    """n / den for den > 0 in ring.QQ's form: an int when den divides n."""
+    return n // den if not n % den else Fraction(n, den)
+
+
+def _ratios(h, den):
+    """The dict h / den in ring.QQ's form, h itself when den is 1."""
+    if den == 1:
+        return h
+    return {k: _ratio(c, den) for k, c in h.items()}
 
 
 def _reduce(ctx, h, reducers, track=None, den=1):
@@ -401,7 +414,6 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
     """
     p = ctx.p
     key, degree, guards = ctx.key, ctx.degree, ctx.guards
-    one = 1 if p is not None else Fraction(1)
     stats = {"pairs_processed": 0, "zero_reductions": 0}
     G = []
     lme = []
@@ -454,7 +466,7 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
             continue
         red = Reducer.from_packed(ctx, rem)
         if red.leadkey == 0:
-            return [{0: one}], stats
+            return [{0: 1}], stats
         for s in [s for s in start if not (s.leadword - red.leadword) & guards]:
             start.remove(s)
             push(todo, (s.leadkey, next(tick), reducer_dict(s)))
@@ -492,14 +504,13 @@ def reduced_basis(ctx, reducers):
     back on top.  Returns the monic packed dicts sorted descending by lead.
     """
     p = ctx.p
-    one = 1 if p is not None else Fraction(1)
     minimal = set(minimal_words([r.leadword for r in reducers], ctx.guards))
     kept = sorted((r for r in reducers if r.leadword in minimal), key=lambda r: r.leadkey)
     final = []
     for r in range(len(kept) - 1, -1, -1):
         red = kept[r]
         rem, den, _ = _reduce(ctx, dict(red.tail), kept[:r], den=red.lc)
-        out = {red.leadkey: one}
-        out.update(rem if p is not None else _fractions(rem, den))
+        out = {red.leadkey: 1}
+        out.update(rem if p is not None else _ratios(rem, den))
         final.append(out)
     return final

@@ -94,6 +94,8 @@ class PrimeField:
                 return a.numerator % self.p * pow(a.denominator, -1, self.p) % self.p
             except ValueError:
                 raise ValueError(f"the fraction {a} has no value mod {self.p}") from None
+        if not isinstance(a, int):
+            raise _not_rational(a)
         return a % self.p
 
     def add(self, a, b):
@@ -124,21 +126,28 @@ class PrimeField:
 
 
 class RationalField:
-    """The field of rationals.  Elements are fractions.Fraction values."""
+    """The field of rationals.  An element is an int when its denominator is
+    1 and a fractions.Fraction of denominator > 1 otherwise, so integral data
+    never passes through fractions; an int compares, hashes and prints like
+    the Fraction it stands for.  Every operation returns that form."""
 
     char = 0
 
     def __call__(self, a):
-        return Fraction(a)
+        if isinstance(a, Fraction):
+            return _rational(a)
+        if not isinstance(a, int):
+            raise _not_rational(a)
+        return int(a)
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
@@ -146,7 +155,9 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        if a == 1 or a == -1:
+            return int(a)
+        return _rational(Fraction(a.denominator, a.numerator))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -156,6 +167,16 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
+
+
+def _rational(a):
+    """The rational a, an int or a Fraction, as an element of QQ: its
+    numerator when its denominator is 1."""
+    return a.numerator if a.denominator == 1 else a
+
+
+def _not_rational(a):
+    return ValueError(f"coefficient {a!r} is a {type(a).__name__}, not an int or a Fraction")
 
 
 QQ = RationalField()
@@ -413,8 +434,8 @@ def pdict_addmul(p, target, a, b, scale=1):
 
     Key addition is monomial multiplication.  With p a prime every sum is
     reduced mod p, so target keeps its coefficients in [1, p); with p None
-    the coefficients are Fractions.  A term that cancels is removed.  target
-    must not be a or b.
+    they are rationals in QQ's form, an int unless a denominator is left.
+    A term that cancels is removed.  target must not be a or b.
     """
     for k1, c1 in a.items():
         c1 *= scale
@@ -424,6 +445,8 @@ def pdict_addmul(p, target, a, b, scale=1):
             v = c1 * c2 if prev is None else prev + c1 * c2
             if p is not None:
                 v %= p
+            else:
+                v = _rational(v)
             if v:
                 target[k] = v
             elif prev is not None:
@@ -608,6 +631,8 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if other == 0:
                 return not self.pdict
             other = self.ring.const(other)

@@ -1,7 +1,9 @@
-"""Shared fixtures: small standard rings, cached family instances and a
-counter of the kernel's Groebner work."""
+"""Shared fixtures: small standard rings, cached family instances, a
+counter of the kernel's Groebner work and a check of QQ's element form."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +31,24 @@ def fam22():
 def fam12p():
     from cmreg.families import build_family
     return build_family(1, 2, primed=True)
+
+
+@pytest.fixture(scope="session")
+def check_rational_form():
+    """A function asserting that each given value is a rational in QQ's
+    form, an int or a Fraction of denominator > 1 (never a float, a bool or
+    an integral Fraction); it returns how many are Fractions."""
+    def check(values):
+        fractions = 0
+        for c in values:
+            if type(c) is Fraction:
+                assert c.denominator > 1, repr(c)
+                fractions += 1
+            else:
+                assert type(c) is int, repr(c)
+        return fractions
+
+    return check
 
 
 @pytest.fixture

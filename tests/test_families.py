@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from cmreg import families
@@ -12,7 +14,7 @@ from cmreg.families import (build_family, check_parameters, ci_forms, curve_expo
 from cmreg.groebner import Ideal, member
 from cmreg.hilbert import dim_deg, nonzerodivisor
 from cmreg.idealops import colon, colon_by_variable_power
-from cmreg.resolution import regularity_ideal
+from cmreg.resolution import betti, regularity_ideal
 from cmreg._linalg import rref
 from cmreg.ring import (MAX_EXP, Block, PolyRing, Polynomial, QQ, field_of_characteristic,
                         grevlex_keys_of_degree, transport)
@@ -311,3 +313,31 @@ def test_graded_piece_basis_equals_the_all_shifts_echelon(m, n, primed, char, mo
     basis = graded_piece_basis(residual, d)
     assert basis == _all_shifts_piece_basis(residual, d)
     assert fed == [len(basis)]  # one row per monomial of in(I)_d
+
+
+@pytest.mark.parametrize("m, n, primed", [(m, n, False) for m, n in UNPRIMED_GRID]
+                         + [(m, n, True) for m, n in PRIMED_GRID])
+def test_rational_build_constructs_no_fraction(m, n, primed, monkeypatch, check_rational_form):
+    # Every basis build_family makes is of monomials and binomials with
+    # coefficients +-1, so over Q no value has a denominator.  From Python
+    # 3.12 on, Fraction arithmetic makes its results without calling
+    # __new__; the check of the held coefficients then carries the test.
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(families, "_FAMILY_CACHE", {})
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    fam = build_family(m, n, primed, 0)
+    betti(fam.almost_complete_intersection)
+    assert made == []
+    ideals = (fam.curve, fam.complete_intersection, fam.residual,
+              fam.almost_complete_intersection)
+    assert all(ideal._gb for ideal in ideals)
+    coeffs = [c for ideal in ideals for g in ideal.gens for c in g.pdict.values()]
+    coeffs += [c for ideal in ideals for gb in ideal._gb.values()
+               for d in gb._basis for c in d.values()]
+    assert check_rational_form(coeffs) == 0

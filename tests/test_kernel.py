@@ -252,7 +252,7 @@ def _fraction_reducers(ctx, pdicts):
     out = []
     for i, d in enumerate(pdicts):
         lead = max(d)
-        tail = tuple((k, c / d[lead]) for k, c in d.items() if k != lead)
+        tail = tuple((k, Fraction(c) / d[lead]) for k, c in d.items() if k != lead)
         out.append((i, lead, ctx.unpack(lead), tail))
     return out
 
@@ -315,7 +315,7 @@ def _random_rational_ideals(order, count, seed):
 
 
 @pytest.mark.parametrize("order", [Block(3), GREVLEX], ids=["lex", "grevlex"])
-def test_rational_normal_form_matches_fraction_reference(order):
+def test_rational_normal_form_matches_fraction_reference(order, check_rational_form):
     cases = 0
     for ctx, gens, targets in _random_rational_ideals(order, 8, 20261019):
         basis, _ = _kernel.buchberger(ctx, gens)
@@ -327,7 +327,9 @@ def test_rational_normal_form_matches_fraction_reference(order):
                 for track in (False, True):
                     got = _kernel.normal_form(ctx, f, reducers, track)
                     assert got == _fraction_normal_form(ctx, f, reference, track)
-                    assert all(type(c) is Fraction for c in got[0].values())
+                    check_rational_form(got[0].values())
+                    for q in (got[1] or {}).values():
+                        check_rational_form(q.values())
                     cases += bool(got[0])
     assert cases  # some targets leave a remainder
 
@@ -338,7 +340,7 @@ def _mod_p(d, p):
 
 
 @pytest.mark.parametrize("order", [Block(3), GREVLEX], ids=["lex", "grevlex"])
-def test_rational_buchberger_basis_is_monic_fractions(order):
+def test_rational_buchberger_basis_is_monic_and_in_qq_form(order, check_rational_form):
     # The basis reduced mod p must be the prime-field basis of the generators
     # reduced mod p: a second route through the F_p branch of the kernel.
     p = 32003
@@ -347,8 +349,8 @@ def test_rational_buchberger_basis_is_monic_fractions(order):
         basis, _ = _kernel.buchberger(ctx, gens)
         assert basis
         for d in basis:
-            assert d[max(d)] == 1
-            assert all(type(c) is Fraction and c for c in d.values()), d
+            assert d[max(d)] == 1 and all(d.values())
+            check_rational_form(d.values())
         prime_basis, _ = _kernel.buchberger(pctx, [_mod_p(g, p) for g in gens])
         assert [_mod_p(d, p) for d in basis] == prime_basis
 

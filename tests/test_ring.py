@@ -33,6 +33,43 @@ def test_rational_field():
     assert field_of_characteristic(0) is QQ
 
 
+def test_rational_field_keeps_integral_values_ints(check_rational_form):
+    half = Fraction(1, 2)
+    assert QQ.inv(2) == half and type(QQ.inv(2)) is Fraction
+    for got, want in [(QQ.inv(-1), -1), (QQ.inv(1), 1), (QQ(Fraction(4, 2)), 2),
+                      (QQ.inv(Fraction(-1, 3)), -3), (QQ.add(half, half), 1),
+                      (QQ.sub(half, -half), 1), (QQ.mul(Fraction(4, 3), Fraction(3, 2)), 2),
+                      (QQ.neg(2), -2)]:
+        assert type(got) is int and got == want
+    R = PolyRing(("x", "y"), QQ)
+    x = R.gen(0)
+    f = R.from_string("4/2*x - 1/2*y")
+    c = f.pdict[R.bound.pack((1, 0))]
+    assert type(c) is int and c == 2
+    assert check_rational_form(f.pdict.values()) == 1
+    g = R.from_string("1/2*x")
+    for h in (g + g, 2 * g, (x - g) * 2, g * g * 4):
+        assert check_rational_form(h.pdict.values()) == 0
+    assert str(2 * g) == "x" and str(f) == "2*x - 1/2*y"
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("value, build", [
+    (0.5, lambda R, c: R.field(c)),
+    (0.5, lambda R, c: R.const(c)),
+    (2.5, lambda R, c: R.monomial((1, 0), c)),
+    (0.1, lambda R, c: R.poly({(1, 0): 1, (0, 1): c})),
+    ("%d", lambda R, c: R.monomial((1, 0), c)),
+    ("1/2", lambda R, c: R.const(c)),
+], ids=["field", "const", "monomial", "poly", "format-str", "str"])
+def test_coefficients_that_are_not_rationals_rejected(char, value, build):
+    R = PolyRing(("x", "y"), field_of_characteristic(char))
+    kind = type(value).__name__
+    with pytest.raises(ValueError, match=re.escape(f"coefficient {value!r} is a {kind}, not")):
+        build(R, value)
+    assert R.gen(0) != value and R.zero != value
+
+
 def test_grevlex_degree_two_chain(ring3):
     x, y, z = ring3.gens()
     chain = [x * x, x * y, y * y, x * z, y * z, z * z]
