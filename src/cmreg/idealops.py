@@ -39,7 +39,7 @@ from . import _kernel, hilbert
 from .groebner import Ideal, reduce
 from .resolution import regularity_ideal
 from .ring import (EXP_BITS, GREVLEX, Block, PermutedGrevlex, PolyRing, Polynomial,
-                   pdict_addmul, transport)
+                   pdict_addmul, times_new_first_variable)
 
 
 def ideal_product(I, J):
@@ -49,7 +49,12 @@ def ideal_product(I, J):
 
 
 def intersect(I, J):
-    """I cap J: eliminate an auxiliary first variable t from t*I + (1-t)*J."""
+    """I cap J: eliminate an auxiliary first variable t from t*I + (1-t)*J.
+
+    The generators t*g and (1-t)*h are written straight into the extension
+    ring's packed keys (ring.times_new_first_variable).  The result holds
+    the reduced basis the elimination leaves (see eliminate).
+    """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
@@ -59,10 +64,9 @@ def intersect(I, J):
     while name in ring.names:
         name += "_"
     ext = PolyRing((name,) + ring.names, ring.field)
-    up = list(range(1, ring.nvars + 1))
-    t = ext.gen(0)
-    gens = [t * transport(g, ext, up) for g in I.gens]
-    gens += [(ext.one - t) * transport(h, ext, up) for h in J.gens]
+    one, minus_one = ring.field(1), ring.field(-1)
+    gens = [times_new_first_variable(g, ext, 0, one) for g in I.gens]
+    gens += [times_new_first_variable(h, ext, one, minus_one) for h in J.gens]
     return eliminate(Ideal(ext, gens), 1, ring)
 
 

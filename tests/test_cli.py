@@ -149,12 +149,14 @@ def test_verify_csv_format(capsys):
     assert any("remark33" in line for line in out.splitlines()[1:])
 
 
-BAD_TERMS = {"zero-denominator": ("x - 1/0*y", "zero denominator in term '1/0*y'"),
-             "huge-exponent": ("x^1048576 - y", "term 'x^1048576'"),
-             "fraction-mod-p": ("x - 1/32003*y", "-1/32003 has no value mod 32003"),
-             "double-star": ("x**2 - y", "term 'x**2'"),
-             "star-before-sign": ("x*-y", "term 'x*'"),
-             "leading-star": ("*x + y", "term '*x'")}
+# case: (characteristic, polynomial text, what its one-line error says)
+BAD_TERMS = {"zero-denominator": (32003, "x - 1/0*y", "zero denominator in term '1/0*y'"),
+             "zero-denominator-qq": (0, "x - 1/0*y", "zero denominator in term '1/0*y'"),
+             "huge-exponent": (32003, "x^1048576 - y", "term 'x^1048576'"),
+             "fraction-mod-p": (32003, "x - 1/32003*y", "-1/32003 has no value mod 32003"),
+             "double-star": (32003, "x**2 - y", "term 'x**2'"),
+             "star-before-sign": (32003, "x*-y", "term 'x*'"),
+             "leading-star": (32003, "*x + y", "term '*x'")}
 
 
 @pytest.mark.parametrize("case", ["family-m1", "family-m13", "verify-small-field", "missing-file",
@@ -175,9 +177,9 @@ def test_errors_are_one_line_with_exit_code_2(case, tmp_path, capsys):
         path.write_text("ring: vars=[x,y]\ngens:\nx\n")
         argv, needle = ["reg", "--in", str(path)], "bad header line"
     else:
-        poly, needle = BAD_TERMS[case]
+        char, poly, needle = BAD_TERMS[case]
         path = tmp_path / "bad.txt"
-        path.write_text(f"ring: char=32003 vars=[x,y] order=grevlex\ngens:\n{poly}\n")
+        path.write_text(f"ring: char={char} vars=[x,y] order=grevlex\ngens:\n{poly}\n")
         argv = ["betti", "--in", str(path)]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -256,15 +256,46 @@ def _words(n, exps):
     return [bound.word(bound.pack(e)) for e in exps]
 
 
-def test_numerator_matches_the_variable_split_oracle_on_random_ideals():
+def _check_random_ideals_against_the_oracle(gens):
+    """300 seeded ideals of 0 to 30 generators when gens is None, else 100
+    of exactly gens minimal generators."""
     rng = random.Random(20261019)
-    for _ in range(300):
+    checked = 0
+    while checked < (300 if gens is None else 100):
         n = rng.randint(1, 7)
         top = rng.choice((2, 5, 40))
         exps = [tuple(rng.randint(1, top) if rng.random() < 0.5 else 0 for _ in range(n))
-                for _ in range(rng.randint(0, 30))]
+                for _ in range(rng.randint(0, 30) if gens is None else gens)]
         words = _words(n, exps)
+        if gens is not None and len(minimal_words(words, GREVLEX.bind(n).guards)) != gens:
+            continue
         assert monomial_numerator(words, n) == _oracle_numerator(words, n), (n, exps)
+        checked += 1
+
+
+def test_numerator_matches_the_variable_split_oracle_on_random_ideals():
+    _check_random_ideals_against_the_oracle(None)
+
+
+# 4 and 5 minimal generators sit on either side of the largest
+# inclusion-exclusion leaf.
+@pytest.mark.parametrize("gens", [4, 5])
+def test_numerator_matches_the_oracle_at_the_leaf_size(gens):
+    _check_random_ideals_against_the_oracle(gens)
+
+
+def _maximal_ideal_power(n, d):
+    """The exponents of the minimal generators of m^d in n variables."""
+    return [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+
+
+def _maximal_ideal_power_numerator(n, d):
+    """(1 - t)^n sum_{k < d} C(k + n - 1, n - 1) t^k: A/m^d has the monomials below degree d."""
+    out = [0] * (d + n)
+    for k in range(d):
+        for j in range(n + 1):
+            out[k + j] += (-1) ** j * math.comb(n, j) * math.comb(k + n - 1, n - 1)
+    return _oracle_trim(out)
 
 
 @pytest.mark.parametrize("n, exps, want", [
@@ -276,6 +307,10 @@ def test_numerator_matches_the_variable_split_oracle_on_random_ideals():
     (3, [(3, 0, 0), (5, 0, 0), (0, 0, 1)], (1, -1, 0, -1, 1)),
     (1, [(40,)], (1,) + (0,) * 39 + (-1,)),
     (4, [(2, 3, 0, 0), (0, 3, 1, 0), (1, 0, 0, 5), (0, 0, 2, 2)], None),
+    # m^d with 78, 84 and 71 generators: each coefficient's slot is wider than 64 bits.
+    (3, _maximal_ideal_power(3, 11), _maximal_ideal_power_numerator(3, 11)),
+    (4, _maximal_ideal_power(4, 6), _maximal_ideal_power_numerator(4, 6)),
+    (2, _maximal_ideal_power(2, 70), _maximal_ideal_power_numerator(2, 70)),
 ])
 def test_numerator_edge_cases_match_the_oracle(n, exps, want):
     words = _words(n, exps)

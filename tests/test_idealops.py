@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -149,6 +150,65 @@ def test_intersect_commutative_associative_randomized():
         BA = intersect(B, A)
         assert AB.same_ideal(BA)
         assert intersect(AB, C).same_ideal(intersect(A, intersect(B, C)))
+
+
+def _transported_elimination_gens(I, J):
+    """The extension ring and generators t*g and (1-t)*h that intersect(I, J)
+    eliminates t from, built by transport and Polynomial products."""
+    ring = I.ring
+    name = "t_aux"
+    while name in ring.names:
+        name += "_"
+    ext = PolyRing((name,) + ring.names, ring.field)
+    up = list(range(1, ring.nvars + 1))
+    t = ext.gen(0)
+    gens = [t * transport(g, ext, up) for g in I.gens]
+    gens += [(ext.one - t) * transport(h, ext, up) for h in J.gens]
+    return ext, gens
+
+
+def _random_homogeneous_ideal(R, rng):
+    """One to three forms of degree 1 to 3 with random nonzero coefficients,
+    fractions over Q."""
+    coeff = ((lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)))
+             if R.field.char == 0 else (lambda: rng.randrange(1, R.field.char)))
+    forms = []
+    for _ in range(rng.randint(1, 3)):
+        mons = _monomials_of_degree(R, rng.randint(1, 3))
+        forms.append(R.poly({e: coeff() for e in rng.sample(mons, rng.randint(1, len(mons)))}))
+    return Ideal(R, forms)
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("names", [("x", "y", "z"), ("t_aux", "y", "z")], ids=["xyz", "t_aux"])
+def test_intersect_eliminates_the_transported_generators(names, char, monkeypatch,
+                                                         check_rational_form):
+    rng = random.Random(char + len(names[0]))
+    R = PolyRing(names, field_of_characteristic(char))
+    built, elim = [], idealops.eliminate
+
+    def traced_eliminate(E, k, ring=None):
+        built.append(E)
+        return elim(E, k, ring)
+
+    monkeypatch.setattr(idealops, "eliminate", traced_eliminate)
+    for _ in range(10):
+        I, J = _random_homogeneous_ideal(R, rng), _random_homogeneous_ideal(R, rng)
+        meet = intersect(I, J)
+        ext, want = _transported_elimination_gens(I, J)
+        got = built.pop()
+        assert got.ring == ext and ext.names[0] not in names
+        assert [g.pdict for g in got.gens] == [g.pdict for g in want]
+        coeffs = [c for g in got.gens for c in g.pdict.values()]
+        if char:
+            assert all(0 < c < char for c in coeffs)
+        else:
+            check_rational_form(coeffs)
+        assert meet.gens == elim(Ideal(ext, want), 1, R).gens
+    # The zero ideal returns early, with no extension ring.
+    zero = Ideal(R, [])
+    assert intersect(zero, I).gens == () and intersect(I, zero).gens == ()
+    assert not built
 
 
 def test_intersect_of_principal_ideals_is_lcm():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmreg import _kernel, families
+from cmreg import _kernel, families, hilbert
 from cmreg.families import build_family, ci_forms, residual_pivot
 from cmreg.groebner import Ideal, reduce
 from cmreg.hilbert import dim_deg
@@ -17,7 +17,7 @@ from cmreg.resolution import _schreyer_levels, regularity_ideal
 from cmreg.ring import (GREVLEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
                         field_of_characteristic, pdict_addmul, transport)
 from cmreg.sections import general_section
-from cmreg.verify import DEFAULT_SEED
+from cmreg.verify import DEFAULT_SEED, PRIMED_GRID, UNPRIMED_GRID
 
 
 def test_colon_at_4_3_keeps_prime_field_coefficients_reduced():
@@ -112,6 +112,12 @@ def test_prime_field_coefficients_in_range_on_random_ideals(p):
 FAMILY_22_WORK = {32003: {"pairs_processed": 52, "zero_reductions": 38},
                   0: {"pairs_processed": 52, "zero_reductions": 38}}
 
+# Minimalizations (ring.minimal_words calls) of the Hilbert numerator over the
+# lead words of the curve, CI, residual and ACI of every default-grid family
+# at F_32003: one for the root and one per pivot colon.  Inclusion-exclusion
+# leaves of at most hilbert.LEAF generators split no further.
+NUMERATOR_GRID_MINIMALIZATIONS = 102
+
 
 # Calls, pairs and zero reductions of general_section plus
 # saturate_irrelevant on the (2,2) almost complete intersection at F_32003,
@@ -131,6 +137,26 @@ def test_groebner_work_of_family_22_does_not_grow(monkeypatch, count_kernel_work
     assert regularity_ideal(fam.almost_complete_intersection) == 7
     for name, recorded in FAMILY_22_WORK[char].items():
         assert totals[name] <= recorded, (name, totals[name])
+
+
+def test_numerator_minimalizations_on_the_grid_do_not_grow(monkeypatch):
+    words = []
+    for primed, grid in ((False, UNPRIMED_GRID), (True, PRIMED_GRID)):
+        for m, n in grid:
+            fam = build_family(m, n, primed, 32003)
+            for ideal in (fam.curve, fam.complete_intersection, fam.residual,
+                          fam.almost_complete_intersection):
+                words.append((ideal.groebner().lead_words(), ideal.ring.nvars))
+    calls, minimal = [], hilbert.minimal_words
+
+    def counted(*args):
+        calls.append(True)
+        return minimal(*args)
+
+    monkeypatch.setattr(hilbert, "minimal_words", counted)
+    for lead_words, nvars in words:
+        hilbert.monomial_numerator(lead_words, nvars)
+    assert len(calls) <= NUMERATOR_GRID_MINIMALIZATIONS, len(calls)
 
 
 def test_section_and_saturation_work_of_family_22_does_not_grow(count_kernel_work):

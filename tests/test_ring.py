@@ -6,13 +6,15 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cmreg import ring
+from cmreg.cli import parse_ideal_file
 from cmreg.ring import (GREVLEX, MAX_EXP, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
                         field_of_characteristic, grevlex_keys_of_degree, minimal_words,
-                        transport, word_lcm, word_support)
+                        times_new_first_variable, transport, word_lcm, word_support)
 
 
 def test_prime_field_basics():
@@ -272,6 +274,7 @@ GRAMMAR_ACCEPTED = [
     ("x ^ 2", lambda x, y, X0, X1: x ** 2),
     ("- -x", lambda x, y, X0, X1: x),
     ("1/2*x", lambda x, y, X0, X1: Fraction(1, 2) * x),
+    ("x - 1/2*y", lambda x, y, X0, X1: x - Fraction(1, 2) * y),
     ("  x*y - 3", lambda x, y, X0, X1: x * y - 3),
     ("x ", lambda x, y, X0, X1: x),
     ("x - y ", lambda x, y, X0, X1: x - y),
@@ -320,6 +323,30 @@ def test_parser_fraction_coefficients():
     assert f.coeff((0, 1)) == Fraction(-3, 4)
 
 
+def test_parsing_integral_coefficients_constructs_no_fraction(monkeypatch):
+    # A term's sign starts as an int, and only a factor with a denominator
+    # makes a Fraction; aci_3_2p.txt has 9 terms, all integral, and so do the
+    # integer factors below, on both fields.
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    text = (Path(__file__).resolve().parents[1] / "cmbench" / "inputs" / "aci_3_2p.txt").read_text()
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    ideal = parse_ideal_file(text)
+    polys = [PolyRing(("x", "y"), field_of_characteristic(char)).from_string("2*x - 3 4 y + 5")
+             for char in (32003, 0)]
+    assert made == []
+    assert ideal.ring.field == PrimeField(32003)
+    assert sum(len(g.pdict) for g in ideal.gens) == 9
+    polys += ideal.gens
+    assert all(type(c) is int for g in polys for c in g.pdict.values())
+    assert sorted(polys[1].pdict.values()) == [-12, 2, 5]
+
+
 def test_symmetric_residue_printing(ring3):
     x, y, _ = ring3.gens()
     assert str(x - y) == "x - y"
@@ -336,6 +363,22 @@ def test_transport_between_rings():
     assert g == S.gen(0) ** 2 - S.gen(1)
     with pytest.raises(ValueError):
         transport(R.gen(0), S, [None, 0, 1])  # s has no image
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_times_new_first_variable_matches_transport(char):
+    F = field_of_characteristic(char)
+    R = PolyRing(("x", "y", "z"), F)
+    ext = PolyRing(("t",) + R.names, F)
+    t = ext.gen(0)
+    x, y, z = R.gens()
+    f = x ** 3 * y - F(Fraction(2, 3) if char == 0 else 5) * y * z ** 2 + z
+    lifted = transport(f, ext, [1, 2, 3])
+    for const, tcoeff in [(0, 1), (1, -1), (2, 0), (-3, 7)]:
+        got = times_new_first_variable(f, ext, F(const), F(tcoeff))
+        assert got.pdict == ((const + tcoeff * t) * lifted).pdict, (const, tcoeff)
+    with pytest.raises(ValueError):
+        times_new_first_variable(f, PolyRing(("x", "y", "z", "t"), F), F(0), F(1))
 
 
 def test_ring_equality_and_order_cache():
