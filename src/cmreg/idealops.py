@@ -19,15 +19,23 @@ I, I : l, I : l^2, ..., because in(I : x_i^k) is generated by the leads with
 k factors of x_i removed.  The tests check both shortcuts against literal
 colon iteration.
 
-Saturation by an ideal generated by variables (the irrelevant ideal, or the
-coordinate-subspace primes used by the residual checks) uses
-I : (x_i, i in S)^inf = the intersection over S of I : x_i^inf.  The
-irrelevant saturation I^sat usually needs only one of those colons.  Each
-J = I : x_i^inf contains I^sat, and J = I^sat exactly when J/I^sat has
-finite length, which the Hilbert series certify: HS(A/I) - HS(A/J) is a
-polynomial.  saturate_irrelevant returns the first certified colon; if none
-is certified, I^sat is the intersection of the inclusion-minimal colons.
-Every list of ideals is intersected that way, by _intersect_all.
+Saturation by the ideal of a set of variables (the coordinate-subspace
+primes used by the residual checks) is the intersection of their colons
+I : x_i^inf.  The irrelevant saturation I^sat is usually one colon.  For a
+linear form l, J = I : l^inf contains I^sat, and J = I^sat exactly when
+J/I^sat has finite length, which the Hilbert series certify: HS(A/I) -
+HS(A/J) is a polynomial.  saturate_irrelevant tries l = x_last, whose
+colon reuses the grevlex basis of I, then l = x_0 + x_last.  The form
+certifies the families' almost complete intersections.  They are bigraded,
+with X_i of bidegree (1, a_i), so their associated primes are
+bihomogeneous (Eisenbud, Commutative Algebra, 3.5), and a bihomogeneous
+prime that contains x_0 + x_last contains x_0 and x_last.  The only point
+of V(I) where both vanish is e_1, which is off the curve, and there I is the
+unmixed residual, so no associated prime of I^sat contains the form.  If
+neither colon is certified, I^sat is the intersection of the
+inclusion-minimal variable colons, so the result is exact for every
+homogeneous ideal.  Every list of ideals is intersected that way, by
+_intersect_all.
 """
 
 from __future__ import annotations
@@ -166,7 +174,9 @@ def saturate(I, l):
     x_i the last variable of l, the coordinate change
     x_i -> (x_i - sum_{j != i} c_j x_j) / c_i sends l to x_i and I to J.  In
     grevlex with x_i last, q is the largest x_i power in a lead of J's
-    basis, and I : l^inf is J : x_i^inf with x_i put back to l.
+    basis, and I : l^inf is J : x_i^inf with x_i put back to l.  When l is
+    c * x_i there is no change: J is I, and the colon is
+    colon_by_variable_power(I, i), I itself when q == 0.
     """
     coeffs = linear_coefficients(l)
     if l.ring != I.ring:
@@ -174,13 +184,17 @@ def saturate(I, l):
     if not I.is_homogeneous():
         raise ValueError("saturation by a linear form needs a homogeneous ideal")
     f = I.ring.field
-    i = max(j for j, c in enumerate(coeffs) if c != 0)
-    inv = f.inv(coeffs[i])
-    to_var = [inv if j == i else f.neg(f.mul(c, inv)) for j, c in enumerate(coeffs)]
-    J = substitute_variable(I, i, linear_form(I.ring, to_var))
+    support = [j for j, c in enumerate(coeffs) if c != 0]
+    i = support[-1]
+    J = I
+    if len(support) > 1:
+        inv = f.inv(coeffs[i])
+        to_var = [inv if j == i else f.neg(f.mul(c, inv)) for j, c in enumerate(coeffs)]
+        J = substitute_variable(I, i, linear_form(I.ring, to_var))
     leads = J.groebner(_variable_last(I.ring.nvars, i)).leading_exps()
     q = max((e[i] for e in leads), default=0)
-    return substitute_variable(colon_by_variable_power(J, i), i, l), q
+    S = colon_by_variable_power(J, i)
+    return (S if J is I else substitute_variable(S, i, l)), q
 
 
 def saturate_by_variables(I, indices):
@@ -227,27 +241,31 @@ def colon_by_variable_power(I, i):
 def saturate_irrelevant(I):
     """I^sat = I : (x_0,...,x_n)^inf, cached on the ideal.
 
-    For homogeneous I each colon J = I : x_i^inf contains I^sat.  When
-    HS(A/I) - HS(A/J) is a polynomial, J and I^sat share a Hilbert
-    polynomial, so J/I^sat has finite length; A/I^sat has no m-torsion, so
-    then J = I^sat.  The colons are tried from the last variable down (the
-    last one reuses the grevlex basis of I) and the first that passes is the
-    answer.  Each colon's Hilbert series reads the basis it holds.  If none
-    is certified, I^sat is the intersection of the inclusion-minimal colons;
-    the containment tests reduce against those held bases too.
+    For homogeneous I and a linear form l, J = I : l^inf contains I^sat.
+    When HS(A/I) - HS(A/J) is a polynomial, J/I^sat has finite length, and
+    A/I^sat has no m-torsion, so J = I^sat.  The candidates, by saturate,
+    are l = x_last, which reuses the grevlex basis of I, and then
+    l = x_0 + x_last, which is certified when no associated prime of I^sat
+    contains the form.  On a bigraded ideal such as the families' ACIs that
+    means none contains both x_0 and x_last (see the module docstring).  If
+    neither is certified, I^sat is the intersection of the
+    inclusion-minimal variable colons, the x_last one among them.
     """
     cached = I._cache.get("sat")
     if cached is None:
         hs = hilbert.hilbert_series(I)
-        parts = []
-        for i in range(I.ring.nvars - 1, -1, -1):
-            J = colon_by_variable_power(I, i)
+        x = I.ring.gens()
+        # In one variable x_0 + x_last is 2 x_0, and I : x_0^inf is I^sat.
+        rejected = []
+        for l in (x[-1], x[0] + x[-1]) if len(x) > 1 else x:
+            J, _ = saturate(I, l)
             if hilbert.series_difference(hs, hilbert.hilbert_series(J)) is not None:
                 cached = J
                 break
-            parts.append(J)
-        else:
-            cached = _intersect_all(reversed(parts))
+            rejected.append(J)
+        else:  # rejected[0] is I : x_last^inf
+            parts = [colon_by_variable_power(I, i) for i in range(len(x) - 1)]
+            cached = _intersect_all(parts + rejected[:1])
         I._cache["sat"] = cached
     return cached
 

@@ -11,7 +11,8 @@ import pytest
 
 from cmreg import idealops
 from cmreg.groebner import Ideal, member, spair_certificate
-from cmreg.hilbert import hilbert_function, hilbert_series, indeg, nonzerodivisor
+from cmreg.hilbert import (hilbert_function, hilbert_series, indeg, nonzerodivisor,
+                           series_difference)
 from cmreg.idealops import (colon, colon_by_variable_power, eliminate,
                             ideal_product, intersect, membership_exponent,
                             quotient_exact, saturate, saturate_by_variables,
@@ -633,16 +634,40 @@ def test_saturate_irrelevant_matches_oracle_on_aci_and_sections(primed, char):
 
 
 @pytest.mark.parametrize("char", [32003, 0])
-def test_saturate_irrelevant_of_the_grid_acis_intersects_two_minimal_colons(char, monkeypatch):
+def test_saturate_irrelevant_of_the_grid_acis_is_the_colon_by_x0_plus_xlast(char, monkeypatch):
+    """Each grid ACI's x_last colon is refused, and its colon by x_0 + x_last
+    certifies with no intersection.  That colon is a colon by x_last after
+    the coordinate change, so x_last is tried twice."""
     from cmreg.families import build_family
-    from cmreg.verify import PRIMED_GRID, UNPRIMED_GRID
 
     for primed, grid in ((False, UNPRIMED_GRID), (True, PRIMED_GRID)):
         for m, n in grid:
             aci = build_family(m, n, primed=primed, char=char).almost_complete_intersection
+            last = aci.ring.nvars - 1
+            refused = colon_by_variable_power(_fresh(aci), last)
+            assert series_difference(hilbert_series(aci), hilbert_series(refused)) is None
             S, tried, meets = _saturate_traced(_fresh(aci), monkeypatch)
-            assert tried == list(reversed(range(aci.ring.nvars))) and meets == 1, (m, n, primed)
+            assert tried == [last, last] and meets == 0, (m, n, primed)
             assert S.groebner().polys == _saturation_oracle(_fresh(aci)).groebner().polys
+
+
+@pytest.mark.parametrize("m,n,primed,char", CAPPED_SCAN_CASES)
+def test_x0_plus_xlast_is_a_nonzerodivisor_on_the_saturated_aci(m, n, primed, char):
+    """The ACI is bihomogeneous, so an associated prime of I^sat that held
+    X0 + X_last would hold X0 and X_last, and none does: the form is a
+    nonzerodivisor on A/I^sat and its colon is I^sat.  X0 + X1 vanishes at
+    the embedded point e_last, so its colon is refused by the series
+    difference, and it is not I^sat."""
+    from cmreg.families import build_family
+
+    aci = build_family(m, n, primed=primed, char=char).almost_complete_intersection
+    oracle = _saturation_oracle(_fresh(aci))
+    X = aci.ring.gens()
+    assert nonzerodivisor(oracle, X[0] + X[-1])
+    assert saturate_irrelevant(_fresh(aci)).groebner().polys == oracle.groebner().polys
+    wrong, _ = saturate(_fresh(aci), X[0] + X[1])
+    assert series_difference(hilbert_series(aci), hilbert_series(wrong)) is None
+    assert not wrong.same_ideal(oracle)
 
 
 def _chain_and_crossing_ideals():
@@ -683,14 +708,20 @@ def test_intersect_all_matches_the_plain_intersection_in_any_order():
         assert idealops._intersect_all(parts).groebner().polys == plain
 
 
-@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["p", "q"])
-def test_saturate_irrelevant_fallback_intersects_the_colons(field, monkeypatch):
+def _points_meet_cube(field):
+    """The three coordinate points of P^2 meet m^3, and the points."""
     R = PolyRing(("x", "y", "z"), field)
     x, y, z = R.gens()
-    points = Ideal(R, [x * y, x * z, y * z])  # the three coordinate points
-    I = Ideal(R, [g * v for g in points.gens for v in (x, y, z)])  # points meet m^3
+    points = Ideal(R, [x * y, x * z, y * z])
+    return Ideal(R, [g * v for g in points.gens for v in (x, y, z)]), points
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["p", "q"])
+def test_saturate_irrelevant_fallback_intersects_the_colons(field, monkeypatch):
+    I, points = _points_meet_cube(field)
     S, tried, meets = _saturate_traced(I, monkeypatch)
-    assert tried == [2, 1, 0] and meets == 2  # one point per colon
+    # x + z vanishes at the y-point, so its colon is refused too.
+    assert tried == [2, 2, 0, 1] and meets == 2  # one point per variable colon
     assert S.same_ideal(points) and not I.same_ideal(points)
     _assert_matches_oracle(I)
 
@@ -702,7 +733,7 @@ def test_saturate_irrelevant_rejects_a_colon_with_another_hilbert_polynomial(mon
     I = Ideal(R, [x2 * x0, x2 * x1])
     assert colon_by_variable_power(I, 2).same_ideal(Ideal(R, [x0, x1]))
     S, tried, meets = _saturate_traced(I, monkeypatch)
-    assert tried == [2, 1, 0] and meets == 1  # the x1 and x0 colons are both (x2)
+    assert tried == [2, 2] and meets == 0  # x0 + x2 lies in neither component
     assert S.same_ideal(I)
     _assert_matches_oracle(I)
 
@@ -801,9 +832,13 @@ def test_intersection_colon_and_saturation_hold_their_reduced_bases(char, count_
     _assert_order_free_reads_run_no_buchberger(residual, ci, count_kernel_work)
     _assert_holds_its_reduced_basis(residual)
     assert ci.contains_ideal(Ideal(ci.ring, [pivot * g for g in residual.gens]))
-    S = saturate_irrelevant(_fresh(aci))
-    assert S.gens != aci.gens
-    _assert_order_free_reads_run_no_buchberger(S, aci, count_kernel_work)
+    # The ACI's I^sat comes back through a coordinate change, holding no
+    # basis (tests/test_kernel.py bounds its work); an I^sat that the
+    # fallback intersects holds the basis of its last intersection.
+    I, points = _points_meet_cube(fam.ring.field)
+    S = saturate_irrelevant(I)
+    assert S.same_ideal(points)
+    _assert_order_free_reads_run_no_buchberger(S, I, count_kernel_work)
     _assert_holds_its_reduced_basis(S)
 
 

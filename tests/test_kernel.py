@@ -12,7 +12,7 @@ from cmreg import _kernel, families, hilbert
 from cmreg.families import build_family, ci_forms, residual_pivot
 from cmreg.groebner import Ideal, reduce
 from cmreg.hilbert import dim_deg
-from cmreg.idealops import colon, colon_by_variable_power, saturate_irrelevant
+from cmreg.idealops import colon, colon_by_variable_power, saturate, saturate_irrelevant
 from cmreg.resolution import _schreyer_levels, regularity_ideal
 from cmreg.ring import (GREVLEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
                         field_of_characteristic, pdict_addmul, transport)
@@ -122,7 +122,15 @@ NUMERATOR_GRID_MINIMALIZATIONS = 102
 # Calls, pairs and zero reductions of general_section plus
 # saturate_irrelevant on the (2,2) almost complete intersection at F_32003,
 # its grevlex basis already known, as build_family leaves it.
-SECTION_22_WORK = {"calls": 8, "pairs_processed": 86, "zero_reductions": 58}
+SECTION_22_WORK = {"calls": 6, "pairs_processed": 44, "zero_reductions": 28}
+
+# Calls, pairs and zero reductions of saturate_irrelevant, plus the Hilbert
+# series of I^sat and its containment of I, over the almost complete
+# intersections of the default grid, each holding its grevlex basis.  Per
+# ACI the x_last colon reuses that basis, and the colon by x_0 + x_last
+# computes one basis after the coordinate change and I^sat one after the
+# change back.  Both fields give the same counts.
+ACI_SATURATION_GRID_WORK = {"calls": 14, "pairs_processed": 222, "zero_reductions": 162}
 
 # Calls, pairs and zero reductions of general_section on the (2,2) residual
 # at F_32003, as build_family leaves it: the cut check_thm11 makes.
@@ -170,6 +178,24 @@ def test_section_and_saturation_work_of_family_22_does_not_grow(count_kernel_wor
         assert totals[name] <= recorded, (name, totals[name])
 
 
+@pytest.mark.parametrize("char", [32003, 0])
+def test_saturation_work_of_the_grid_acis_does_not_grow(count_kernel_work, char):
+    acis = []
+    for primed, grid in ((False, UNPRIMED_GRID), (True, PRIMED_GRID)):
+        for m, n in grid:
+            aci = build_family(m, n, primed, char).almost_complete_intersection
+            I = Ideal(aci.ring, aci.gens)
+            I.groebner()
+            acis.append(I)
+    totals = count_kernel_work()
+    for I in acis:
+        S = saturate_irrelevant(I)
+        hilbert.hilbert_series(S)
+        assert S.contains_ideal(I)
+    for name, recorded in ACI_SATURATION_GRID_WORK.items():
+        assert totals[name] <= recorded, (name, totals[name])
+
+
 def test_section_work_of_residual_22_does_not_grow(count_kernel_work):
     residual = build_family(2, 2).residual
     totals = count_kernel_work()
@@ -185,6 +211,21 @@ def test_last_variable_colon_reuses_the_grevlex_basis(count_kernel_work):
     I.groebner()
     totals = count_kernel_work()
     colon_by_variable_power(I, R.nvars - 1)
+    assert totals["calls"] == 0
+
+
+def test_saturation_by_the_last_variable_reuses_the_grevlex_basis(count_kernel_work):
+    R = PolyRing(("x", "y", "z", "w"), PrimeField(32003))
+    x, y, z, w = R.gens()
+    I = Ideal(R, [x * z - y * y, x * w - y * z, y * w - z * z])  # prime, so q = 0
+    J = Ideal(R, [g * w for g in I.gens])  # J : w = I, so q = 1
+    I.groebner()
+    J.groebner()
+    totals = count_kernel_work()
+    assert saturate(I, w) == (I, 0)
+    assert saturate(I, 5 * w) == (I, 0)
+    S, q = saturate(J, w)
+    assert q == 1 and S.gens == I.groebner().polys
     assert totals["calls"] == 0
 
 
