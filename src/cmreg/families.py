@@ -19,7 +19,7 @@ the first monomial shift of a Groebner basis element with that lead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import hilbert
 from .groebner import Ideal
@@ -232,24 +232,13 @@ def extra_form(residual, curve, d):
         f"(searched {len(basis)} echelon rows)")
 
 
-@dataclass
-class FamilyInstance:
+class FamilyInstance(namedtuple("FamilyInstance", "m n primed char ring exponents curve "
+                                "complete_intersection ci_degrees residual extra_form "
+                                "extra_degree almost_complete_intersection")):
     """One constructed instance: the curve, its complete intersection,
     the residual, and the almost complete intersection."""
 
-    m: int
-    n: int
-    primed: bool
-    char: int
-    ring: PolyRing
-    exponents: tuple
-    curve: Ideal
-    complete_intersection: Ideal
-    ci_degrees: tuple
-    residual: Ideal
-    extra_form: Polynomial
-    extra_degree: int
-    almost_complete_intersection: Ideal
+    __slots__ = ()
 
     @property
     def codim_expected(self):

@@ -35,7 +35,7 @@ certifies I : f = I by one more series.  No truncation is involved anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .groebner import Ideal
 from .ring import EXP_BITS, GREVLEX, minimal_words, word_lcm
@@ -181,18 +181,14 @@ def _divide_by_one_minus_t(coeffs):
     return _trim(out[:-1])
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(namedtuple("HilbertData", "numerator dimension degree nvars")):
     """Numerator coefficients of HS(A/I), Krull dimension, and multiplicity.
 
     dimension is -1 for the unit ideal (empty scheme).  degree is the
     normalized leading coefficient: for dimension 0 it is the length of A/I.
     """
 
-    numerator: tuple
-    dimension: int
-    degree: int
-    nvars: int
+    __slots__ = ()
 
 
 def hilbert_series(ideal):
@@ -275,11 +271,11 @@ def indeg(ideal):
     return min(g.degree() for g in gb.polys)
 
 
-@dataclass(frozen=True)
-class FiniteLengthData:
-    length: int
-    top_degree: object  # int, or -inf for the zero quotient
-    coefficients: tuple  # graded dimensions of I_big/I_small by degree
+class FiniteLengthData(namedtuple("FiniteLengthData", "length top_degree coefficients")):
+    """Length of I_big/I_small, its top degree (-inf for the zero quotient)
+    and its graded dimensions by degree."""
+
+    __slots__ = ()
 
 
 def series_difference(data_a, data_b):

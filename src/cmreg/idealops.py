@@ -41,12 +41,12 @@ _intersect_all.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _kernel, hilbert
 from .groebner import Ideal, reduce
 from .resolution import regularity_ideal
-from .ring import (EXP_BITS, GREVLEX, Block, PermutedGrevlex, PolyRing, Polynomial,
+from .ring import (EXP_BITS, GREVLEX, MAX_EXP, Block, PermutedGrevlex, PolyRing, Polynomial,
                    pdict_addmul, times_new_first_variable)
 
 
@@ -139,8 +139,10 @@ def substitute_variable(I, i, repl):
 
     repl's ring either has I's variables (a change of coordinates) or drops
     x_i (a hyperplane cut), in any order; every other variable goes to the
-    variable of the same name.  The powers of repl are shared by every
-    generator.
+    variable of the same name.  A generator's terms are grouped by their
+    x_i exponent e, with x_i^e taken out, and each group is multiplied by
+    repl^e once; the powers of repl are shared by every generator.  When
+    repl's ring is I's, taking x_i^e out of a key is subtracting e * key(x_i).
     """
     target = repl.ring
     names = I.ring.names
@@ -148,20 +150,35 @@ def substitute_variable(I, i, repl):
     keep = [j for j in range(n) if j != i]
     if set(target.names) - {names[i]} != {names[j] for j in keep}:
         raise ValueError(f"cannot substitute {names} into {target.names}")
-    slots = [target._name_index[names[j]] for j in keep]
-    unpack, pack = I.ring.bound.unpack, target.bound.pack
+    bound = I.ring.bound
+    word, shift = bound.word, EXP_BITS * i
+    if target.names == names:
+        xi = bound.raw([int(j == i) for j in range(n)])
+
+        def base(k, e):
+            return k - e * xi
+    else:
+        slots = [target._name_index[names[j]] for j in keep]
+        unpack, raw = bound.unpack, target.bound.raw
+
+        def base(k, e):
+            exps = unpack(k)
+            out = [0] * target.nvars
+            for j, s in zip(keep, slots):
+                out[s] = exps[j]
+            return raw(out)
     powers = [target.one]
     images = []
     for g in I.gens:
-        data = {}
+        groups = {}
         for k, c in g.pdict.items():
-            e = unpack(k)
-            while len(powers) <= e[i]:
+            e = word(k) >> shift & MAX_EXP
+            groups.setdefault(e, {})[base(k, e)] = c
+        data = {}
+        for e, part in groups.items():
+            while len(powers) <= e:
                 powers.append(powers[-1] * repl)
-            base = [0] * target.nvars
-            for j, s in zip(keep, slots):
-                base[s] = e[j]
-            pdict_addmul(target.p, data, {pack(base): c}, powers[e[i]].pdict)
+            pdict_addmul(target.p, data, part, powers[e].pdict)
         images.append(Polynomial._product(target, data))
     return Ideal(target, images)
 
@@ -324,8 +341,8 @@ def membership_exponent(I, l, g, jmax):
     return None
 
 
-@dataclass
-class SaturationBound:
+class SaturationBound(namedtuple("SaturationBound", "q a0 indeg_sat reg_ideal bound_mid "
+                                  "bound_right holds status method precondition_certified")):
     """Report of the saturation-exponent inequality for one linear form.
 
     q is the number of strict colon steps to reach I^sat; the asserted chain
@@ -334,16 +351,7 @@ class SaturationBound:
     chosen form fails its genericity checks.
     """
 
-    q: object
-    a0: object
-    indeg_sat: object
-    reg_ideal: int
-    bound_mid: object
-    bound_right: object
-    holds: object
-    status: str
-    method: str
-    precondition_certified: bool
+    __slots__ = ()
 
 
 def saturation_exponent_bound_check(I, l):

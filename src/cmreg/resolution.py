@@ -63,8 +63,7 @@ is a hard error, not a warning.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 from math import gcd
 
@@ -132,14 +131,11 @@ class BettiTable:
         return f"BettiTable({self.module_label}, pdim={self.pdim()}, reg={self.regularity()})"
 
 
-@dataclass
-class Resolution:
+class Resolution(namedtuple("Resolution", "ring betti stats")):
     """The graded Betti table of A/I and the work behind it; stats["route"]
     names the route (see the module docstring)."""
 
-    ring: object
-    betti: BettiTable
-    stats: dict
+    __slots__ = ()
 
 
 def _schreyer_levels(ctx, gb_packed, nvars):

@@ -30,12 +30,12 @@ disagreement new seeds are drawn, with a bounded number of retries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import hilbert
 from .groebner import Ideal
 from .idealops import linear_coefficients, linear_form, saturate_irrelevant, substitute_variable
-from .ring import PolyRing, Polynomial, transport
+from .ring import PolyRing, transport
 
 
 class GenericityFailure(RuntimeError):
@@ -100,22 +100,20 @@ def section_order(I):
     return [j for j in range(n - 1) if j != last] + [last]
 
 
-@dataclass
-class SectionData:
+class SectionData(namedtuple("SectionData", "seed attempted_seeds linear_form hyperplane_ring "
+                             "section_ideal lifted_ideal deg_section indeg_section validation",
+                             defaults=(None,))):
     """One validated general section: the form, the saturated section ideal
     (in the hyperplane ring, whose variables may be ordered differently from
     the ambient ring's, see section_order), its lift (I + l)^sat back to the
-    ambient ring through that order, and the two numeric invariants."""
+    ambient ring through that order, and the two numeric invariants.
+    validation defaults to a fresh dict."""
 
-    seed: int
-    attempted_seeds: tuple
-    linear_form: Polynomial
-    hyperplane_ring: PolyRing
-    section_ideal: Ideal
-    lifted_ideal: Ideal
-    deg_section: int
-    indeg_section: int
-    validation: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        rec = super().__new__(cls, *args, **kwargs)
+        return rec if rec.validation is not None else rec._replace(validation={})
 
 
 def _section_invariants(I, l, perm):

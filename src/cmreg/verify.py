@@ -21,7 +21,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import families, hilbert, resolution, sections
 from . import idealops as ops
@@ -61,20 +61,23 @@ def v(value, via):
     return {"value": _jsonable(value), "via": via}
 
 
-@dataclass
-class SubCheck:
-    name: str
-    status: str  # "pass" | "fail" | "skip"
-    values: dict = field(default_factory=dict)
-    note: str = ""
+class SubCheck(namedtuple("SubCheck", "name status values note", defaults=(None, ""))):
+    """One named check of a report; status is "pass", "fail" or "skip".
+    values defaults to a fresh dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        rec = super().__new__(cls, *args, **kwargs)
+        return rec if rec.values is not None else rec._replace(values={})
 
 
-@dataclass
-class VerifyReport:
-    claim: str
-    params: dict
-    subchecks: list
-    elapsed: float = 0.0
+class VerifyReport(namedtuple("VerifyReport", "claim params subchecks elapsed",
+                              defaults=(0.0,))):
+    """The sub-checks of one claim at one parameter set, and the seconds
+    they took (elapsed, left out of to_obj)."""
+
+    __slots__ = ()
 
     @property
     def verdict(self):
@@ -104,12 +107,11 @@ class _Collector:
         self.subchecks = []
 
     def record(self, name, ok, values=None, note=""):
-        self.subchecks.append(SubCheck(
-            name, "pass" if ok else "fail", values or {}, note))
+        self.subchecks.append(SubCheck(name, "pass" if ok else "fail", values, note))
         return ok
 
     def skip(self, name, note, values=None):
-        self.subchecks.append(SubCheck(name, "skip", values or {}, note))
+        self.subchecks.append(SubCheck(name, "skip", values, note))
 
     def info(self, name, values, note=""):
         self.subchecks.append(SubCheck(name, "pass", values, note or "reported, not asserted"))

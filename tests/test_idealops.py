@@ -19,7 +19,8 @@ from cmreg.idealops import (colon, colon_by_variable_power, eliminate,
                             saturate_irrelevant,
                             saturation_exponent_bound_check,
                             substitute_variable)
-from cmreg.ring import PolyRing, PrimeField, QQ, field_of_characteristic, transport
+from cmreg.ring import (PolyRing, Polynomial, PrimeField, QQ, field_of_characteristic,
+                        pdict_addmul, transport)
 from cmreg.verify import DEFAULT_SEED, LEMMA12_ROUNDS, PRIMED_GRID, UNPRIMED_GRID
 from cmreg._linalg import rref
 
@@ -307,6 +308,54 @@ def test_substitute_variable_coordinate_change_round_trip(field):
     assert substitute_variable(Ideal(R, [l]), 1, to_y).gens == (y,)
     fwd = substitute_variable(I, 1, to_y)
     assert substitute_variable(fwd, 1, l).gens == I.gens
+
+
+def _substitute_per_term(I, i, repl):
+    """x_i -> repl one term at a time: each term is unpacked, its x_i power
+    dropped, the rest packed and multiplied by that power of repl (the
+    oracle of substitute_variable)."""
+    target = repl.ring
+    names = I.ring.names
+    keep = [j for j in range(len(names)) if j != i]
+    slots = [target._name_index[names[j]] for j in keep]
+    unpack, pack = I.ring.bound.unpack, target.bound.pack
+    powers = [target.one]
+    images = []
+    for g in I.gens:
+        data = {}
+        for k, c in g.pdict.items():
+            e = unpack(k)
+            while len(powers) <= e[i]:
+                powers.append(powers[-1] * repl)
+            base = [0] * target.nvars
+            for j, s in zip(keep, slots):
+                base[s] = e[j]
+            pdict_addmul(target.p, data, {pack(base): c}, powers[e[i]].pdict)
+        images.append(Polynomial._product(target, data))
+    return Ideal(target, images)
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_substitute_variable_matches_the_per_term_route_on_the_grid(char, monkeypatch):
+    """Every coordinate change of a saturation and every hyperplane cut of a
+    section in a cold grid pass gives the per-term route's generators."""
+    from cmreg import families, sections
+    from cmreg.verify import grid_reports
+
+    grouped = substitute_variable
+    kinds = []
+
+    def checked(I, i, repl):
+        J = grouped(I, i, repl)
+        assert J.gens == _substitute_per_term(I, i, repl).gens, (I.ring, i)
+        kinds.append("change" if repl.ring == I.ring else "cut")
+        return J
+
+    monkeypatch.setattr(idealops, "substitute_variable", checked)
+    monkeypatch.setattr(sections, "substitute_variable", checked)
+    monkeypatch.setattr(families, "_FAMILY_CACHE", {})
+    grid_reports(char=char)
+    assert (kinds.count("change"), kinds.count("cut")) == (14, 14), kinds
 
 
 def test_saturate_ideal_variable_fast_path():

@@ -1,16 +1,23 @@
 """Every import in the package's modules is used, sits at module level and
 names nothing private of a public module, and ring.py, the representation
-every other module builds on, imports none of them (a stdlib ast scan)."""
+every other module builds on, imports none of them (a stdlib ast scan).
+A cold import of the command line loads none of the standard library's
+introspection modules."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cmreg"
 
 # Internal modules: their underscore names are for the package's own layers.
 INTERNAL_MODULES = {"_kernel", "_linalg"}
+# What dataclasses and typing pull into a fresh interpreter; the package's
+# records are namedtuples, so a command-line call imports none of these.
+COLD_UNUSED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
 
 
 def unused_imports(path):
@@ -85,3 +92,20 @@ def test_ring_imports_no_module_of_the_package():
     assert package_imports(SRC / "_kernel.py"), "the scan finds the kernel's import of ring"
     found = [f"ring.py:{line} {module}" for line, module in package_imports(SRC / "ring.py")]
     assert not found, f"ring.py must stay the bottom layer: {found}"
+
+
+def test_a_cold_import_of_the_cli_loads_no_introspection_module():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cmreg.cli, cmreg.verify; "
+            f"print(*[m for m in {COLD_UNUSED!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == [], f"a cold import of cmreg.cli loads {out.split()}"
+
+
+def test_no_class_is_a_dataclass():
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.ClassDef)
+             and any("dataclass" in ast.unparse(d) for d in node.decorator_list)]
+    assert not found, f"dataclasses: {found}"

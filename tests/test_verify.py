@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -113,7 +112,7 @@ def test_thm11_cuts_the_residual_once_per_grid_instance(monkeypatch):
 def test_thm11_guard_rejects_a_residual_that_is_not_the_top_part(monkeypatch, swap, message):
     fam = families.build_family(2, 2)
     monkeypatch.setitem(families._FAMILY_CACHE, (2, 2, False, fam.char),
-                        dataclasses.replace(fam, residual=swap(fam)))
+                        fam._replace(residual=swap(fam)))
     note = _error_note(check_thm11(2, 2, primed=False))
     assert note.startswith(f"AssertionError: thm11 (2, 2, primed=False): {message}"), note
 
@@ -123,7 +122,7 @@ def test_thm11_asserts_deg_z_is_the_degree_of_the_cone(monkeypatch):
 
     def off_by_one(I, seed):
         sd = cut(I, seed)
-        return dataclasses.replace(sd, deg_section=sd.deg_section + 1)
+        return sd._replace(deg_section=sd.deg_section + 1)
 
     monkeypatch.setattr(sections, "general_section", off_by_one)
     note = _error_note(check_thm11(2, 2, primed=False))
