@@ -19,13 +19,16 @@ lcm, so the pair order is that of the exponent tuples.  A popped word with
 a guard bit set is a term whose exponent passed the cap; the normal-form
 loop raises OverflowError for it rather than reduce a term that is not there.
 
-Buchberger autoreduces its inputs in one ascending pass, keeps its S-pairs in
-a heap in normal order, and prunes them by Gebauer-Moeller.  The update for a
-new lead f computes each lcm(lead_i, f) once: the old-pair deletion reads
-that list, one dict keeps the first index of each lcm class and one set the
-classes with a coprime member.  ring.minimal_words keeps the minimal classes
-(the chain criterion) by one int sort; heap ties break on the pair's
-indices, so the push order does not matter.  The final pass,
+Buchberger autoreduces its inputs in one ascending pass and keeps its
+S-pairs in a PairSet: a heap in normal order, pruned by Gebauer-Moeller.
+The update for a new lead f computes each lcm(lead_i, f) once: the old-pair
+deletion reads that list, one dict keeps the first index of each lcm class
+and one the first coprime member.  ring.minimal_words keeps the minimal
+classes (the chain criterion) by one int sort; heap ties break on the
+pair's indices, so the push order does not matter.  The intersection run
+shares the PairSet: it starts from a Groebner basis whose pairs are never
+queued, and reads the generators of an intersection off the pairs that
+reduce to zero and the pairs the product criterion retires.  The final pass,
 reduced_basis, keeps the elements of minimal lead, sorts them once by
 lead, and reduces each tail against the elements of smaller lead only (a
 lead divides no smaller term) before putting the monic lead back; it also
@@ -60,7 +63,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .ring import MAX_EXP, Polynomial, minimal_words, word_lcm
+from .ring import MAX_EXP, Polynomial, minimal_words, pdict_addmul, word_lcm
 
 
 class BudgetExceeded(RuntimeError):
@@ -400,46 +403,67 @@ def _spair(gi, gj, lcmkey, p):
     return h
 
 
-def buchberger(ctx, pdicts, max_pairs=2_000_000):
-    """Reduced Groebner basis of the ideal generated by packed polys.
+class PairSet:
+    """The S-pairs of a growing basis G, pruned by Gebauer-Moeller and
+    counted against a budget.
 
-    The inputs are autoreduced in one pass in ascending lead order: each is
-    reduced against the survivors before it, and its monic remainder, if
-    any, survives.  A survivor whose lead the new lead divides goes back in
-    the queue; that happens only when a lead drops, which a homogeneous input
-    under a degree order never does.  Pairs are pruned by Gebauer-Moeller and
-    taken from a heap in normal order (min lcm degree, then sugar, then lcm
-    key); reduced_basis minimalizes the leads and reduces the tails.
-    Returns (basis, stats) with the basis monic and sorted descending by lead.
+    add(red) appends red to G and updates the pairs for its lead f: an old
+    pair goes when f divides its lcm and the lcm is neither new lcm with f;
+    each lcm(lead_i, f) is computed once, one dict keeps the first index of
+    each lcm class and another its first coprime member.
+    ring.minimal_words keeps the minimal classes (the chain criterion) by one
+    int sort, and a minimal class with a coprime member is retired (the
+    product criterion).  pop() takes the live pairs from a heap in normal
+    order (min lcm degree, then sugar, then lcm key); heap ties break on the
+    pair's indices, so the push order does not matter.
+
+    The reducers given at construction are a Groebner basis: their pairs
+    all reduce to zero, so none is queued.
     """
-    p = ctx.p
-    key, degree, guards = ctx.key, ctx.degree, ctx.guards
-    stats = {"pairs_processed": 0, "zero_reductions": 0}
-    G = []
-    lme = []
-    pairs = {}
-    queue = []
-    push = heapq.heappush
 
-    def update(newred):
-        # Gebauer-Moeller update of the pair set for a newly appended element.
-        t = newred.index
-        lmf = newred.leadword
-        lcms = [word_lcm(lme[i], lmf, guards) for i in range(t)]
+    __slots__ = ("ctx", "G", "lme", "pairs", "queue", "max_pairs", "processed")
+
+    def __init__(self, ctx, max_pairs, basis=()):
+        self.ctx = ctx
+        self.G = []
+        self.lme = []
+        for red in basis:
+            red.index = len(self.G)
+            self.G.append(red)
+            self.lme.append(red.leadword)
+        self.pairs = {}
+        self.queue = []
+        self.max_pairs = max_pairs
+        self.processed = 0
+
+    def add(self, red):
+        """Append red as G[t] and update the pairs for it.  Returns the pairs
+        (i, t) the product criterion retired, one per minimal lcm class, with
+        i its first coprime member."""
+        ctx = self.ctx
+        guards, degree, key = ctx.guards, ctx.degree, ctx.key
+        G, lme, pairs = self.G, self.lme, self.pairs
+        t = red.index = len(G)
+        lmf = red.leadword
+        lcms = [word_lcm(w, lmf, guards) for w in lme]
+        G.append(red)
+        lme.append(lmf)
         for i, j in [(i, j) for (i, j), gam in pairs.items()
                      if not (gam - lmf) & guards and gam != lcms[i] and gam != lcms[j]]:
             del pairs[(i, j)]
         first = {}
-        coprime = set()
+        coprime = {}
         for i, gam in enumerate(lcms):
             first.setdefault(gam, i)
             if lme[i] + lmf == gam:
-                coprime.add(gam)
+                coprime.setdefault(gam, i)
         # Chain criterion: only the minimal lcm classes need a heap key.
-        fsug = newred.sugar - degree(lmf)
+        fsug = red.sugar - degree(lmf)
+        retired = []
         for gam in minimal_words(first, guards):
             # Product criterion: a coprime member retires the whole lcm class.
             if gam in coprime:
+                retired.append((coprime[gam], t))
                 continue
             i = first[gam]
             deg = degree(gam)
@@ -447,14 +471,40 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
                 raise OverflowError(f"S-pair lcm of total degree {deg} exceeds {MAX_EXP}")
             sug = deg + max(G[i].sugar - degree(lme[i]), fsug)
             pairs[(i, t)] = gam
-            push(queue, (deg, sug, key(gam), (i, t)))
+            heapq.heappush(self.queue, (deg, sug, key(gam), (i, t)))
+        return retired
 
-    def add(red):
-        red.index = len(G)
-        G.append(red)
-        lme.append(red.leadword)
-        update(red)
+    def pop(self):
+        """The next live pair as (sugar, lcm key, (i, j)), None when no pair
+        is left; raises BudgetExceeded past the budget."""
+        queue, pairs = self.queue, self.pairs
+        while queue:
+            _, sug, lcmkey, ij = heapq.heappop(queue)
+            if pairs.pop(ij, None) is None:
+                continue
+            self.processed += 1
+            if self.processed > self.max_pairs:
+                raise BudgetExceeded("Groebner basis computation exceeded the pair budget "
+                                     f"({self.max_pairs} pairs)")
+            return sug, lcmkey, ij
+        return None
 
+
+def buchberger(ctx, pdicts, max_pairs=2_000_000):
+    """Reduced Groebner basis of the ideal generated by packed polys.
+
+    The inputs are autoreduced in one pass in ascending lead order: each is
+    reduced against the survivors before it, and its monic remainder, if
+    any, survives.  A survivor whose lead the new lead divides goes back in
+    the queue; that happens only when a lead drops, which a homogeneous input
+    under a degree order never does.  The survivors start a PairSet, each
+    S-pair it pops is reduced against the basis, and a nonzero remainder
+    joins it; reduced_basis minimalizes the leads and reduces the tails.
+    Returns (basis, stats) with the basis monic and sorted descending by lead.
+    """
+    p = ctx.p
+    guards = ctx.guards
+    push = heapq.heappush
     tick = itertools.count()
     todo = [(max(d), next(tick), dict(d) if p is not None else _integral(d)[0])
             for d in pdicts if d]
@@ -466,32 +516,121 @@ def buchberger(ctx, pdicts, max_pairs=2_000_000):
             continue
         red = Reducer.from_packed(ctx, rem)
         if red.leadkey == 0:
-            return [{0: 1}], stats
+            return [{0: 1}], {"pairs_processed": 0, "zero_reductions": 0}
         for s in [s for s in start if not (s.leadword - red.leadword) & guards]:
             start.remove(s)
             push(todo, (s.leadkey, next(tick), reducer_dict(s)))
         start.append(red)
+
+    pairs = PairSet(ctx, max_pairs)
     for red in start:
-        add(red)
-
-    while queue:
-        deg, sug, lcmkey, ij = heapq.heappop(queue)
-        if pairs.pop(ij, None) is None:
-            continue
-        stats["pairs_processed"] += 1
-        if stats["pairs_processed"] > max_pairs:
-            raise BudgetExceeded(
-                f"Groebner basis computation exceeded the pair budget ({max_pairs} pairs)")
-        s = _spair(G[ij[0]], G[ij[1]], lcmkey, p)
-        rem = _reduce(ctx, s, G)[0]
-        if not rem:
-            stats["zero_reductions"] += 1
-            continue
-        add(Reducer.from_packed(ctx, rem, sugar=sug))
-
+        pairs.add(red)
+    G = pairs.G
+    zero = 0
+    while (pair := pairs.pop()) is not None:
+        sug, lcmkey, (i, j) = pair
+        rem = _reduce(ctx, _spair(G[i], G[j], lcmkey, p), G)[0]
+        if rem:
+            pairs.add(Reducer.from_packed(ctx, rem, sugar=sug))
+        else:
+            zero += 1
     final = reduced_basis(ctx, G)
-    stats["basis_size"] = len(final)
-    return final, stats
+    return final, {"pairs_processed": pairs.processed, "zero_reductions": zero,
+                   "basis_size": len(final)}
+
+
+def intersection(ctx, basis, pdicts, max_pairs=2_000_000):
+    """Generators of I cap J from one Buchberger run on I + J.
+
+    basis is a reduced Groebner basis of I, packed, and pdicts generate J.
+    The run starts a PairSet from I's basis, so no pair of two of its
+    elements is queued, reduces each generator of J against the basis in
+    ascending lead order and adds the nonzero remainders, then runs the
+    pairs.  Every element q it adds carries a part (v, s): v in J and s*q - v
+    in I, with s = 1 over F_p (q monic) and an integer over Q (q primitive),
+    so no Fraction is made; I's elements carry none.  A remainder's part is
+    read off the steps _reduce writes into its track, each a multiple of a
+    reducer whose part is scaled in.
+
+    Mapping e_q to v/s sends every syzygy of the elements into I cap J, and
+    every f in I cap J is the image of one (f in J, minus f in I).  The
+    syzygies come from the S-pairs of the final Groebner basis (Schreyer),
+    so I cap J is generated by the combined part of each generator of J and
+    each S-pair that reduce to zero, and by s_t*q_t*v_i - s_i*q_i*v_t for
+    each pair (i, t) the product criterion retires, i the coprime member of
+    its lcm class.  Pairs the chain criteria drop add nothing.  Returns
+    (gens, stats): packed dicts of ctx, integral over Q, and the run's pairs
+    and zero reductions.
+    """
+    p = ctx.p
+    pairs = PairSet(ctx, max_pairs, [Reducer.from_packed(ctx, d) for d in basis])
+    G = pairs.G
+    parts = [None] * len(G)
+    gens = []
+    zero = 0
+
+    def reduce_tracked(h, v, steps):
+        # h is either an element of part (v, 1) or the sum of the steps, each
+        # a multiple x^shift * G[i] keyed (shift + lead_i, i).  _reduce scales
+        # both by den and adds minus each multiple it subtracts to the steps,
+        # so rem's part is den * v plus the steps' parts, at one scale s.
+        bits = len(G).bit_length()
+        seed = {(k << bits) | i: c for (k, i), c in steps.items()}
+        rem, den, seed = _reduce(ctx, dict(h), G, (seed, bits, range(1 << bits)))
+        mask = (1 << bits) - 1
+        used = {}
+        for K, c in seed.items():
+            i = K & mask
+            if parts[i] is not None:
+                used.setdefault(i, {})[(K >> bits) - G[i].leadkey] = c
+        s = 1 if p is not None else lcm(*[parts[i][1] for i in used])
+        v = {k: c * den * s for k, c in v.items()}
+        for i, q in used.items():
+            vi, si = parts[i]
+            pdict_addmul(p, v, q, vi, s // si)
+        return rem, v, s
+
+    def settle(rem, v, s, sugar=None):
+        nonlocal zero
+        if not rem:
+            zero += 1
+            if v:
+                gens.append(v)
+            return
+        red = Reducer.from_packed(ctx, rem, sugar=sugar)
+        lead = rem[red.leadkey]
+        if p is not None:
+            inv = ctx.field.inv(lead)
+            v = {k: c * inv % p for k, c in v.items()}
+        else:
+            s *= lead // red.lc
+            g = gcd(s, *v.values())
+            if g != 1:
+                v, s = {k: c // g for k, c in v.items()}, s // g
+        parts.append((v, s))
+        for i, t in pairs.add(red):
+            # s_t * q_t * v_i - s_i * q_i * v_t; I's elements carry v = 0, s = 1.
+            koszul = {}
+            for a, b, sign in ((i, t, 1), (t, i, -1)):
+                if parts[a] is not None:
+                    sb = 1 if parts[b] is None else parts[b][1]
+                    pdict_addmul(p, koszul, reducer_dict(G[b]), parts[a][0], sign * sb)
+            if koszul:
+                gens.append(koszul)
+
+    for h in sorted((dict(d) if p is not None else _integral(d)[0] for d in pdicts if d),
+                    key=max):
+        settle(*reduce_tracked(h, h, {}))
+    while (pair := pairs.pop()) is not None:
+        sug, lcmkey, (i, j) = pair
+        gi, gj = G[i], G[j]
+        # The S-pair is ai * x^si * G[i] - aj * x^sj * G[j]: seeded with
+        # those two steps, the track ends holding the remainder alone.
+        g = gcd(gi.lc, gj.lc)
+        aj = gi.lc // g
+        steps = {(lcmkey, i): gj.lc // g, (lcmkey, j): -aj if p is None else p - aj}
+        settle(*reduce_tracked(_spair(gi, gj, lcmkey, p), {}, steps), sugar=sug)
+    return gens, {"pairs_processed": pairs.processed, "zero_reductions": zero}
 
 
 def reduced_basis(ctx, reducers):

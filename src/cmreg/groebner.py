@@ -6,10 +6,11 @@ with Gebauer-Moeller pair elimination and degree-then-sugar pair selection
 always returns the reduced basis, which is canonical for a given ideal and
 order.  Ideal objects cache one basis per order; the cache is written once
 and read-only afterwards.  An ideal that an operation derives from a
-Groebner basis (a variable colon, an elimination, a colon; see idealops)
-arrives holding the reduced basis it was built from, with no Buchberger
-run, and questions that need no particular order (containment, the Hilbert
-series) read a basis the ideal holds before asking for a new one.  A basis
+Groebner basis (a variable colon, an intersection, an elimination, a
+colon; see idealops) arrives holding the reduced basis it was built from,
+so no later Buchberger run rebuilds it, and questions that need no
+particular order (containment, the Hilbert series) read a basis the ideal
+holds before asking for a new one.  A basis
 keeps the kernel's packed dicts; its tuple of polynomials, polys, is built
 the first time it is read, and its kernel reducers the first time a normal
 form needs them.  Each fill is idempotent (a race builds equal values), so

@@ -2,11 +2,16 @@
 homogeneous ideals by variables and by linear forms, variable substitution
 and elimination of the leading variables.
 
-Intersections eliminate t from t*I + (1-t)*J, and colons divide the
-intersection with a principal ideal.  Each result is read off a Groebner
-basis and keeps it: an elimination holds the kept Block elements as its
-reduced grevlex basis, and a colon the reduced basis of the divided
-intersection basis (see groebner.Ideal), so no Buchberger run rebuilds it.
+An intersection I cap J is one Buchberger run on I's grevlex basis plus
+J's generators in which every new element carries its part in J
+(_kernel.intersection): by Schreyer's theorem the S-pair syzygies of the
+final basis map onto generators of I cap J, whose reduced grevlex basis is
+then one more Buchberger run.  A colon I : f is the intersection with (f),
+each basis element divided by f.  Each result is read off a Groebner basis
+and keeps it: an intersection holds that reduced basis, an elimination the
+kept Block elements as its reduced grevlex basis, and a colon the reduced
+basis of the divided intersection basis (see groebner.Ideal), so no
+Buchberger run rebuilds it.
 
 Saturation by a variable is one Groebner basis: in a grevlex order with x_i
 moved last, in(I : x_i) = in(I) : x_i for homogeneous I (Bayer-Stillman), so
@@ -46,8 +51,8 @@ from collections import namedtuple
 from . import _kernel, hilbert
 from .groebner import Ideal, reduce
 from .resolution import regularity_ideal
-from .ring import (EXP_BITS, GREVLEX, MAX_EXP, Block, PermutedGrevlex, PolyRing, Polynomial,
-                   pdict_addmul, times_new_first_variable)
+from .ring import (EXP_BITS, GREVLEX, MAX_EXP, Block, PermutedGrevlex, Polynomial,
+                   pdict_addmul)
 
 
 def ideal_product(I, J):
@@ -57,25 +62,20 @@ def ideal_product(I, J):
 
 
 def intersect(I, J):
-    """I cap J: eliminate an auxiliary first variable t from t*I + (1-t)*J.
-
-    The generators t*g and (1-t)*h are written straight into the extension
-    ring's packed keys (ring.times_new_first_variable).  The result holds
-    the reduced basis the elimination leaves (see eliminate).
+    """I cap J from one Buchberger run on I's grevlex basis plus J's
+    generators that carries each element's J-part (_kernel.intersection);
+    the result holds the reduced grevlex basis of the generators it finds.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
     if not I.gens or not J.gens:
         return Ideal(ring, [])
-    name = "t_aux"
-    while name in ring.names:
-        name += "_"
-    ext = PolyRing((name,) + ring.names, ring.field)
-    one, minus_one = ring.field(1), ring.field(-1)
-    gens = [times_new_first_variable(g, ext, 0, one) for g in I.gens]
-    gens += [times_new_first_variable(h, ext, one, minus_one) for h in J.gens]
-    return eliminate(Ideal(ext, gens), 1, ring)
+    gb = I.groebner()
+    ctx = gb._ctx
+    gens, _ = _kernel.intersection(ctx, gb._basis, [_kernel.to_packed(ctx, h) for h in J.gens])
+    basis, _ = _kernel.buchberger(ctx, gens)
+    return Ideal._holding(ring, GREVLEX, ctx, basis)
 
 
 def _intersect_all(parts):
@@ -108,13 +108,19 @@ def colon(I, f):
         raise ValueError("colon by zero")
     if f.degree() == 0:
         return Ideal(I.ring, I.gens)
-    meet = intersect(I, Ideal(I.ring, [f]))
+    meet = intersect(I, Ideal(I.ring, [f])).groebner()
     # lead(h * f) = lead(h) * lead(f), so in(I cap (f)) = lead(f) * in(I : f):
     # the quotients are a grevlex Groebner basis of I : f, with minimal
-    # leads, whose tails may still reduce.
-    ctx = _kernel.Context(I.ring.bound, I.ring.field)
-    reducers = [_kernel.Reducer.from_packed(ctx, quotient_exact(g, f).pdict, sugar=0)
-                for g in meet.gens]
+    # leads, whose tails may still reduce.  Each quotient is read off one
+    # division by f's reducer.
+    ctx = meet._ctx
+    by_f = [_kernel.Reducer.from_packed(ctx, _kernel.to_packed(ctx, f))]
+    reducers = []
+    for d in meet._basis:
+        rem, quots = _kernel.normal_form(ctx, d, by_f, track=True)
+        if rem:
+            raise ValueError("polynomial division is not exact")
+        reducers.append(_kernel.Reducer.from_packed(ctx, quots[0], sugar=0))
     return Ideal._holding(I.ring, GREVLEX, ctx, _kernel.reduced_basis(ctx, reducers))
 
 

@@ -18,9 +18,8 @@ field of EXP_BITS = 21 bits: 20 value bits and a guard bit above them.
 A Polynomial is one {grevlex key: nonzero coeff} dict, the packed dict the
 kernel (_kernel.py) computes on in grevlex.  pdict_addmul, the fused target
 += scale * a * b on packed dicts, does all polynomial arithmetic: +, - and *,
-parsing, and the substitutions and remainder products of idealops; the one
-exception, times_new_first_variable, writes an intersection's (a + b t) * g
-into the ring with a new first variable t by key shifts.  Exponent tuples
+parsing, the substitutions and remainder products of idealops, and the
+products of the kernel's intersection run.  Exponent tuples
 appear only at the edge: construction, terms, lm, parsing, printing.
 
 Each bound order also maps a key to its exponent word, word(key), and back,
@@ -667,29 +666,6 @@ def transport(poly, target, index_map):
             out[j] = x
         data[tuple(out)] = c
     return target.poly(data)
-
-
-def times_new_first_variable(poly, ext, const, tcoeff):
-    """(const + tcoeff * t) * poly in ext, whose first variable t is new and
-    whose others are poly's, in order; const and tcoeff are field elements.
-
-    A grevlex key is linear in the exponents, and the unit key of ext's
-    variable i + 1 is that of poly's variable i shifted up one field, so a
-    key of poly lifts by that shift, and times t it adds t's key.
-    """
-    ring = poly.ring
-    if ext.names[1:] != ring.names or ext.field != ring.field:
-        raise ValueError(f"{ext} does not extend {ring} by a first variable")
-    f = ext.field
-    tkey = ext.bound.raw((1,) + (0,) * ring.nvars)
-    data = {}
-    for k, c in poly.pdict.items():
-        k <<= EXP_BITS
-        if const:
-            data[k] = f.mul(const, c)
-        if tcoeff:
-            data[k + tkey] = f.mul(tcoeff, c)
-    return Polynomial._wrap(ext, data)
 
 
 # --- parsing and printing ---------------------------------------------------

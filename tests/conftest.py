@@ -53,20 +53,23 @@ def check_rational_form():
 
 @pytest.fixture
 def count_kernel_work(monkeypatch):
-    """A function that starts counting _kernel.buchberger calls, pairs and
-    zero reductions and returns the running totals."""
+    """A function that starts counting the kernel's Buchberger runs (those
+    of _kernel.buchberger and the tracked runs of _kernel.intersection),
+    their pairs and zero reductions, and returns the running totals."""
     def start():
         totals = {"calls": 0, "pairs_processed": 0, "zero_reductions": 0}
-        kernel_buchberger = _kernel.buchberger
 
-        def counted(ctx, pdicts, *args, **kwargs):
-            basis, stats = kernel_buchberger(ctx, pdicts, *args, **kwargs)
-            totals["calls"] += 1
-            totals["pairs_processed"] += stats["pairs_processed"]
-            totals["zero_reductions"] += stats["zero_reductions"]
-            return basis, stats
+        def counted(run):
+            def wrapper(*args, **kwargs):
+                out, stats = run(*args, **kwargs)
+                totals["calls"] += 1
+                totals["pairs_processed"] += stats["pairs_processed"]
+                totals["zero_reductions"] += stats["zero_reductions"]
+                return out, stats
+            return wrapper
 
-        monkeypatch.setattr(_kernel, "buchberger", counted)
+        for name in ("buchberger", "intersection"):
+            monkeypatch.setattr(_kernel, name, counted(getattr(_kernel, name)))
         return totals
 
     return start

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from cmreg import idealops
+from cmreg import _kernel, idealops
+from cmreg._kernel import BudgetExceeded
 from cmreg.groebner import Ideal, member, spair_certificate
 from cmreg.hilbert import (hilbert_function, hilbert_series, indeg, nonzerodivisor,
                            series_difference)
@@ -154,19 +155,16 @@ def test_intersect_commutative_associative_randomized():
         assert intersect(AB, C).same_ideal(intersect(A, intersect(B, C)))
 
 
-def _transported_elimination_gens(I, J):
-    """The extension ring and generators t*g and (1-t)*h that intersect(I, J)
-    eliminates t from, built by transport and Polynomial products."""
+def _eliminated_intersection(I, J):
+    """I cap J by eliminating a new first variable t from t*I + (1-t)*J,
+    the reference for intersect."""
     ring = I.ring
-    name = "t_aux"
-    while name in ring.names:
-        name += "_"
-    ext = PolyRing((name,) + ring.names, ring.field)
+    ext = PolyRing(("t_aux",) + ring.names, ring.field)
     up = list(range(1, ring.nvars + 1))
     t = ext.gen(0)
     gens = [t * transport(g, ext, up) for g in I.gens]
     gens += [(ext.one - t) * transport(h, ext, up) for h in J.gens]
-    return ext, gens
+    return eliminate(Ideal(ext, gens), 1, ring)
 
 
 def _random_homogeneous_ideal(R, rng):
@@ -181,36 +179,75 @@ def _random_homogeneous_ideal(R, rng):
     return Ideal(R, forms)
 
 
-@pytest.mark.parametrize("char", [32003, 0])
-@pytest.mark.parametrize("names", [("x", "y", "z"), ("t_aux", "y", "z")], ids=["xyz", "t_aux"])
-def test_intersect_eliminates_the_transported_generators(names, char, monkeypatch,
-                                                         check_rational_form):
-    rng = random.Random(char + len(names[0]))
-    R = PolyRing(names, field_of_characteristic(char))
-    built, elim = [], idealops.eliminate
+def _numerator_sum(*ideals):
+    """The sum of the Hilbert numerators of A/I over the given ideals."""
+    total = {}
+    for ideal in ideals:
+        for d, c in enumerate(hilbert_series(ideal).numerator):
+            total[d] = total.get(d, 0) + c
+    return {d: c for d, c in total.items() if c}
 
-    def traced_eliminate(E, k, ring=None):
-        built.append(E)
-        return elim(E, k, ring)
 
-    monkeypatch.setattr(idealops, "eliminate", traced_eliminate)
-    for _ in range(10):
+def _assert_is_the_intersection(I, J, check_rational_form):
+    """intersect(I, J) holds the reduced grevlex basis that elimination
+    gives, in the field's coefficient form, and satisfies
+    HS(A/(I cap J)) + HS(A/(I + J)) = HS(A/I) + HS(A/J)."""
+    R = I.ring
+    meet = intersect(I, J)
+    assert meet.gens == _eliminated_intersection(I, J).gens
+    _assert_holds_its_reduced_basis(meet)
+    coeffs = [c for g in meet.gens for c in g.pdict.values()]
+    if R.field.char:
+        assert all(0 < c < R.field.char for c in coeffs)
+    else:
+        check_rational_form(coeffs)
+    both = Ideal(R, I.gens + J.gens)
+    assert _numerator_sum(meet, both) == _numerator_sum(I, J)
+    return meet
+
+
+@pytest.mark.parametrize("char", [32003, 101, 0])
+def test_intersect_agrees_with_elimination(char, check_rational_form):
+    rng = random.Random(char)
+    F = field_of_characteristic(char)
+    rings = [PolyRing(("x", "y", "z"), F), PolyRing(("x", "y", "z", "w"), F)]
+    for k in range(30):
+        R = rings[k % 2]
         I, J = _random_homogeneous_ideal(R, rng), _random_homogeneous_ideal(R, rng)
-        meet = intersect(I, J)
-        ext, want = _transported_elimination_gens(I, J)
-        got = built.pop()
-        assert got.ring == ext and ext.names[0] not in names
-        assert [g.pdict for g in got.gens] == [g.pdict for g in want]
-        coeffs = [c for g in got.gens for c in g.pdict.values()]
-        if char:
-            assert all(0 < c < char for c in coeffs)
-        else:
-            check_rational_form(coeffs)
-        assert meet.gens == elim(Ideal(ext, want), 1, R).gens
-    # The zero ideal returns early, with no extension ring.
+        _assert_is_the_intersection(I, J, check_rational_form)
+
+
+@pytest.mark.parametrize("char", [32003, 101, 0])
+def test_intersect_edge_cases(char, check_rational_form):
+    R = PolyRing(("x", "y", "z"), field_of_characteristic(char))
+    x, y, z = R.gens()
+    # Only the pairs the product criterion retires give xy.
+    meet = _assert_is_the_intersection(Ideal(R, [x]), Ideal(R, [y]), check_rational_form)
+    assert meet.gens == (x * y,)
+    # Taking each retired class's first index, not its coprime member, loses
+    # (x + y)(xy - z^2) here.
+    meet = _assert_is_the_intersection(Ideal(R, [x * x * z - y ** 3, x * y - z * z]),
+                                       Ideal(R, [x + y]), check_rational_form)
+    assert member((x + y) * (x * y - z * z), meet)
+    # I inside J, and the unit ideal on either side, give I.
+    I, unit = Ideal(R, [x * x - y * z, y ** 3]), Ideal(R, [R.one])
+    for A, B in ((I, Ideal(R, [x * x - y * z, y])), (I, unit), (unit, I)):
+        meet = _assert_is_the_intersection(A, B, check_rational_form)
+        assert meet.same_ideal(I)
+    # The zero ideal on either side gives the zero ideal.
     zero = Ideal(R, [])
     assert intersect(zero, I).gens == () and intersect(I, zero).gens == ()
-    assert not built
+
+
+def test_intersection_run_raises_past_its_pair_budget():
+    R = PolyRing(("x", "y", "z", "w"), PrimeField(32003))
+    x, y, z, w = R.gens()
+    gb = Ideal(R, [x * z - y * y, x * w - y * z, y * w - z * z]).groebner()
+    ctx = gb._ctx
+    args = (ctx, gb._basis, [(x * y + z * w).pdict])
+    _, stats = _kernel.intersection(*args)
+    with pytest.raises(BudgetExceeded, match="exceeded the pair budget"):
+        _kernel.intersection(*args, max_pairs=stats["pairs_processed"] - 1)
 
 
 def test_intersect_of_principal_ideals_is_lcm():
@@ -235,6 +272,17 @@ def test_quotient_exact_and_failure():
     assert quotient_exact(f, x + y) == x * x - y
     with pytest.raises(ValueError):
         quotient_exact(x * x + y, x)
+
+
+def test_colon_raises_on_a_division_that_is_not_exact(monkeypatch):
+    # An intersection basis element that f does not divide is an engine
+    # fault; colon must not turn it into a quotient.
+    R = PolyRing(("x", "y"), QQ)
+    x, y = R.gens()
+    I = Ideal(R, [x * x - y])
+    monkeypatch.setattr(idealops, "intersect", lambda A, B: A)
+    with pytest.raises(ValueError, match="not exact"):
+        colon(I, x + y)
 
 
 def _colon_chain(I, f):

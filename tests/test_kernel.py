@@ -15,7 +15,7 @@ from cmreg.hilbert import dim_deg
 from cmreg.idealops import colon, colon_by_variable_power, saturate, saturate_irrelevant
 from cmreg.resolution import _schreyer_levels, regularity_ideal
 from cmreg.ring import (GREVLEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
-                        field_of_characteristic, pdict_addmul, transport)
+                        field_of_characteristic, pdict_addmul)
 from cmreg.sections import general_section
 from cmreg.verify import DEFAULT_SEED, PRIMED_GRID, UNPRIMED_GRID
 
@@ -103,14 +103,15 @@ def test_prime_field_coefficients_in_range_on_random_ideals(p):
 
 # Pairs and zero reductions summed over every Groebner basis computed by a
 # cold build_family(2, 2) and the regularity of its almost complete
-# intersection.  Colons, variable colons and eliminations hand over the
+# intersection, the tracked runs of its intersections included.
+# Intersections, colons, variable colons and eliminations hand over the
 # reduced basis they already hold, so a change that computes such a basis
 # again fails here, and so do the section ceilings below.  Both fields give
 # the same counts, because the pair order depends only on leads
 # and sugar.  The counts do not depend on the machine, so a change that
 # inflates the work fails here even when timings are too noisy to show it.
-FAMILY_22_WORK = {32003: {"pairs_processed": 52, "zero_reductions": 38},
-                  0: {"pairs_processed": 52, "zero_reductions": 38}}
+FAMILY_22_WORK = {32003: {"pairs_processed": 46, "zero_reductions": 37},
+                  0: {"pairs_processed": 46, "zero_reductions": 37}}
 
 # Minimalizations (ring.minimal_words calls) of the Hilbert numerator over the
 # lead words of the curve, CI, residual and ACI of every default-grid family
@@ -291,25 +292,24 @@ def test_buchberger_work_is_pinned():
             assert got == PINNED_WORK[name][oname], (name, oname, got)
 
 
-# The largest basis a cold (4,3) colon computes: t*CI + (1-t)*pivot in
-# Block(1) on 7 variables.  The basis grows to about 180 elements, where the
-# chain criterion does its work; the ideals above stop at 80 pairs.
-PINNED_COLON_43 = (858, 685, 178)
+# The largest intersection a cold (4,3) build runs: CI cap (pivot), for the
+# residual colon.  The tracked run starts from the CI's grevlex basis of 49
+# elements plus the pivot on 6 variables; the final run makes the reduced
+# basis of the generators it finds.  Pairs, zero reductions and, for the
+# final run, basis size.
+PINNED_COLON_43 = {"tracked": (308, 251), "basis": (302, 277, 72)}
 
 
 @pytest.mark.parametrize("char", [32003, 0])
-def test_colon_43_elimination_work_is_pinned(char):
-    F = field_of_characteristic(char)
-    R = PolyRing(tuple(f"X{i}" for i in range(6)), F)
-    ext = PolyRing(("t",) + R.names, F)
-    up = list(range(1, 7))
-    t = ext.gen(0)
-    gens = [t * transport(g, ext, up) for g in ci_forms(4, 3, R)]
-    gens.append((ext.one - t) * transport(residual_pivot(R, 4, 3), ext, up))
-    ctx = _kernel.Context(Block(1).bind(7), F)
-    _, stats = _kernel.buchberger(ctx, [_kernel.to_packed(ctx, g) for g in gens])
+def test_colon_43_intersection_work_is_pinned(char):
+    R = PolyRing(tuple(f"X{i}" for i in range(6)), field_of_characteristic(char))
+    gb = Ideal(R, ci_forms(4, 3, R)).groebner()
+    ctx = gb._ctx
+    gens, stats = _kernel.intersection(ctx, gb._basis, [residual_pivot(R, 4, 3).pdict])
+    assert (stats["pairs_processed"], stats["zero_reductions"]) == PINNED_COLON_43["tracked"]
+    _, stats = _kernel.buchberger(ctx, gens)
     got = (stats["pairs_processed"], stats["zero_reductions"], stats["basis_size"])
-    assert got == PINNED_COLON_43
+    assert got == PINNED_COLON_43["basis"]
 
 
 # --- the rational kernel against the Fraction normal form it replaced -------

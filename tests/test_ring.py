@@ -14,7 +14,7 @@ from cmreg import ring
 from cmreg.cli import parse_ideal_file
 from cmreg.ring import (GREVLEX, MAX_EXP, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
                         field_of_characteristic, grevlex_keys_of_degree, minimal_words,
-                        times_new_first_variable, transport, word_lcm, word_support)
+                        transport, word_lcm, word_support)
 
 
 def test_prime_field_basics():
@@ -363,22 +363,6 @@ def test_transport_between_rings():
     assert g == S.gen(0) ** 2 - S.gen(1)
     with pytest.raises(ValueError):
         transport(R.gen(0), S, [None, 0, 1])  # s has no image
-
-
-@pytest.mark.parametrize("char", [32003, 0])
-def test_times_new_first_variable_matches_transport(char):
-    F = field_of_characteristic(char)
-    R = PolyRing(("x", "y", "z"), F)
-    ext = PolyRing(("t",) + R.names, F)
-    t = ext.gen(0)
-    x, y, z = R.gens()
-    f = x ** 3 * y - F(Fraction(2, 3) if char == 0 else 5) * y * z ** 2 + z
-    lifted = transport(f, ext, [1, 2, 3])
-    for const, tcoeff in [(0, 1), (1, -1), (2, 0), (-3, 7)]:
-        got = times_new_first_variable(f, ext, F(const), F(tcoeff))
-        assert got.pdict == ((const + tcoeff * t) * lifted).pdict, (const, tcoeff)
-    with pytest.raises(ValueError):
-        times_new_first_variable(f, PolyRing(("x", "y", "z", "t"), F), F(0), F(1))
 
 
 def test_ring_equality_and_order_cache():
