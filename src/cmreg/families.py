@@ -10,7 +10,12 @@ On top of the curve ideal the builder assembles a complete intersection of
 binomial forms inside it, the residual ideal (the colon by the curve), and a
 canonically chosen extra form of prescribed degree from the residual that
 avoids the curve, giving the almost complete intersection whose regularity
-the verification layer studies.  The builder records on the complete and
+the verification layer studies.  The curve and the residual are certified
+from Hilbert series the builder holds anyway, with no further Groebner
+basis: the curve by its Hilbert function against the semigroup count
+|d Lambda| up to the Gruson-Lazarsfeld-Peskine bound (check_semigroup_count),
+the residual by one generator off the curve and its degree deg CI - deg C
+(residual_ideal).  The builder records on the complete and
 the almost complete intersection how each is resolved (see resolution).
 Graded pieces are echelonized as sparse rows, one per monomial of in(I)_d:
 the first monomial shift of a Groebner basis element with that lead.
@@ -23,7 +28,7 @@ from collections import namedtuple
 
 from . import hilbert
 from .groebner import Ideal
-from .idealops import colon, colon_by_variable_power, ideal_product
+from .idealops import colon, colon_by_variable_power
 from .ring import (MAX_EXP, PolyRing, Polynomial, field_of_characteristic,
                    grevlex_keys_of_degree, pdict_addmul)
 from ._linalg import rref
@@ -46,6 +51,43 @@ def curve_exponents(m, n, primed=False):
     return tuple(exps)
 
 
+def semigroup_counts(exponents, top):
+    """[|d Lambda| for d = 0, ..., top], Lambda the set of exponents.
+
+    The monomials of degree d map to s^(dD - e) t^e with e in d Lambda, the
+    sums of d exponents, so |d Lambda| is the Hilbert function of the
+    curve's coordinate ring in degree d.  Bit e of the int for d Lambda is
+    set when e is such a sum: it is the OR, over a in Lambda, of the int for
+    (d - 1) Lambda shifted left by a.
+    """
+    counts = []
+    sums = 1
+    for _ in range(top + 1):
+        counts.append(sums.bit_count())
+        nxt = 0
+        for a in exponents:
+            nxt |= sums << a
+        sums = nxt
+    return counts
+
+
+def check_semigroup_count(ideal, exponents):
+    """Assert HF(A/I)(d) = |d Lambda| for 0 <= d <= D - codim + 2, with D
+    the largest exponent and codim = len(exponents) - 2.
+
+    For I inside the curve prime P_C this makes I = P_C: the two agree in
+    every degree up to D - codim + 1, and P_C is generated in those degrees,
+    since the curve spans its space (its monomials are independent) and so
+    its regularity is at most D - codim + 1 (Gruson-Lazarsfeld-Peskine,
+    Invent. Math. 72, 1983).  So I contains every generator of P_C.
+    """
+    top = max(exponents) - (len(exponents) - 2) + 2
+    got = hilbert.hilbert_function_values(ideal, top)
+    for d, (h, s) in enumerate(zip(got, semigroup_counts(exponents, top))):
+        if h != s:
+            raise AssertionError(f"curve ideal has HF({d}) = {h}, but |{d}Lambda| = {s}")
+
+
 def curve_ideal(exponents, char=32003):
     """(ring, ideal) of the projective monomial curve with the given exponents.
 
@@ -53,11 +95,10 @@ def curve_ideal(exponents, char=32003):
     exponent.  The kernel is toric: the lattice of the map has the basis
     e_j + (a_j - 1) e_0 - a_j e_1 (j >= 2), and inverting X_0 turns the
     quotient by the lattice-basis binomials into the domain k[X_0^+-1, X_1],
-    so one saturation by X_0 gives the prime.  Stability under every
-    variable and the (dim, deg) of the result are asserted.  X_i is a
-    nonzerodivisor exactly when I : X_i = I, and by Bayer-Stillman that
-    holds exactly when no lead of the basis with X_i last contains X_i,
-    which is when colon_by_variable_power returns I itself.
+    so one saturation by X_0 gives the prime.  The result lies in the curve
+    prime, since the binomials vanish on the curve and X_0 does not; its
+    (dim, deg) and its Hilbert function against the semigroup count
+    (check_semigroup_count) are asserted, and the second makes it the prime.
     """
     exponents = tuple(exponents)
     if len(exponents) < 3 or exponents[0] != 0 or exponents[1] != 1:
@@ -74,13 +115,11 @@ def curve_ideal(exponents, char=32003):
         lead[j], lead[0] = 1, a - 1
         gens.append(ring.monomial(lead) - ring.gen(1) ** a)
     cand = colon_by_variable_power(Ideal(ring, gens), 0)
-    for i in range(nv):
-        if colon_by_variable_power(cand, i) is not cand:
-            raise AssertionError("curve ideal is not saturated with respect to a variable")
     dim, deg = hilbert.dim_deg(cand)
     if dim != 2 or deg != D:
         raise AssertionError(
             f"curve ideal has (dim, deg) = ({dim}, {deg}), expected (2, {D})")
+    check_semigroup_count(cand, exponents)
     return ring, cand
 
 
@@ -160,21 +199,37 @@ def residual_pivot(ring, m, n):
 
 
 def residual_ideal(ci, curve, pivot):
-    """a = I : b^inf via the certified pivot: one colon, then exactness checks.
+    """a = CI : b for the complete intersection CI inside the curve prime b,
+    by one colon by a pivot g in b, certified by degree.
 
-    The pivot g lies in the curve prime b, so the colon by g removes the
-    b-component of the unmixed complete intersection in one step; stability
-    (a : g = a, by hilbert.nonzerodivisor) and the product containment
-    b * a inside I are both asserted.
+    Asserted: g lies in b; (alpha) some generator of a = CI : g lies outside
+    b; (beta) dim_deg(a) = (dim CI, deg CI - deg b).  These make a = CI : b
+    = CI : b^inf and CI = b cap a.  CI is unmixed, and Ass(CI : g) lies in
+    Ass(CI), so every associated prime of a is a minimal prime p of CI, of
+    the dimension of CI.  Let l_p(M) be the length of M at p.  Since a
+    contains CI, l_p(A/a) <= l_p(A/CI) for each p, and by (alpha) a is the
+    unit ideal at b, so the associativity formula gives
+        deg a = sum over p != b of l_p(A/a) deg p <= deg CI - l_b(A/CI) deg b.
+    With (beta) this forces l_b(A/CI) = 1, so the b-primary component of CI
+    is b, and l_p(A/a) = l_p(A/CI) for every p != b, so a and CI agree at p
+    and share its primary component.  Hence a is the intersection of CI's
+    components other than b, CI = b cap a, and CI : b = CI : b^inf = a, as b
+    lies in no associated prime of a.  That also gives the product b * a
+    inside CI, and a : g = a: were g in some p != b, a_p = CI_p : g would be
+    larger than CI_p.
     """
     gbb = curve.groebner()
     if not gbb.reduces_to_zero(pivot):
         raise AssertionError("residual pivot is not a member of the curve ideal")
     a = colon(ci, pivot)
-    if not hilbert.nonzerodivisor(a, pivot):
-        raise AssertionError("residual colon chain did not stabilize after one step")
-    if not ci.contains_ideal(ideal_product(curve, a)):
-        raise AssertionError("product of curve and residual escapes the complete intersection")
+    if all(gbb.reduces_to_zero(h) for h in a.gens):
+        raise AssertionError("(alpha) every generator of the residual lies on the curve")
+    dim_ci, deg_ci = hilbert.dim_deg(ci)
+    _, deg_curve = hilbert.dim_deg(curve)
+    got = hilbert.dim_deg(a)
+    if got != (dim_ci, deg_ci - deg_curve):
+        raise AssertionError(f"(beta) residual has (dim, deg) = {got}, expected "
+                             f"{(dim_ci, deg_ci - deg_curve)}")
     return a
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import accumulate
 
 from .groebner import Ideal
 from .ring import EXP_BITS, GREVLEX, minimal_words, word_lcm
@@ -233,17 +234,19 @@ def dim_deg(ideal):
 
 def hilbert_function(ideal, mu):
     """dim_k (A/I)_mu, exactly, via the numerator."""
-    if mu < 0:
-        return 0
+    return hilbert_function_values(ideal, mu)[mu] if mu >= 0 else 0
+
+
+def hilbert_function_values(ideal, top):
+    """[dim_k (A/I)_d for d = 0, ..., top] from one expansion of the series:
+    the numerator cut at degree top, times 1/(1-t) once per variable, each
+    a running sum."""
     data = hilbert_series(ideal)
-    n = data.nvars
-    total = 0
-    for k, c in enumerate(data.numerator):
-        if k > mu:
-            break
-        if c:
-            total += c * math.comb(mu - k + n - 1, n - 1)
-    return total
+    values = list(data.numerator[:top + 1])
+    values += [0] * (top + 1 - len(values))
+    for _ in range(data.nvars):
+        values = list(accumulate(values))
+    return values
 
 
 def nonzerodivisor(ideal, f):

@@ -49,7 +49,7 @@ import functools
 from collections import namedtuple
 
 from . import _kernel, hilbert
-from .groebner import Ideal, reduce
+from .groebner import Ideal
 from .resolution import regularity_ideal
 from .ring import (EXP_BITS, GREVLEX, MAX_EXP, Block, PermutedGrevlex, Polynomial,
                    pdict_addmul)
@@ -89,14 +89,6 @@ def _intersect_all(parts):
         if not any(P.contains_ideal(K) for K in kept):
             kept = [K for K in kept if not K.contains_ideal(P)] + [P]
     return functools.reduce(intersect, kept)
-
-
-def quotient_exact(f, g):
-    """The exact quotient f/g; raises if g does not divide f."""
-    rem, quots = reduce(f, [g])
-    if not rem.is_zero():
-        raise ValueError("polynomial division is not exact")
-    return quots[0]
 
 
 def colon(I, f):
@@ -140,15 +132,18 @@ def linear_form(ring, coeffs):
                       for j, c in enumerate(coeffs)})
 
 
-def substitute_variable(I, i, repl):
-    """The image of I under x_i -> repl, as an ideal of repl's ring.
+def substitute_variable(I, i, repl, scale=1):
+    """The image of I under x_i -> repl / scale, as an ideal of repl's ring.
 
     repl's ring either has I's variables (a change of coordinates) or drops
     x_i (a hyperplane cut), in any order; every other variable goes to the
     variable of the same name.  A generator's terms are grouped by their
     x_i exponent e, with x_i^e taken out, and each group is multiplied by
-    repl^e once; the powers of repl are shared by every generator.  When
-    repl's ring is I's, taking x_i^e out of a key is subtracting e * key(x_i).
+    repl^e and scale^(top - e) once, top the generator's largest x_i
+    exponent: its image is scale^top times the one under x_i -> repl / scale,
+    which for a nonzero scale spans the same ideal with no division.  The
+    powers of repl are shared by every generator.  When repl's ring is I's,
+    taking x_i^e out of a key is subtracting e * key(x_i).
     """
     target = repl.ring
     names = I.ring.names
@@ -181,10 +176,11 @@ def substitute_variable(I, i, repl):
             e = word(k) >> shift & MAX_EXP
             groups.setdefault(e, {})[base(k, e)] = c
         data = {}
+        top = max(groups)
         for e, part in groups.items():
             while len(powers) <= e:
                 powers.append(powers[-1] * repl)
-            pdict_addmul(target.p, data, part, powers[e].pdict)
+            pdict_addmul(target.p, data, part, powers[e].pdict, pow(scale, top - e, target.p))
         images.append(Polynomial._product(target, data))
     return Ideal(target, images)
 

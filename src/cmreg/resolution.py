@@ -10,8 +10,9 @@ families.build_family makes record how each is resolved
   resolved by their Koszul complex, which is minimal: beta_{i,j} counts the
   i-subsets of the form degrees that sum to j.
 - linkage: the almost complete intersection I = CI + (F), with F of degree
-  d in the residual a and off the curve P.  The builder asserts P * a in
-  CI, and F in a is asserted here, so P lies in CI : F.  The Hilbert
+  d in the residual a and off the curve P.  The builder certifies CI =
+  P cap a, so P * a lies in CI, and F in a is asserted here, so P lies in
+  CI : F.  The Hilbert
   numerators must satisfy N(A/I) = N(A/CI) - t^d N(A/P); by the exact
   sequence 0 -> A/(CI : F)(-d) -> A/CI -> A/I -> 0, whose first map is
   multiplication by F, that forces CI : F = P.  The mapping cone of a lift

@@ -65,8 +65,11 @@ def random_linear_form(ring, seed):
 def substitute_linear(I, l, perm=None):
     """Image of I in the hyperplane ring A/(l), as an ideal in one fewer variable.
 
-    Solves l for the last variable (possible since every coefficient is
-    nonzero) and substitutes into each generator.  Variable k of the
+    Solves l = sum c_j x_j for the last variable (possible since c_last is
+    nonzero) and substitutes x_last -> sum_(j < last) c_j x_j / (-c_last)
+    into each generator.  substitute_variable clears the denominator: each
+    image is a power of the unit -c_last times the plain one, so integer
+    coefficients over Q stay integers.  Variable k of the
     hyperplane ring is x_perm[k] (default: x_0, ..., x_(n-2) in order), so
     transport by perm lifts an ideal back to the ambient ring.
     """
@@ -81,9 +84,8 @@ def substitute_linear(I, l, perm=None):
     if sorted(perm) != list(range(n - 1)):
         raise ValueError(f"perm must order the variables 0..{n - 2}, got {perm}")
     S = PolyRing(tuple(ring.names[j] for j in perm), ring.field)
-    f = ring.field
-    scale = f.neg(f.inv(coeffs[-1]))
-    return S, substitute_variable(I, n - 1, linear_form(S, [f.mul(scale, coeffs[j]) for j in perm]))
+    repl = linear_form(S, [coeffs[j] for j in perm])
+    return S, substitute_variable(I, n - 1, repl, ring.field.neg(coeffs[-1]))
 
 
 def section_order(I):

@@ -7,13 +7,13 @@ from fractions import Fraction
 import pytest
 
 from cmreg import families
-from cmreg.families import (build_family, check_parameters, ci_forms, curve_exponents,
-                            curve_ideal, extra_form, graded_piece_basis,
-                            parametrization_defect, pq_products,
-                            residual_pivot)
+from cmreg.families import (build_family, check_parameters, check_semigroup_count, ci_forms,
+                            curve_exponents, curve_ideal, extra_form, graded_piece_basis,
+                            parametrization_defect, pq_products, residual_ideal,
+                            residual_pivot, semigroup_counts)
 from cmreg.groebner import Ideal, member
-from cmreg.hilbert import dim_deg, nonzerodivisor
-from cmreg.idealops import colon, colon_by_variable_power
+from cmreg.hilbert import dim_deg, hilbert_function, nonzerodivisor
+from cmreg.idealops import colon, colon_by_variable_power, ideal_product
 from cmreg.resolution import betti, regularity_ideal
 from cmreg._linalg import rref
 from cmreg.ring import (MAX_EXP, Block, PolyRing, Polynomial, QQ, field_of_characteristic,
@@ -80,9 +80,10 @@ GRID_CURVES = [curve_exponents(m, n) for m, n in UNPRIMED_GRID] + \
 
 @pytest.mark.parametrize("exponents", GRID_CURVES, ids=lambda e: ",".join(map(str, e)))
 def test_variable_certificate_from_leads_agrees_with_the_hilbert_series(exponents):
-    """curve_ideal certifies X_i a nonzerodivisor by colon_by_variable_power(I, i)
-    returning I; the Hilbert-series test agrees on every variable, and both
-    reject X_0 on the lattice-basis ideal that is not yet saturated by it."""
+    """X_i is a nonzerodivisor on the curve exactly when
+    colon_by_variable_power(I, i) returns I; the Hilbert-series test agrees
+    on every variable, and both reject X_0 on the lattice-basis ideal that
+    is not yet saturated by it."""
     ring, I = curve_ideal(exponents)
     for i, X in enumerate(ring.gens()):
         assert colon_by_variable_power(I, i) is I
@@ -92,6 +93,58 @@ def test_variable_certificate_from_leads_agrees_with_the_hilbert_series(exponent
                            for j, a in enumerate(exponents) if j >= 2])
     assert colon_by_variable_power(lattice, 0) is not lattice
     assert not nonzerodivisor(lattice, X0)
+
+
+def test_semigroup_counts_are_the_curve_hilbert_function():
+    assert semigroup_counts((0, 1, 2, 3), 4) == [1, 4, 7, 10, 13]
+    # The rational quartic lies on one quadric: 2Lambda = {0, ..., 8}.
+    assert semigroup_counts((0, 1, 3, 4), 4) == [1, 4, 9, 13, 17]
+    for exponents in GRID_CURVES:
+        _, I = curve_ideal(exponents)
+        top = max(exponents) + 2
+        assert semigroup_counts(exponents, top) == [hilbert_function(I, d)
+                                                    for d in range(top + 1)]
+
+
+def test_semigroup_count_rejects_the_unsaturated_lattice_ideal():
+    ring, curve = curve_ideal((0, 1, 2, 3))
+    X0, X1, X2, X3 = ring.gens()
+    check_semigroup_count(curve, (0, 1, 2, 3))
+    lattice = Ideal(ring, [X0 * X2 - X1 ** 2, X0 ** 2 * X3 - X1 ** 3])
+    with pytest.raises(AssertionError, match=r"HF\(2\) = 9, but \|2Lambda\| = 7"):
+        check_semigroup_count(lattice, (0, 1, 2, 3))
+
+
+def _twisted_cubic_linkage():
+    """The twisted cubic, CI = (X0X2 - X1^2, X1X3 - X2^2) inside it, and the
+    pivot X0X3 - X1X2; the residual is the line (X1, X2)."""
+    ring, curve = curve_ideal((0, 1, 2, 3))
+    X0, X1, X2, X3 = ring.gens()
+    return ring, curve, [X0 * X2 - X1 * X1, X1 * X3 - X2 * X2], X0 * X3 - X1 * X2
+
+
+def test_residual_certificates_accept_the_twisted_cubic_link():
+    ring, curve, forms, pivot = _twisted_cubic_linkage()
+    a = residual_ideal(Ideal(ring, forms), curve, pivot)
+    assert a.groebner().polys == Ideal(ring, [ring.gen(1), ring.gen(2)]).groebner().polys
+
+
+def test_residual_certificate_alpha_rejects_a_doubled_curve_component():
+    # With the first form squared, CI has length 2 at the curve, and
+    # CI : pivot still contains the curve there: every generator is on it.
+    ring, curve, forms, pivot = _twisted_cubic_linkage()
+    doubled = Ideal(ring, [forms[0] ** 2, forms[1]])
+    with pytest.raises(AssertionError, match=r"\(alpha\)"):
+        residual_ideal(doubled, curve, pivot)
+
+
+def test_residual_certificate_beta_rejects_a_doubled_curve_component():
+    # The squared pivot clears the length-2 curve component, so (alpha)
+    # holds, but the degree is deg CI - 2 deg C, not deg CI - deg C.
+    ring, curve, forms, pivot = _twisted_cubic_linkage()
+    doubled = Ideal(ring, [forms[0] ** 2, forms[1]])
+    with pytest.raises(AssertionError, match=r"\(beta\) .* \(2, 2\), expected \(2, 5\)"):
+        residual_ideal(doubled, curve, pivot ** 2)
 
 
 def test_curve_ideal_input_validation():
@@ -258,17 +311,10 @@ def test_check_parameters_rejects_curve_exponents_past_the_cap():
         check_parameters(10 ** 12, 10 ** 12, True)  # stops at the first product past the cap
 
 
-def test_residual_times_curve_in_ci(fam12p):
-    gci = fam12p.complete_intersection.groebner()
-    for g in fam12p.curve.gens:
-        for h in fam12p.residual.gens:
-            assert gci.reduces_to_zero(g * h)
-
-
 @pytest.mark.parametrize("which", ["fam22", "fam12p"])
 def test_builder_certificates_agree_with_the_colon_route(which, request):
-    # The builder certifies I : f = I by hilbert.nonzerodivisor; the
-    # literal colons must say the same on the curve and the residual.
+    # The builder's certificates make the curve stable under every variable
+    # and the residual under the pivot; the literal colons must agree.
     fam = request.getfixturevalue(which)
     for i in range(fam.ring.nvars):
         assert colon_by_variable_power(fam.curve, i).same_ideal(fam.curve)
@@ -302,6 +348,28 @@ def _all_shifts_piece_basis(ideal, d):
 RESIDUAL_CASES = ([(m, n, False, char) for m, n in UNPRIMED_GRID for char in (32003, 0)]
                   + [(m, n, True, char) for m, n in PRIMED_GRID for char in (32003, 0)]
                   + [(3, 3, False, 32003), (4, 2, False, 32003), (3, 2, True, 32003)])
+
+
+# Every family instance tier-1 builds.
+TIER1_FAMILIES = RESIDUAL_CASES + [(4, 3, False, 32003)]
+
+
+def test_residual_times_curve_in_ci():
+    for m, n, primed, char in TIER1_FAMILIES:
+        fam = build_family(m, n, primed, char)
+        assert fam.complete_intersection.contains_ideal(
+            ideal_product(fam.curve, fam.residual)), (m, n, primed, char)
+
+
+@pytest.mark.parametrize("m, n, primed, char", TIER1_FAMILIES)
+def test_semigroup_and_degree_certificates_agree_with_the_colon_checks(m, n, primed, char):
+    """What the semigroup count and the degree certificates imply, checked
+    by colons: the curve is stable under every variable colon, and the
+    pivot is a nonzerodivisor on the residual."""
+    fam = build_family(m, n, primed, char)
+    for i in range(fam.ring.nvars):
+        assert colon_by_variable_power(fam.curve, i) is fam.curve
+    assert nonzerodivisor(fam.residual, residual_pivot(fam.ring, m, n))
 
 
 @pytest.mark.parametrize("m, n, primed, char", RESIDUAL_CASES)

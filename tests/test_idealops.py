@@ -16,7 +16,7 @@ from cmreg.hilbert import (hilbert_function, hilbert_series, indeg, nonzerodivis
                            series_difference)
 from cmreg.idealops import (colon, colon_by_variable_power, eliminate,
                             ideal_product, intersect, membership_exponent,
-                            quotient_exact, saturate, saturate_by_variables,
+                            saturate, saturate_by_variables,
                             saturate_irrelevant,
                             saturation_exponent_bound_check,
                             substitute_variable)
@@ -265,15 +265,6 @@ def test_sum_and_product():
     assert ideal_product(A, B).same_ideal(Ideal(R, [x * x * y]))
 
 
-def test_quotient_exact_and_failure():
-    R = PolyRing(("x", "y"), QQ)
-    x, y = R.gens()
-    f = (x + y) * (x * x - y)
-    assert quotient_exact(f, x + y) == x * x - y
-    with pytest.raises(ValueError):
-        quotient_exact(x * x + y, x)
-
-
 def test_colon_raises_on_a_division_that_is_not_exact(monkeypatch):
     # An intersection basis element that f does not divide is an engine
     # fault; colon must not turn it into a quotient.
@@ -358,10 +349,11 @@ def test_substitute_variable_coordinate_change_round_trip(field):
     assert substitute_variable(fwd, 1, l).gens == I.gens
 
 
-def _substitute_per_term(I, i, repl):
-    """x_i -> repl one term at a time: each term is unpacked, its x_i power
-    dropped, the rest packed and multiplied by that power of repl (the
-    oracle of substitute_variable)."""
+def _substitute_per_term(I, i, repl, scale=1):
+    """x_i -> repl / scale one term at a time: each term is unpacked, its
+    x_i power e dropped, the rest packed and multiplied by repl^e and by
+    scale^(top - e), top the generator's largest x_i power (the oracle of
+    substitute_variable)."""
     target = repl.ring
     names = I.ring.names
     keep = [j for j in range(len(names)) if j != i]
@@ -371,6 +363,7 @@ def _substitute_per_term(I, i, repl):
     images = []
     for g in I.gens:
         data = {}
+        top = max(e[i] for e, _ in g.terms)
         for k, c in g.pdict.items():
             e = unpack(k)
             while len(powers) <= e[i]:
@@ -378,6 +371,7 @@ def _substitute_per_term(I, i, repl):
             base = [0] * target.nvars
             for j, s in zip(keep, slots):
                 base[s] = e[j]
+            c = target.field.mul(c, target.field(scale ** (top - e[i])))
             pdict_addmul(target.p, data, {pack(base): c}, powers[e[i]].pdict)
         images.append(Polynomial._product(target, data))
     return Ideal(target, images)
@@ -393,9 +387,9 @@ def test_substitute_variable_matches_the_per_term_route_on_the_grid(char, monkey
     grouped = substitute_variable
     kinds = []
 
-    def checked(I, i, repl):
-        J = grouped(I, i, repl)
-        assert J.gens == _substitute_per_term(I, i, repl).gens, (I.ring, i)
+    def checked(I, i, repl, scale=1):
+        J = grouped(I, i, repl, scale)
+        assert J.gens == _substitute_per_term(I, i, repl, scale).gens, (I.ring, i)
         kinds.append("change" if repl.ring == I.ring else "cut")
         return J
 
