@@ -15,7 +15,12 @@ from Hilbert series the builder holds anyway, with no further Groebner
 basis: the curve by its Hilbert function against the semigroup count
 |d Lambda| up to the Gruson-Lazarsfeld-Peskine bound (check_semigroup_count),
 the residual by one generator off the curve and its degree deg CI - deg C
-(residual_ideal).  The builder records on the complete and
+(residual_ideal).  Every membership in the curve reads the X_0-last basis
+its saturation left it holding, and every membership in the residual its
+grevlex basis, the one its colon made: membership gives the same answer in
+every Groebner basis.  The almost complete intersection gets no basis here:
+it lies between CI and the residual, both of dimension 2, so its dimension
+is 2 as well (build_family).  The builder records on the complete and
 the almost complete intersection how each is resolved (see resolution).
 Graded pieces are echelonized as sparse rows, one per monomial of in(I)_d:
 the first monomial shift of a Groebner basis element with that lead.
@@ -217,8 +222,12 @@ def residual_ideal(ci, curve, pivot):
     lies in no associated prime of a.  That also gives the product b * a
     inside CI, and a : g = a: were g in some p != b, a_p = CI_p : g would be
     larger than CI_p.
+
+    Membership in b, for g and for (alpha), reads the basis b holds: from
+    curve_ideal, its X_0-last basis.  Membership gives the same answer in
+    every Groebner basis, so b needs no grevlex basis here.
     """
-    gbb = curve.groebner()
+    gbb = curve._held_basis()
     if not gbb.reduces_to_zero(pivot):
         raise AssertionError("residual pivot is not a member of the curve ideal")
     a = colon(ci, pivot)
@@ -274,11 +283,12 @@ def extra_form(residual, curve, d):
     """The canonical degree-d member of the residual that avoids the curve.
 
     Scans the echelon basis of the degree-d piece of the residual in order
-    and returns the first polynomial outside the curve ideal.  Errors with a
-    diagnostic if the whole piece lies inside the curve.
+    and returns the first polynomial outside the curve ideal, tested against
+    the basis the curve holds.  Errors with a diagnostic if the whole piece
+    lies inside the curve.
     """
     basis = graded_piece_basis(residual, d)
-    gbb = curve.groebner()
+    gbb = curve._held_basis()
     for f in basis:
         if not gbb.reduces_to_zero(f):
             return f
@@ -322,7 +332,22 @@ def check_parameters(m, n, primed):
 
 
 def build_family(m, n, primed=False, char=32003):
-    """Build and validate a family instance; cached per (m, n, primed, char)."""
+    """Build and validate a family instance; cached per (m, n, primed, char).
+
+    Membership in the curve reads the X_0-last basis curve_ideal leaves it
+    holding, and membership in the residual a its grevlex basis, the one
+    the colon made; neither the curve nor the almost complete intersection
+    gets a grevlex basis here.  Claims that need one compute it on first
+    use.
+
+    dim A/ACI = 2 follows with no basis of the ACI.  The ring has
+    codim + 2 variables and the forms are asserted to cut dim A/CI = 2;
+    residual_ideal asserts dim A/a = dim A/CI, a = CI : C being the ideal
+    linked to the curve C by CI (Peskine-Szpiro, Invent. Math. 26, 1974).
+    Every form and F are asserted to reduce to zero modulo a, so
+    CI <= ACI <= a.  Then V(a) lies in V(ACI), which lies in V(CI), so
+    2 = dim A/a <= dim A/ACI <= dim A/CI = 2.
+    """
     key = (m, n, bool(primed), char)
     cached = _FAMILY_CACHE.get(key)
     if cached is not None:
@@ -331,10 +356,11 @@ def build_family(m, n, primed=False, char=32003):
     exps = curve_exponents(m, n, primed)
     ring, curve = curve_ideal(exps, char)
     forms = ci_forms(m, n, ring, primed)
+    gb_curve = curve._held_basis()
     for f in forms:
         if parametrization_defect(f, exps):
             raise AssertionError("complete intersection form does not vanish on the curve")
-        if not curve.groebner().reduces_to_zero(f):
+        if not gb_curve.reduces_to_zero(f):
             raise AssertionError("complete intersection form escapes the curve ideal")
     ci = Ideal(ring, forms)
     codim = m + 1 if primed else m
@@ -354,10 +380,11 @@ def build_family(m, n, primed=False, char=32003):
     pivot = residual_pivot(ring, m, n)
     a = residual_ideal(ci, curve, pivot)
     F = extra_form(a, curve, d)
+    gb_a = a._held_basis()
+    if not all(gb_a.reduces_to_zero(f) for f in forms + [F]):
+        raise AssertionError("almost complete intersection does not define a surface cone: "
+                             "a generator lies outside the residual")
     almost = Ideal(ring, forms + [F])
-    dim_almost, _ = hilbert.dim_deg(almost)
-    if dim_almost != 2:
-        raise AssertionError("almost complete intersection does not define a surface cone")
     # How each is resolved, read and certified by resolution.minimal_resolution
     # on its first call: the forms are a regular sequence (the height check
     # above), and the almost complete intersection is linked to the curve.

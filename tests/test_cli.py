@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +65,24 @@ def test_family_then_betti_then_reg(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "reg(ideal) = 7" in out
     assert "reg(quotient) = 6" in out
+
+
+CMBENCH = Path(__file__).resolve().parents[1] / "cmbench"
+RESOLVE_INPUTS = json.loads((CMBENCH / "expected.json").read_text())["resolve"]
+
+
+@pytest.mark.parametrize("entry", RESOLVE_INPUTS, ids=lambda e: e["name"])
+def test_family_rebuilds_each_committed_resolve_input(entry, tmp_path, monkeypatch):
+    # The benchmark resolves these files as `cmreg family` wrote them; a
+    # cold build must write them again byte for byte.
+    argv = shlex.split(entry["command"])
+    assert argv[:2] == ["cmreg", "family"] and argv[-2] == "--out"
+    out = tmp_path / argv[-1]
+    monkeypatch.setattr(families, "_FAMILY_CACHE", {})
+    assert main(argv[1:-1] + [str(out)]) == 0
+    raw = (CMBENCH / entry["file"]).read_bytes()
+    assert out.read_bytes() == raw
+    assert hashlib.sha256(raw).hexdigest() == entry["sha256"]
 
 
 def test_betti_text_format(tmp_path, capsys):

@@ -13,7 +13,7 @@ from cmreg.families import (build_family, check_parameters, check_semigroup_coun
                             residual_pivot, semigroup_counts)
 from cmreg.groebner import Ideal, member
 from cmreg.hilbert import dim_deg, hilbert_function, nonzerodivisor
-from cmreg.idealops import colon, colon_by_variable_power, ideal_product
+from cmreg.idealops import _variable_last, colon, colon_by_variable_power, ideal_product
 from cmreg.resolution import betti, regularity_ideal
 from cmreg._linalg import rref
 from cmreg.ring import (MAX_EXP, Block, PolyRing, Polynomial, QQ, field_of_characteristic,
@@ -345,9 +345,10 @@ def _all_shifts_piece_basis(ideal, d):
             for row in rref(rows, ring.field)]
 
 
-RESIDUAL_CASES = ([(m, n, False, char) for m, n in UNPRIMED_GRID for char in (32003, 0)]
-                  + [(m, n, True, char) for m, n in PRIMED_GRID for char in (32003, 0)]
-                  + [(3, 3, False, 32003), (4, 2, False, 32003), (3, 2, True, 32003)])
+GRID_CASES = ([(m, n, False, char) for m, n in UNPRIMED_GRID for char in (32003, 0)]
+              + [(m, n, True, char) for m, n in PRIMED_GRID for char in (32003, 0)])
+
+RESIDUAL_CASES = GRID_CASES + [(3, 3, False, 32003), (4, 2, False, 32003), (3, 2, True, 32003)]
 
 
 # Every family instance tier-1 builds.
@@ -409,3 +410,33 @@ def test_rational_build_constructs_no_fraction(m, n, primed, monkeypatch, check_
     coeffs += [c for ideal in ideals for gb in ideal._gb.values()
                for d in gb._basis for c in d.values()]
     assert check_rational_form(coeffs) == 0
+
+
+@pytest.mark.parametrize("m, n, primed, char", GRID_CASES)
+def test_cold_build_leaves_the_aci_and_the_curve_without_a_grevlex_basis(m, n, primed, char,
+                                                                          monkeypatch):
+    # Membership in the curve reads the X_0-last basis of its saturation, and
+    # dim A/ACI = 2 follows from CI <= ACI <= a: the builder computes neither
+    # grevlex basis.  Claims that need one compute it on first use and give
+    # the answers of a fresh ideal that holds nothing from the builder.
+    monkeypatch.setattr(families, "_FAMILY_CACHE", {})
+    fam = build_family(m, n, primed, char)
+    aci, curve = fam.almost_complete_intersection, fam.curve
+    assert aci._gb == {}
+    assert list(curve._gb) == [repr(_variable_last(fam.ring.nvars, 0))]
+    assert regularity_ideal(aci) == regularity_ideal(Ideal(aci.ring, aci.gens))
+    assert betti(curve) == betti(Ideal(curve.ring, curve.gens))
+
+
+def test_extra_form_outside_the_residual_is_no_surface_cone(monkeypatch):
+    # A power of a variable off the residual: CI + (F) is not inside a, so
+    # the dimension argument does not hold and the build must refuse.
+    def off_residual(residual, curve, d):
+        gb, ring = residual.groebner(), residual.ring
+        return next(ring.gen(i) ** d for i in range(ring.nvars)
+                    if not gb.reduces_to_zero(ring.gen(i) ** d))
+
+    monkeypatch.setattr(families, "_FAMILY_CACHE", {})
+    monkeypatch.setattr(families, "extra_form", off_residual)
+    with pytest.raises(AssertionError, match="does not define a surface cone"):
+        build_family(2, 2)
