@@ -19,23 +19,24 @@ lcm, so the pair order is that of the exponent tuples.  A popped word with
 a guard bit set is a term whose exponent passed the cap; the normal-form
 loop raises OverflowError for it rather than reduce a term that is not there.
 
-Buchberger autoreduces its inputs in one ascending pass and keeps its
-S-pairs in a PairSet: a heap in normal order, pruned by Gebauer-Moeller.
-The update for a new lead f computes each lcm(lead_i, f) once: the old-pair
-deletion reads that list, one dict keeps the first index of each lcm class
-and one the first coprime member.  ring.minimal_words keeps the minimal
-classes (the chain criterion) by one int sort; heap ties break on the
-pair's indices, so the push order does not matter.  The intersection run
-shares the PairSet: it starts from a Groebner basis whose pairs are never
-queued, and reads the generators of an intersection off the pairs that
-reduce to zero and the pairs the product criterion retires.  The final pass,
-reduced_basis, keeps the elements of minimal lead, sorts them once by
-lead, and reduces each tail against the elements of smaller lead only (a
-lead divides no smaller term) before putting the monic lead back; it also
-makes the reduced basis of a Groebner basis that an ideal operation derives
-from another (see idealops).  On prime fields every
-stored coefficient is in [1, p): no path stores a negative residue or a zero
-term.
+Buchberger and the intersection run take their inputs the same way
+(_intake): in ascending lead order, each reduced against the basis so far,
+its nonzero remainder added.  Both keep their S-pairs in a PairSet: a heap
+in normal order, pruned by Gebauer-Moeller.  The update for a new lead f
+computes each lcm(lead_i, f) once: the old-pair deletion reads that list,
+one dict keeps the first index of each lcm class and one the first coprime
+member.  ring.minimal_words keeps the minimal classes (the chain
+criterion) by one int sort; heap ties break on the pair's indices, so the
+push order does not matter.  The intersection run starts its PairSet from
+a Groebner basis whose pairs are never queued, and reads the generators of
+an intersection off the pairs that reduce to zero and the pairs the
+product criterion retires.  The final pass, reduced_basis, keeps the
+elements of minimal lead, sorts them once by lead, and reduces each tail
+against the elements of smaller lead only (a lead divides no smaller term)
+before putting the monic lead back; it also makes the reduced basis of a
+Groebner basis that an ideal operation derives from another (see
+idealops).  On prime fields every stored coefficient is in [1, p): no path
+stores a negative residue or a zero term.
 
 Over Q the Groebner work runs on Python ints.  A Reducer holds the primitive
 integer multiple of its polynomial, and a normal form carries one common
@@ -59,7 +60,6 @@ and resolution.py.
 from __future__ import annotations
 
 import heapq
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -490,42 +490,37 @@ class PairSet:
         return None
 
 
+def _intake(ctx, pdicts):
+    """The nonzero inputs as new packed dicts, integral over Q, sorted
+    ascending by lead (ties keep the input order)."""
+    p = ctx.p
+    return sorted((dict(d) if p is not None else _integral(d)[0] for d in pdicts if d),
+                  key=max)
+
+
 def buchberger(ctx, pdicts, max_pairs=2_000_000):
     """Reduced Groebner basis of the ideal generated by packed polys.
 
-    The inputs are autoreduced in one pass in ascending lead order: each is
-    reduced against the survivors before it, and its monic remainder, if
-    any, survives.  A survivor whose lead the new lead divides goes back in
-    the queue; that happens only when a lead drops, which a homogeneous input
-    under a degree order never does.  The survivors start a PairSet, each
-    S-pair it pops is reduced against the basis, and a nonzero remainder
-    joins it; reduced_basis minimalizes the leads and reduces the tails.
+    The inputs are taken as intersection takes them (_intake), each reduced
+    against the basis so far and its nonzero remainder added; a constant
+    remainder ends the run with the unit ideal.  Each S-pair the PairSet
+    pops is then reduced against the basis, and a nonzero remainder joins
+    it.  An element can keep a lead that a later lead divides, but only
+    after a lead drops, which a homogeneous input under a degree order never
+    does; reduced_basis keeps only the minimal leads and reduces the tails.
     Returns (basis, stats) with the basis monic and sorted descending by lead.
     """
     p = ctx.p
-    guards = ctx.guards
-    push = heapq.heappush
-    tick = itertools.count()
-    todo = [(max(d), next(tick), dict(d) if p is not None else _integral(d)[0])
-            for d in pdicts if d]
-    heapq.heapify(todo)
-    start = []
-    while todo:
-        rem = _reduce(ctx, heapq.heappop(todo)[2], start)[0]
+    pairs = PairSet(ctx, max_pairs)
+    G = pairs.G
+    for h in _intake(ctx, pdicts):
+        rem = _reduce(ctx, h, G)[0]
         if not rem:
             continue
         red = Reducer.from_packed(ctx, rem)
         if red.leadkey == 0:
             return [{0: 1}], {"pairs_processed": 0, "zero_reductions": 0}
-        for s in [s for s in start if not (s.leadword - red.leadword) & guards]:
-            start.remove(s)
-            push(todo, (s.leadkey, next(tick), reducer_dict(s)))
-        start.append(red)
-
-    pairs = PairSet(ctx, max_pairs)
-    for red in start:
         pairs.add(red)
-    G = pairs.G
     zero = 0
     while (pair := pairs.pop()) is not None:
         sug, lcmkey, (i, j) = pair
@@ -618,8 +613,7 @@ def intersection(ctx, basis, pdicts, max_pairs=2_000_000):
             if koszul:
                 gens.append(koszul)
 
-    for h in sorted((dict(d) if p is not None else _integral(d)[0] for d in pdicts if d),
-                    key=max):
+    for h in _intake(ctx, pdicts):
         settle(*reduce_tracked(h, h, {}))
     while (pair := pairs.pop()) is not None:
         sug, lcmkey, (i, j) = pair

@@ -340,10 +340,11 @@ def build_family(m, n, primed=False, char=32003):
     gets a grevlex basis here.  Claims that need one compute it on first
     use.
 
-    dim A/ACI = 2 follows with no basis of the ACI.  The ring has
-    codim + 2 variables and the forms are asserted to cut dim A/CI = 2;
-    residual_ideal asserts dim A/a = dim A/CI, a = CI : C being the ideal
-    linked to the curve C by CI (Peskine-Szpiro, Invent. Math. 26, 1974).
+    dim A/ACI = 2 follows with no basis of the ACI.  The ring has two
+    variables more than there are forms, and the forms are asserted to be a
+    regular sequence, dim A/CI = nvars - #forms = 2; residual_ideal asserts
+    dim A/a = dim A/CI, a = CI : C being the ideal linked to the curve C by
+    CI (Peskine-Szpiro, Invent. Math. 26, 1974).
     Every form and F are asserted to reduce to zero modulo a, so
     CI <= ACI <= a.  Then V(a) lies in V(ACI), which lies in V(CI), so
     2 = dim A/a <= dim A/ACI <= dim A/CI = 2.
@@ -363,10 +364,11 @@ def build_family(m, n, primed=False, char=32003):
         if not gb_curve.reduces_to_zero(f):
             raise AssertionError("complete intersection form escapes the curve ideal")
     ci = Ideal(ring, forms)
-    codim = m + 1 if primed else m
+    # The forms are a regular sequence exactly when their height is their number.
     dim_ci, _ = hilbert.dim_deg(ci)
-    if dim_ci != ring.nvars - codim:
-        raise AssertionError("forms do not cut a complete intersection of the expected codimension")
+    if dim_ci != ring.nvars - len(forms):
+        raise AssertionError("forms are not a regular sequence: they do not cut a complete "
+                             "intersection")
     if primed:
         d = m * n + 2 ** (m - 1)
         expected_degrees = sorted([2 ** (m - 1) + 1] + [n + 1] * m)

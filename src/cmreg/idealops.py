@@ -191,10 +191,11 @@ def saturate(I, l):
     q is the number of strict steps in the colon chain I, I : l, I : l^2,
     ..., so q == 0 means I is already saturated with respect to l.  With
     x_i the last variable of l, the coordinate change
-    x_i -> (x_i - sum_{j != i} c_j x_j) / c_i sends l to x_i and I to J.  In
-    grevlex with x_i last, q is the largest x_i power in a lead of J's
-    basis, and I : l^inf is J : x_i^inf with x_i put back to l.  When l is
-    c * x_i there is no change: J is I, and the colon is
+    x_i -> (x_i - sum_{j != i} c_j x_j) / c_i sends l to x_i and I to J;
+    substitute_variable takes the numerator and the scale c_i, so no field
+    inverse is made.  In grevlex with x_i last, q is the largest x_i power
+    in a lead of J's basis, and I : l^inf is J : x_i^inf with x_i put back
+    to l.  When l is c * x_i there is no change: J is I, and the colon is
     colon_by_variable_power(I, i), I itself when q == 0.
     """
     coeffs = linear_coefficients(l)
@@ -207,9 +208,8 @@ def saturate(I, l):
     i = support[-1]
     J = I
     if len(support) > 1:
-        inv = f.inv(coeffs[i])
-        to_var = [inv if j == i else f.neg(f.mul(c, inv)) for j, c in enumerate(coeffs)]
-        J = substitute_variable(I, i, linear_form(I.ring, to_var))
+        to_var = [f(1) if j == i else f.neg(c) for j, c in enumerate(coeffs)]
+        J = substitute_variable(I, i, linear_form(I.ring, to_var), coeffs[i])
     leads = J.groebner(_variable_last(I.ring.nvars, i)).leading_exps()
     q = max((e[i] for e in leads), default=0)
     S = colon_by_variable_power(J, i)

@@ -68,8 +68,8 @@ from collections import Counter, namedtuple
 from itertools import combinations
 from math import gcd
 
-from . import _kernel, hilbert
-from ._kernel import Context, ModContext, Reducer, _reduce, _spair, reducer_form
+from . import hilbert
+from ._kernel import ModContext, Reducer, _reduce, _spair, reducer_form
 from ._linalg import echelon
 from .ring import GREVLEX, word_lcm
 
@@ -149,13 +149,14 @@ def _schreyer_levels(ctx, gb_packed, nvars):
     a positive lead over Q, so the next level's syzygies refer to exactly
     these elements.  modules[0] is the ring, of rank one, where a module key
     is the ring key; modules[l + 1] has one basis element per element of
-    levels[l].
+    levels[l].  gb_packed is the ideal's reduced grevlex basis as its
+    GroebnerBasis holds it, sorted descending by lead; level 1 may share
+    its dicts, so no level is written to once it is made.
     """
     word, degree = ctx.word, ctx.degree
     module = ModContext(ctx, [0], [()], [0])
     modules = [module]
     current = [reducer_form(ctx, d, max(d)) for d in gb_packed]
-    current.sort(key=max, reverse=True)
     levels = []
     while current:
         levels.append(current)
@@ -318,14 +319,12 @@ def _schreyer_resolution(I):
     if not I.is_homogeneous():
         raise ValueError("resolutions need homogeneous generators")
     gb = I.groebner(GREVLEX)
-    if gb.polys and gb.polys[-1].degree() == 0:
-        raise ValueError("the unit ideal has no minimal free resolution of A/I")
-    if not gb.polys:
+    if not gb._basis:
         return Resolution(ring, BettiTable("A/I", {(0, 0): 1}),
                           {"route": "schreyer", "levels": 0, "cancelled": 0})
-    ctx = Context(GREVLEX.bind(ring.nvars), ring.field)
-    gb_packed = [_kernel.to_packed(ctx, g) for g in gb.polys]
-    levels, modules = _schreyer_levels(ctx, gb_packed, ring.nvars)
+    if max(gb._basis[-1]) == 0:
+        raise ValueError("the unit ideal has no minimal free resolution of A/I")
+    levels, modules = _schreyer_levels(gb._ctx, gb._basis, ring.nvars)
     betti_entries, cancelled = _betti_entries(levels, modules)
 
     if any(b < 0 for b in betti_entries.values()):

@@ -302,21 +302,19 @@ def check_thm11(m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
 
 def check_lemma12(m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
     """Saturation-exponent inequalities for random linear forms on the almost
-    complete intersection: q <= a0 - indeg(sat) + 1 <= reg - indeg(sat)."""
+    complete intersection: q <= a0 - indeg(sat) + 1 <= reg - indeg(sat).
+
+    Round k draws one form, with seed + 9973 * k; a round whose form is not
+    generic fails."""
     params = {"m": m, "n": n, "primed": bool(primed), "char": char, "seed": seed}
 
     def body(col):
         fam = families.build_family(m, n, primed=primed, char=char)
         aci = fam.almost_complete_intersection
         for k in range(LEMMA12_ROUNDS):
-            rep = None
-            used = None
-            for draw in range(5):
-                used = seed + 9973 * k + 31 * draw
-                l = sections.random_linear_form(fam.ring, used)
-                rep = ops.saturation_exponent_bound_check(aci, l)
-                if rep.status != "not_generic":
-                    break
+            used = seed + 9973 * k
+            l = sections.random_linear_form(fam.ring, used)
+            rep = ops.saturation_exponent_bound_check(aci, l)
             name = f"round-{k}-seed-{used}"
             vals = {"q": v(rep.q, "hilbert"), "a0": v(rep.a0, "hilbert"),
                     "indeg_sat": v(rep.indeg_sat, "hilbert"),
@@ -329,7 +327,7 @@ def check_lemma12(m, n, primed, seed=DEFAULT_SEED, char=DEFAULT_CHAR):
                 col.skip(name, "ideal is saturated: hypothesis I != I:m fails; "
                                "q = 0 trivially", vals)
             elif rep.status == "not_generic":
-                col.record(name, False, vals, "no finite-colon linear form found in 5 draws")
+                col.record(name, False, vals, "the drawn linear form is a zero divisor on A/I^sat")
             else:
                 col.record(name, rep.holds, vals)
 

@@ -264,6 +264,20 @@ def _passing_report_digest(claim, args):
     return hashlib.sha256(proc.stdout).hexdigest()
 
 
+# sha256 of `cmreg verify all --format json` (seed 2026) beyond the default
+# grid: every claim of the instance, lemma31/21, cor13 and remark33 included.
+VERIFY_ALL_BEYOND_GRID_SHA256 = {
+    "--m 3 --n 3": "94c91c0127f900b95d883f46493c066ebe311c986b1cbeba83ec6fab7b330f6d",
+    "--m 4 --n 2": "6a6022ff32d735b00df748f25bface05e27e42be9b0b9b5b1e7e73ca9e8c8327",
+    "--m 3 --n 2 --primed": "d64c2e25767cbe7dbb0e6114f5f4a673dcbdbe59d014f245754918537115cb49",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_ALL_BEYOND_GRID_SHA256))
+def test_criterion_10_verify_all_digest_beyond_the_grid(args):
+    assert _passing_report_digest("all", args) == VERIFY_ALL_BEYOND_GRID_SHA256[args]
+
+
 @pytest.mark.parametrize("args", sorted(VERIFY_THM11_SHA256))
 def test_criterion_10_verify_thm11_digest_beyond_the_grid(args):
     assert _passing_report_digest("thm11", args) == VERIFY_THM11_SHA256[args]

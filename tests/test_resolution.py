@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cmreg import _kernel, families, resolution
-from cmreg._kernel import Context, ModContext
+from cmreg._kernel import ModContext
 from cmreg.cli import parse_ideal_file
 from cmreg.families import build_family, curve_ideal
 from cmreg.groebner import Ideal
@@ -214,6 +214,26 @@ def test_rejects_inhomogeneous(ring3f):
         minimal_resolution(Ideal(ring3f, [x * x - y]))
 
 
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ])
+def test_zero_and_unit_ideals_on_the_schreyer_route(field):
+    R = PolyRing(("x", "y", "z"), field)
+    x, y, _ = R.gens()
+    assert betti(Ideal(R, [])).entries == {(0, 0): 1}
+    with pytest.raises(ValueError, match="the unit ideal has no minimal free resolution"):
+        minimal_resolution(Ideal(R, [x * y, R.one]))
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_schreyer_leaves_the_held_basis_as_it_was(char):
+    # Level 1 starts from the packed dicts the ideal's grevlex basis holds.
+    aci = build_family(3, 2, char=char).almost_complete_intersection
+    I = Ideal(aci.ring, aci.gens)
+    gb = I.groebner(GREVLEX)
+    before = [dict(d) for d in gb._basis]
+    assert minimal_resolution(I).stats["route"] == "schreyer"
+    assert I.groebner(GREVLEX) is gb and gb._basis == before
+
+
 # The minimization oracle.  The Betti table is read off constant ranks of
 # the non-minimal Schreyer resolution; these functions minimize that
 # resolution by exact column operations instead, so the two routes check
@@ -298,10 +318,9 @@ def _minimize(ctx, cols_by_level, top_level):
 
 
 def _schreyer(I):
-    ctx = Context(GREVLEX.bind(I.ring.nvars), I.ring.field)
-    gb = [_kernel.to_packed(ctx, g) for g in I.groebner(GREVLEX).polys]
-    levels, modules = _schreyer_levels(ctx, gb, I.ring.nvars)
-    return ctx, levels, modules
+    gb = I.groebner(GREVLEX)
+    levels, modules = _schreyer_levels(gb._ctx, gb._basis, I.ring.nvars)
+    return gb._ctx, levels, modules
 
 
 def _minimized(I):
@@ -604,8 +623,7 @@ ORACLE_QQ = sorted({(m, n, False) for m, n in UNPRIMED_GRID}
 
 def _assert_matches_the_oracle(I):
     ctx, levels, modules = _schreyer(I)
-    gb = [_kernel.to_packed(ctx, g) for g in I.groebner(GREVLEX).polys]
-    oracle = _oracle_levels(ctx, gb, I.ring.nvars)
+    oracle = _oracle_levels(ctx, I.groebner(GREVLEX)._basis, I.ring.nvars)
     assert [len(level) for level in levels] == [len(level) for level in oracle]
     # scales[c] is element c of the level below over the oracle's element c,
     # so a coefficient on e_c reads as coef * scales[c] in the oracle's basis.

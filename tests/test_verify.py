@@ -8,6 +8,7 @@ import math
 import pytest
 
 from cmreg import families, sections, verify
+from cmreg import idealops as ops
 from cmreg.groebner import Ideal
 from cmreg.verify import (CLAIM_IDS, _jsonable, check_cor13, check_lemma12,
                           check_lemma_decomp, check_lower_bound,
@@ -140,6 +141,26 @@ def test_lemma12_saturated_instance_skips():
 def test_lemma12_22_passes():
     rep = check_lemma12(2, 2, primed=False)
     assert rep.verdict == "pass"
+
+
+def test_lemma12_round_with_a_non_generic_form_fails_under_its_one_seed(monkeypatch):
+    """Each round draws one form; a form that is not generic fails its round
+    under that form's seed, with no retry."""
+    calls = []
+
+    def not_generic(I, l):
+        calls.append(l)
+        return ops.SaturationBound(q=None, a0=1, indeg_sat=2, reg_ideal=3, bound_mid=0,
+                                   bound_right=1, holds=None, status="not_generic",
+                                   method="chain", precondition_certified=False)
+
+    monkeypatch.setattr(ops, "saturation_exponent_bound_check", not_generic)
+    rep = check_lemma12(2, 2, primed=False, seed=2026)
+    assert len(calls) == verify.LEMMA12_ROUNDS == 3
+    assert rep.verdict == "fail"
+    assert [sc.name for sc in rep.subchecks] == [f"round-{k}-seed-{2026 + 9973 * k}"
+                                                 for k in range(3)]
+    assert _status(rep, "round-0-seed-2026") == "fail"
 
 
 def test_cor13_22():
