@@ -143,7 +143,7 @@ SECTION_22_WORK = {"calls": 6, "pairs_processed": 44, "zero_reductions": 28}
 ACI_SATURATION_GRID_WORK = {"calls": 14, "pairs_processed": 222, "zero_reductions": 162}
 
 # Calls, pairs and zero reductions of general_section on the (2,2) residual
-# at F_32003, as build_family leaves it: the cut check_thm11 makes.
+# at F_32003, as build_family leaves it: the cut the thm11 claim makes.
 RESIDUAL_SECTION_22_WORK = {"calls": 4, "pairs_processed": 13, "zero_reductions": 13}
 
 

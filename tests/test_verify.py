@@ -10,10 +10,8 @@ import pytest
 from cmreg import families, sections, verify
 from cmreg import idealops as ops
 from cmreg.groebner import Ideal
-from cmreg.verify import (CLAIM_IDS, _jsonable, check_cor13, check_lemma12,
-                          check_lemma_decomp, check_lower_bound,
-                          check_remark33, check_thm11, grid_reports,
-                          overall_verdict, render_csv, render_json,
+from cmreg.verify import (CLAIM_IDS, FAMILY_CLAIMS, SECTION_CLAIMS, _jsonable,
+                          grid_reports, overall_verdict, render_csv, render_json,
                           render_text, run_claim)
 
 
@@ -38,7 +36,7 @@ def test_jsonable_handles_infinities_and_tuples():
 
 
 def test_prop32_22_passes():
-    rep = check_lower_bound(2, 2, primed=False)
+    rep = run_claim("prop32", 2, 2, primed=False)
     assert rep.verdict == "pass"
     vals = _values(rep, "regularity-lower-bound")
     assert vals["reg"]["value"] == 7
@@ -52,7 +50,7 @@ def test_prop32_22_passes():
 
 
 def test_prop22_primed_12_passes():
-    rep = check_lower_bound(1, 2, primed=True)
+    rep = run_claim("prop22", 1, 2, primed=True)
     assert rep.verdict == "pass"
     vals = _values(rep, "regularity-lower-bound")
     assert vals["reg"]["value"] == 4
@@ -60,18 +58,18 @@ def test_prop22_primed_12_passes():
 
 
 def test_lemma_decomposition_22():
-    rep = check_lemma_decomp(2, 2, primed=False)
+    rep = run_claim("lemma31", 2, 2, primed=False)
     assert rep.claim == "lemma31"
     assert rep.verdict == "pass"
     assert _status(rep, "decomposition") == "pass"
     assert _status(rep, "degree-additivity") == "pass"
-    rep_p = check_lemma_decomp(1, 2, primed=True)
+    rep_p = run_claim("lemma21", 1, 2, primed=True)
     assert rep_p.claim == "lemma21"
     assert rep_p.verdict == "pass"
 
 
 def test_thm11_22():
-    rep = check_thm11(2, 2, primed=False)
+    rep = run_claim("thm11", 2, 2, primed=False)
     assert rep.verdict == "pass"
     vals = _values(rep, "regularity-upper-bound")
     assert vals["reg"]["value"] == 7
@@ -97,7 +95,7 @@ def test_thm11_cuts_the_residual_once_per_grid_instance(monkeypatch):
     for primed, grid in ((False, verify.UNPRIMED_GRID), (True, verify.PRIMED_GRID)):
         for m, n in grid:
             calls.clear()
-            assert check_thm11(m, n, primed).verdict == "pass", (m, n, primed)
+            assert run_claim("thm11", m, n, primed).verdict == "pass", (m, n, primed)
             assert len(calls) == 1, (m, n, primed)
             assert calls[0] is families.build_family(m, n, primed=primed).residual
 
@@ -114,7 +112,7 @@ def test_thm11_guard_rejects_a_residual_that_is_not_the_top_part(monkeypatch, sw
     fam = families.build_family(2, 2)
     monkeypatch.setitem(families._FAMILY_CACHE, (2, 2, False, fam.char),
                         fam._replace(residual=swap(fam)))
-    note = _error_note(check_thm11(2, 2, primed=False))
+    note = _error_note(run_claim("thm11", 2, 2, primed=False))
     assert note.startswith(f"AssertionError: thm11 (2, 2, primed=False): {message}"), note
 
 
@@ -126,20 +124,20 @@ def test_thm11_asserts_deg_z_is_the_degree_of_the_cone(monkeypatch):
         return sd._replace(deg_section=sd.deg_section + 1)
 
     monkeypatch.setattr(sections, "general_section", off_by_one)
-    note = _error_note(check_thm11(2, 2, primed=False))
+    note = _error_note(run_claim("thm11", 2, 2, primed=False))
     assert ("deg Z = 4 from the sections with seeds 2026 and 54387 differs "
             "from deg(A/I) = 3") in note, note
 
 
 def test_lemma12_saturated_instance_skips():
-    rep = check_lemma12(1, 2, primed=True)
+    rep = run_claim("lemma12", 1, 2, primed=True)
     assert rep.verdict == "skip"
     for sc in rep.subchecks:
         assert sc.status == "skip"
 
 
 def test_lemma12_22_passes():
-    rep = check_lemma12(2, 2, primed=False)
+    rep = run_claim("lemma12", 2, 2, primed=False)
     assert rep.verdict == "pass"
 
 
@@ -155,7 +153,7 @@ def test_lemma12_round_with_a_non_generic_form_fails_under_its_one_seed(monkeypa
                                    method="chain", precondition_certified=False)
 
     monkeypatch.setattr(ops, "saturation_exponent_bound_check", not_generic)
-    rep = check_lemma12(2, 2, primed=False, seed=2026)
+    rep = run_claim("lemma12", 2, 2, primed=False, seed=2026)
     assert len(calls) == verify.LEMMA12_ROUNDS == 3
     assert rep.verdict == "fail"
     assert [sc.name for sc in rep.subchecks] == [f"round-{k}-seed-{2026 + 9973 * k}"
@@ -164,7 +162,7 @@ def test_lemma12_round_with_a_non_generic_form_fails_under_its_one_seed(monkeypa
 
 
 def test_cor13_22():
-    rep = check_cor13(2, 2, primed=False)
+    rep = run_claim("cor13", 2, 2, primed=False)
     assert rep.verdict == "pass"
     vals = _values(rep, "dim2-bound")
     assert vals["reg_quotient"]["value"] == 6
@@ -172,7 +170,7 @@ def test_cor13_22():
 
 
 def test_remark33_22():
-    rep = check_remark33(2, 2)
+    rep = run_claim("remark33", 2, 2, primed=False)
     assert rep.verdict == "pass"
     vals = _values(rep, "simplified-section-bound")
     assert vals["reg"]["value"] == 7
@@ -182,7 +180,7 @@ def test_remark33_22():
 
 
 def test_build_failure_reported_not_raised():
-    rep = check_lower_bound(1, 2, primed=False)  # unprimed m = 1 cannot build
+    rep = run_claim("prop32", 1, 2, primed=False)  # unprimed m = 1 cannot build
     assert rep.verdict == "fail"
     assert any(sc.name == "unexpected-error" for sc in rep.subchecks)
 
@@ -200,10 +198,25 @@ def test_run_claim_rejects_a_claim_of_the_other_family(claim, m, n):
         run_claim(claim, m, n, primed=True)
 
 
+@pytest.mark.parametrize("claim", CLAIM_IDS)
+@pytest.mark.parametrize("m,n,primed", [(2, 2, False), (1, 2, True)],
+                         ids=["unprimed-2-2", "primed-1-2"])
+def test_every_claim_runs_on_its_families_only(claim, m, n, primed):
+    if claim in FAMILY_CLAIMS[primed]:
+        rep = run_claim(claim, m, n, primed)
+        assert rep.claim == claim
+        assert rep.verdict != "fail"
+        assert ("seed" in rep.params) == (claim in SECTION_CLAIMS)
+    else:
+        family = "primed" if primed else "unprimed"
+        with pytest.raises(ValueError, match=f"{claim} is not a claim of the {family} family"):
+            run_claim(claim, m, n, primed)
+
+
 def test_render_json_deterministic_bytes():
-    reports = [check_lower_bound(2, 2, primed=False), check_remark33(2, 2)]
+    reports = [run_claim("prop32", 2, 2, primed=False), run_claim("remark33", 2, 2, primed=False)]
     s1 = render_json(reports)
-    s2 = render_json([check_lower_bound(2, 2, primed=False), check_remark33(2, 2)])
+    s2 = render_json([run_claim("prop32", 2, 2, primed=False), run_claim("remark33", 2, 2, primed=False)])
     assert s1 == s2
     obj = json.loads(s1)
     assert obj["schema"] == verify.SCHEMA
@@ -214,7 +227,7 @@ def test_render_json_deterministic_bytes():
 
 
 def test_render_csv_and_text():
-    reports = [check_lower_bound(2, 2, primed=False)]
+    reports = [run_claim("prop32", 2, 2, primed=False)]
     csv_out = render_csv(reports)
     header = csv_out.splitlines()[0]
     assert header == "claim,m,n,primed,subcheck,status,values,note"
