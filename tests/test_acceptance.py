@@ -269,10 +269,11 @@ def test_criterion_10_verify_all_digest_beyond_the_grid(args):
     assert _passing_report_digest("all", args) == VERIFY_ALL_BEYOND_GRID_SHA256[args]
 
 
-# sha256 of `cmreg verify thm11 --format json` (seed 2026) beyond the default
-# grid.  The single-claim pins are over the rationals only: at char 32003 the
-# `verify all` pins above hold the same instances' claim reports.
+# sha256 of `cmreg verify thm11 --format json` (seed 2026) beyond the default grid.
 VERIFY_THM11_SHA256 = {
+    "--m 3 --n 3": "65ed1b21a8eacebd29d7b3329b44cb40ce46ae3748c675ea7083a311523c7e31",
+    "--m 4 --n 2": "6bbc09c8164a75b0a1c18d550f97c451e7665802e564fec7306f4fcd3f4d0c63",
+    "--m 3 --n 2 --primed": "b5a5ce4c3c758742c96f1c2b3f26690c1ad9af65e957105c2ec82e28621eafb2",
     "--m 3 --n 3 --char 0": "b2e33a6a86865a8db2d967d1b373a06536d82126a6f76bb94a464128c554f0be",
 }
 
@@ -284,6 +285,9 @@ def test_criterion_10_verify_thm11_digest_beyond_the_grid(args):
 
 # sha256 of `cmreg verify lemma12 --format json` (seed 2026) beyond the default grid.
 VERIFY_LEMMA12_SHA256 = {
+    "--m 3 --n 3": "27760e811e19c3700d9fcbd64d8be1f4c2d7586b209113e068faacafaf7f633e",
+    "--m 4 --n 2": "ee0cfcf6addf04fbda0c431b41699db15e27f4d90b8888271fb5375603cd6811",
+    "--m 3 --n 2 --primed": "86400bc92bf3eee4859bb1e569fabbc27099d003909c6cf85fbd85b0fa27ee9a",
     "--m 3 --n 3 --char 0": "08acda6fc895e9999c6f97a9e9fd86d73bc2819a65d8b6a5a32155c98b8fa017",
 }
 
@@ -293,10 +297,14 @@ def test_criterion_10_verify_lemma12_digest_beyond_the_grid(args):
     assert _passing_report_digest("lemma12", args) == VERIFY_LEMMA12_SHA256[args]
 
 
-# sha256 of `cmreg verify prop32 --format json` (seed 2026) beyond the default
-# grid: it reports the almost complete intersection's Betti totals (the
-# linkage route) and the complete intersection's (the Koszul route).
+# sha256 of `cmreg verify CLAIM ARGS --format json` (seed 2026) for the
+# lower-bound claims beyond the default grid: they report the almost complete
+# intersection's Betti totals (the linkage route) and the complete
+# intersection's (the Koszul route).
 VERIFY_PROP_SHA256 = {
+    "prop32 --m 3 --n 3": "081ecab2402cfd37ff12c5badb1b666eae7eb3a9c1a4b271d708fea17121dc16",
+    "prop32 --m 4 --n 2": "a4088cfd7172b7d439531c2d1f2cc2d1256c78ea6d2b9c40fb193da89ff27fb8",
+    "prop22 --m 3 --n 2 --primed": "20c0354c138f6a855fcee73395b8c2db4ed1a936c960b6e57ac69f611aa21651",
     "prop32 --m 3 --n 3 --char 0": "8e8594a03fe16b1c559889de85001ffd496878973e09461da76ca39e508eff2c",
 }
 
