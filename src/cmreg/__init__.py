@@ -6,12 +6,10 @@ supported on monomial curves."""
 
 from ._kernel import BudgetExceeded
 from .ring import (GREVLEX, Block, Grevlex, PermutedGrevlex, PolyRing, Polynomial,
-                   PrimeField, QQ, RationalField, field_of_characteristic, spoly,
-                   transport)
-from .groebner import (GroebnerBasis, Ideal, buchberger, member, reduce,
-                       spair_certificate)
-from .idealops import (a0, colon, eliminate, ideal_product, intersect, saturate,
-                       saturate_by_variables, saturate_irrelevant)
+                   PrimeField, QQ, RationalField, field_of_characteristic, transport)
+from .groebner import GroebnerBasis, Ideal, buchberger, member
+from .idealops import (a0, colon, intersect, saturate, saturate_by_variables,
+                       saturate_irrelevant)
 from .hilbert import (HilbertData, dim_deg, finite_length, hilbert_function,
                       hilbert_series, indeg)
 from .resolution import (BettiTable, betti, minimal_resolution, pdim,

@@ -79,7 +79,7 @@ class Context:
     def __init__(self, bound, field):
         self.bound = bound
         self.field = field
-        self.p = getattr(field, "p", None)
+        self.p = field.p
         self.unpack = bound.unpack
         self.word = bound.word
         self.key = bound.key

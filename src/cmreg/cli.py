@@ -42,7 +42,7 @@ _HEADER_RE = re.compile(
 def format_ideal_file(ideal, comments=()):
     """Serialize an ideal to the text format (with optional # comment lines)."""
     ring = ideal.ring
-    char = getattr(ring.field, "p", 0) or 0
+    char = ring.field.char
     lines = [f"ring: char={char} vars=[{','.join(ring.names)}] order=grevlex",
              "gens:"]
     lines.extend(str(g) for g in ideal.gens)

@@ -305,10 +305,6 @@ class FamilyInstance(namedtuple("FamilyInstance", "m n primed char ring exponent
 
     __slots__ = ()
 
-    @property
-    def codim_expected(self):
-        return self.m + 1 if self.primed else self.m
-
 
 _FAMILY_CACHE = {}
 

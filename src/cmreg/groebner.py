@@ -1,4 +1,4 @@
-"""Ideals, Groebner bases and division.
+"""Ideals, Groebner bases and normal forms.
 
 A monomial order belongs to a basis, grevlex by default; polynomials are
 packed in grevlex whatever the basis order.  Buchberger's algorithm
@@ -6,46 +6,20 @@ with Gebauer-Moeller pair elimination and degree-then-sugar pair selection
 always returns the reduced basis, which is canonical for a given ideal and
 order.  Ideal objects cache one basis per order; the cache is written once
 and read-only afterwards.  An ideal that an operation derives from a
-Groebner basis (a variable colon, an intersection, an elimination, a
-colon; see idealops) arrives holding the reduced basis it was built from,
-so no later Buchberger run rebuilds it, and questions that need no
-particular order (containment, the Hilbert series) read a basis the ideal
-holds before asking for a new one.  A basis
-keeps the kernel's packed dicts; its tuple of polynomials, polys, is built
-the first time it is read, and its kernel reducers the first time a normal
-form needs them.  Each fill is idempotent (a race builds equal values), so
-sharing across threads stays safe.  reduce divides by a list of
-polynomials in grevlex.
+Groebner basis (a variable colon, an intersection, a colon; see
+idealops) arrives holding the reduced basis it was built from, so no later
+Buchberger run rebuilds it, and questions that need no particular order
+(containment, the Hilbert series) read a basis the ideal holds before
+asking for a new one.  A basis keeps the kernel's packed dicts; its tuple
+of polynomials, polys, is built the first time it is read, and its kernel
+reducers the first time a normal form needs them.  Each fill is idempotent
+(a race builds equal values), so sharing across threads stays safe.
 """
 
 from __future__ import annotations
 
 from . import _kernel
-from .ring import GREVLEX, PermutedGrevlex, Polynomial, spoly
-
-
-def reduce(f, basis):
-    """Full normal form of f against basis, in grevlex.
-
-    Returns (remainder, quotients), one quotient per basis element (zero for
-    a zero element), with f == sum(q*g) + remainder and the remainder having
-    no term divisible by any basis leading monomial.  The highest reducible
-    term is rewritten first and ties among reducers go to the smallest basis
-    index, so the result is deterministic.
-    """
-    ring = f.ring
-    for g in basis:
-        if g.ring != ring:
-            raise ValueError("basis polynomial from a different ring")
-    ctx = _kernel.Context(ring.bound, ring.field)
-    reducers = [_kernel.Reducer.from_packed(ctx, _kernel.to_packed(ctx, g), index=i)
-                for i, g in enumerate(basis) if not g.is_zero()]
-    rem, quots = _kernel.normal_form(ctx, _kernel.to_packed(ctx, f), reducers, track=True)
-    out_quots = []
-    for i, g in enumerate(basis):
-        q = _kernel.from_packed(ctx, quots.get(i, {}), ring)
-        out_quots.append(q if g.is_zero() else q * ring.const(ring.field.inv(g.lc())))
-    return _kernel.from_packed(ctx, rem, ring), out_quots
+from .ring import GREVLEX, PermutedGrevlex, Polynomial
 
 
 class GroebnerBasis:
@@ -218,20 +192,3 @@ def member(f, ideal, order=GREVLEX):
         raise ValueError("polynomial from a different ring")
     gb = ideal.groebner(order)
     return gb.reduces_to_zero(f)
-
-
-def spair_certificate(gb):
-    """Check that every S-pair of a basis reduces to zero; returns pair count.
-
-    This is the defining Groebner property, asserted over emitted bases in the
-    test suite rather than assumed.
-    """
-    polys = gb.polys
-    count = 0
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            s = spoly(polys[i], polys[j], gb.order)
-            if not s.is_zero() and not gb.reduces_to_zero(s):
-                raise AssertionError(f"S-pair ({i},{j}) does not reduce to zero")
-            count += 1
-    return count

@@ -1,6 +1,5 @@
-"""Ideal arithmetic: products, intersections, colons, saturations of
-homogeneous ideals by variables and by linear forms, variable substitution
-and elimination of the leading variables.
+"""Ideal arithmetic: intersections, colons, saturations of homogeneous
+ideals by variables and by linear forms, and variable substitution.
 
 An intersection I cap J is one Buchberger run on I's grevlex basis plus
 J's generators in which every new element carries its part in J
@@ -8,10 +7,9 @@ J's generators in which every new element carries its part in J
 final basis map onto generators of I cap J, whose reduced grevlex basis is
 then one more Buchberger run.  A colon I : f is the intersection with (f),
 each basis element divided by f.  Each result is read off a Groebner basis
-and keeps it: an intersection holds that reduced basis, an elimination the
-kept Block elements as its reduced grevlex basis, and a colon the reduced
-basis of the divided intersection basis (see groebner.Ideal), so no
-Buchberger run rebuilds it.
+and keeps it: an intersection holds that reduced basis, and a colon the
+reduced basis of the divided intersection basis (see groebner.Ideal), so
+no Buchberger run rebuilds it.
 
 Saturation by a variable is one Groebner basis: in a grevlex order with x_i
 moved last, in(I : x_i) = in(I) : x_i for homogeneous I (Bayer-Stillman), so
@@ -51,14 +49,7 @@ from collections import namedtuple
 from . import _kernel, hilbert
 from .groebner import Ideal
 from .resolution import regularity_ideal
-from .ring import (EXP_BITS, GREVLEX, MAX_EXP, Block, PermutedGrevlex, Polynomial,
-                   pdict_addmul)
-
-
-def ideal_product(I, J):
-    if I.ring != J.ring:
-        raise ValueError("ideals from different rings")
-    return Ideal(I.ring, [g * h for g in I.gens for h in J.gens])
+from .ring import EXP_BITS, GREVLEX, MAX_EXP, PermutedGrevlex, Polynomial, pdict_addmul
 
 
 def intersect(I, J):
@@ -292,36 +283,6 @@ def saturate_irrelevant(I):
 def a0(I):
     """Top degree of the finite-length quotient I^sat / I; -inf when saturated."""
     return hilbert.finite_length(I, saturate_irrelevant(I)).top_degree
-
-
-def eliminate(I, k, ring=None):
-    """The elimination ideal of the first k variables: the elements of I's
-    basis in the block order Block(k) that are free of them.  It lies in I's
-    ring, or in ring when given: a ring over the same field on the other
-    variables, in order.
-
-    The result holds those elements as its reduced grevlex basis: on
-    polynomials free of the block, Block(k) is grevlex on the other
-    variables, and the kept elements are monic, with minimal leads and tails
-    reduced against every lead.
-    """
-    n = I.ring.nvars
-    if not 1 <= k < n:
-        raise ValueError(f"can eliminate 1 to {n - 1} leading variables, not {k}")
-    if ring is not None and (ring.nvars != n - k or ring.field != I.ring.field):
-        raise ValueError(f"the target ring needs {n - k} variables over {I.ring.field}")
-    gb = I.groebner(Block(k))
-    # The first k fields are the top of a Block(k) word, and in Block(k) a
-    # lead free of them makes every term free of them.
-    rest = 1 << EXP_BITS * (n - k)
-    kept = [pd for pd, w in zip(gb._basis, gb.lead_words()) if w < rest]
-    # Free of the block, a Block(k) key is already the grevlex key of the
-    # other variables; in I's ring it is re-keyed.
-    if ring is None:
-        ring = I.ring
-        kept = [_kernel.from_packed(gb._ctx, pd, ring).pdict for pd in kept]
-    ctx = _kernel.Context(ring.bound, ring.field)
-    return Ideal._holding(ring, GREVLEX, ctx, kept)
 
 
 def membership_exponent(I, l, g, jmax):

@@ -133,6 +133,7 @@ class RationalField:
     the Fraction it stands for.  Every operation returns that form."""
 
     char = 0
+    p = None
 
     def __call__(self, a):
         if isinstance(a, Fraction):
@@ -308,12 +309,6 @@ def minimal_words(words, guards):
     return tuple(kept)
 
 
-def word_support(w, guards):
-    """The word with a 1 in each nonzero field of w: a guarded decrement."""
-    ones = guards >> (EXP_BITS - 1)
-    return (((w | guards) - ones) & guards) >> (EXP_BITS - 1)
-
-
 def _grevlex_maps(n):
     """(shifts, word, key) of grevlex on n variables.
 
@@ -469,7 +464,7 @@ class PolyRing:
         self.names = names
         self.nvars = len(names)
         self.field = field
-        self.p = getattr(field, "p", None)
+        self.p = field.p
         self.bound = GREVLEX.bind(self.nvars)
         self._name_index = {nm: i for i, nm in enumerate(names)}
         self.zero = Polynomial(self, {})
@@ -771,20 +766,3 @@ def format_poly(poly):
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
-
-
-# --- S-polynomials -----------------------------------------------------------
-
-def spoly(f, g, order=GREVLEX):
-    """The S-polynomial of f and g: the lcm cross-multiple with leads under order cancelled."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("S-polynomial of a zero polynomial")
-    ring = f.ring
-    if g.ring != ring:
-        raise ValueError("polynomials from different rings")
-    pack = order.bind(ring.nvars).pack
-    (lf, cf), (lg, cg) = (max(h.terms, key=lambda t: pack(t[0])) for h in (f, g))
-    lcm = tuple(map(max, lf, lg))
-    mf = ring.monomial(tuple(a - b for a, b in zip(lcm, lf)), ring.field.inv(cf))
-    mg = ring.monomial(tuple(a - b for a, b in zip(lcm, lg)), ring.field.inv(cg))
-    return mf * f - mg * g

@@ -44,7 +44,7 @@ class GenericityFailure(RuntimeError):
 
 def check_section_field(field):
     """Raise ValueError unless random sections may draw from field: F_p needs p > 1000."""
-    p = getattr(field, "p", None)
+    p = field.p
     if p is not None and p <= 1000:
         raise ValueError(f"coefficient field F_{p} too small for random sections (need p > 1000)")
 
@@ -56,7 +56,7 @@ def random_linear_form(ring, seed):
     required; over the rationals they are integers in [1, 10^6].
     """
     check_section_field(ring.field)
-    p = getattr(ring.field, "p", None)
+    p = ring.field.p
     rng = random.Random(seed * 1_000_003 + ring.nvars)
     top = 10 ** 6 if p is None else p
     return linear_form(ring, [ring.field(rng.randrange(1, top)) for _ in range(ring.nvars)])

@@ -307,11 +307,11 @@ def _cor13(col, fam, seed):
     d = max(g.degree() for g in aci.gens)
     mc = fam.ring.nvars - 2
     dim1, body_bound, abstract_bound = sections.cor13_rhs(mc, d, 2)
-    reg_q = resolution.regularity(aci)
     if dim != 2:
         col.skip("dimension-precondition", f"dim(A/I) = {dim}, need 2",
                  {"dim": v(dim, "hilbert")})
         return
+    reg_q = resolution.regularity(aci)
     col.record("dim2-bound", reg_q <= body_bound,
                {"reg_quotient": v(reg_q, "resolution"), "d": v(d, "construction"),
                 "m": v(mc, "construction"), "bound": v(body_bound, "formula")})

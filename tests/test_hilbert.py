@@ -13,8 +13,9 @@ from cmreg.groebner import Ideal
 from cmreg.hilbert import (dim_deg, finite_length, hilbert_function,
                            hilbert_series, indeg, monomial_numerator)
 from cmreg.ring import (EXP_BITS, GREVLEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
-                        minimal_words, word_support)
+                        minimal_words)
 from cmreg.verify import PRIMED_GRID, UNPRIMED_GRID
+from oracles import word_support
 
 
 @pytest.fixture(scope="module")

@@ -47,8 +47,7 @@ def test_positional_and_keyword_construction_agree():
                                                              values={"x": 1}, note="n")
     fam = FamilyInstance(*FAMILY_FIELDS.values())
     assert fam == FamilyInstance(**FAMILY_FIELDS)
-    assert (fam.almost_complete_intersection, fam.codim_expected) == ("I", 3)
-    assert fam._replace(primed=False).codim_expected == 2
+    assert fam.almost_complete_intersection == "I"
     with pytest.raises(TypeError):
         HilbertData((1,), 0, 1)
     with pytest.raises(TypeError):

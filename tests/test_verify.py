@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from cmreg import families, sections, verify
+from cmreg import families, hilbert, resolution, sections, verify
 from cmreg import idealops as ops
 from cmreg.groebner import Ideal
 from cmreg.verify import (CLAIM_IDS, FAMILY_CLAIMS, SECTION_CLAIMS, _jsonable,
@@ -167,6 +167,24 @@ def test_cor13_22():
     vals = _values(rep, "dim2-bound")
     assert vals["reg_quotient"]["value"] == 6
     assert vals["bound"]["value"] == 4 * 4 ** 2 * 3  # (m+2) d^m (d-1), d = 4
+
+
+def test_cor13_outside_its_hypothesis_skips_without_a_resolution(monkeypatch):
+    """An ACI of dimension other than 2 is outside corollary 1.3: the claim
+    skips before it resolves anything, so a resolution that would raise
+    does not turn the skip into a failure."""
+    aci = families.build_family(2, 2).almost_complete_intersection
+    dim_deg = hilbert.dim_deg
+    monkeypatch.setattr(hilbert, "dim_deg",
+                        lambda I: (1, dim_deg(I)[1]) if I is aci else dim_deg(I))
+
+    def no_resolution(I):
+        raise AssertionError("cor13 resolved an ideal outside its hypothesis")
+
+    monkeypatch.setattr(resolution, "regularity", no_resolution)
+    rep = run_claim("cor13", 2, 2, False)
+    assert rep.verdict == "skip"
+    assert _values(rep, "dimension-precondition")["dim"]["value"] == 1
 
 
 def test_remark33_22():
