@@ -15,15 +15,20 @@ from Hilbert series the builder holds anyway, with no further Groebner
 basis: the curve by its Hilbert function against the semigroup count
 |d Lambda| up to the Gruson-Lazarsfeld-Peskine bound (check_semigroup_count),
 the residual by one generator off the curve and its degree deg CI - deg C
-(residual_ideal).  Every membership in the curve reads the X_0-last basis
-its saturation left it holding, and every membership in the residual its
-grevlex basis, the one its colon made: membership gives the same answer in
-every Groebner basis.  The almost complete intersection gets no basis here:
-it lies between CI and the residual, both of dimension 2, so its dimension
-is 2 as well (build_family).  The builder records on the complete and
-the almost complete intersection how each is resolved (see resolution).
-Graded pieces are echelonized as sparse rows, one per monomial of in(I)_d:
-the first monomial shift of a Groebner basis element with that lead.
+(residual_ideal).  The memberships in the curve of the forms, the pivot
+and the residual's generators read the X_0-last basis its saturation left
+it holding, and every membership in the residual its grevlex basis, the
+one its colon made: membership gives the same answer in every Groebner
+basis.  The extra form is tested against the curve by its parametrization
+alone: the curve ideal is the kernel of the monomial map, so a form lies on
+the curve exactly when its parametrization_defect is empty (extra_form).
+The almost complete intersection gets no basis here: it lies between CI
+and the residual, both of dimension 2, so its dimension is 2 as well
+(build_family).  The builder records on the complete and the almost
+complete intersection how each is resolved (see resolution).  Graded
+pieces are echelonized as sparse rows, one per monomial of in(I)_d: the
+first monomial shift of a Groebner basis element with that lead, keyed by
+the negated grevlex keys of its monomials.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from . import hilbert
 from .groebner import Ideal
 from .idealops import colon, colon_by_variable_power
 from .ring import (MAX_EXP, PolyRing, Polynomial, field_of_characteristic,
-                   grevlex_keys_of_degree, pdict_addmul)
+                   grevlex_keys_of_degree)
 from ._linalg import rref
 
 
@@ -130,11 +135,22 @@ def curve_ideal(exponents, char=32003):
 
 def parametrization_defect(poly, exponents):
     """Coefficients of f(t^a_0, ..., t^a_k) by power of t; empty means f vanishes
-    on the affine chart of the curve."""
+    on the affine chart of the curve.
+
+    Each term adds its coefficient at the power sum(x_i * a_i) of its
+    exponents x; over F_p the sums are reduced mod p, over Q they are
+    brought to QQ's form by field.add.
+    """
+    ring = poly.ring
+    unpack, add = ring.bound.unpack, ring.field.add
     out = {}
-    for e, c in poly.terms:
-        # A dict keyed by powers of t is a packed dict in one variable.
-        pdict_addmul(poly.ring.p, out, {sum(x * a for x, a in zip(e, exponents)): c}, {0: 1})
+    for k, c in poly.pdict.items():
+        e = sum(x * a for x, a in zip(unpack(k), exponents))
+        v = add(out[e], c) if e in out else c
+        if v:
+            out[e] = v
+        else:
+            del out[e]
     return out
 
 
@@ -249,13 +265,12 @@ def graded_piece_basis(ideal, d):
     element per monomial of in(I)_d: walking the basis in order, s * g is
     kept when its lead s * lead(g) is not claimed yet.  Rows with distinct
     leads are independent, and every monomial of in(I)_d is such a lead, so
-    they span I_d.  They are sparse rows over the packed degree-d monomials
-    sorted descending, brought to reduced echelon form; the output is
-    ordered by descending leading monomial, so it is deterministic.
+    they span I_d.  A row's column is the negated grevlex key of its
+    monomial, so the smallest column, on which rref pivots first, is the
+    largest monomial; brought to reduced echelon form, the output is ordered
+    by descending leading monomial, so it is deterministic.
     """
     ring = ideal.ring
-    monomials = grevlex_keys_of_degree(ring.nvars, d)
-    col_of = {k: i for i, k in enumerate(monomials)}
     rows = []
     claimed = set()
     shifts = {}
@@ -269,8 +284,8 @@ def graded_piece_basis(ideal, d):
         for shift in shifts[k]:
             if shift + lead not in claimed:
                 claimed.add(shift + lead)
-                rows.append({col_of[key + shift]: c for key, c in g.pdict.items()})
-    out = [Polynomial._wrap(ring, {monomials[j]: c for j, c in row.items()})
+                rows.append({-key - shift: c for key, c in g.pdict.items()})
+    out = [Polynomial._wrap(ring, {-j: c for j, c in row.items()})
            for row in rref(rows, ring.field)]
     expected = (math.comb(d + ring.nvars - 1, ring.nvars - 1)
                 - hilbert.hilbert_function(ideal, d))
@@ -279,18 +294,19 @@ def graded_piece_basis(ideal, d):
     return out
 
 
-def extra_form(residual, curve, d):
+def extra_form(residual, exponents, d):
     """The canonical degree-d member of the residual that avoids the curve.
 
     Scans the echelon basis of the degree-d piece of the residual in order
-    and returns the first polynomial outside the curve ideal, tested against
-    the basis the curve holds.  Errors with a diagnostic if the whole piece
-    lies inside the curve.
+    and returns the first row that does not vanish on the curve with the
+    given exponents.  A row is homogeneous of degree d, and the curve ideal
+    is the kernel of the monomial parametrization, so the row lies on the
+    curve exactly when its parametrization_defect is empty.  Errors with a
+    diagnostic if the whole piece lies inside the curve.
     """
     basis = graded_piece_basis(residual, d)
-    gbb = curve._held_basis()
     for f in basis:
-        if not gbb.reduces_to_zero(f):
+        if parametrization_defect(f, exponents):
             return f
     raise AssertionError(
         f"every degree-{d} member of the residual lies on the curve "
@@ -331,10 +347,10 @@ def build_family(m, n, primed=False, char=32003):
     """Build and validate a family instance; cached per (m, n, primed, char).
 
     Membership in the curve reads the X_0-last basis curve_ideal leaves it
-    holding, and membership in the residual a its grevlex basis, the one
-    the colon made; neither the curve nor the almost complete intersection
-    gets a grevlex basis here.  Claims that need one compute it on first
-    use.
+    holding, or for F the parametrization (extra_form), and membership in
+    the residual a its grevlex basis, the one the colon made; neither the
+    curve nor the almost complete intersection gets a grevlex basis here.
+    Claims that need one compute it on first use.
 
     dim A/ACI = 2 follows with no basis of the ACI.  The ring has two
     variables more than there are forms, and the forms are asserted to be a
@@ -377,7 +393,7 @@ def build_family(m, n, primed=False, char=32003):
             f"generator degrees {degrees} differ from the expected {expected_degrees}")
     pivot = residual_pivot(ring, m, n)
     a = residual_ideal(ci, curve, pivot)
-    F = extra_form(a, curve, d)
+    F = extra_form(a, exps, d)
     gb_a = a._held_basis()
     if not all(gb_a.reduces_to_zero(f) for f in forms + [F]):
         raise AssertionError("almost complete intersection does not define a surface cone: "

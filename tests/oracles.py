@@ -4,12 +4,15 @@ No module of the package calls these; each is the plain route to an answer
 the engine reaches another way: division with quotients against a list of
 polynomials, S-polynomials and the S-pair certificate of a basis, the
 elimination ideal read off a block-order basis (the reference for
-idealops.intersect), and the support word of an exponent word.
+idealops.intersect), the support word of an exponent word, and the extra
+form found by membership in the curve (the reference for
+families.extra_form).
 """
 
 from __future__ import annotations
 
 from cmreg import _kernel
+from cmreg.families import graded_piece_basis
 from cmreg.groebner import Ideal
 from cmreg.ring import EXP_BITS, GREVLEX, Block
 
@@ -112,3 +115,13 @@ def eliminate(I, k, ring=None):
         kept = [_kernel.from_packed(gb._ctx, pd, ring).pdict for pd in kept]
     ctx = _kernel.Context(ring.bound, ring.field)
     return Ideal._holding(ring, GREVLEX, ctx, kept)
+
+
+# --- The extra form ----------------------------------------------------------
+
+def first_row_off_the_curve(residual, curve, d):
+    """The first row of the residual's degree-d echelon basis that the basis
+    the curve holds does not reduce to zero: the extra form by a membership
+    test, where families.extra_form reads the curve's parametrization."""
+    gbb = curve._held_basis()
+    return next(f for f in graded_piece_basis(residual, d) if not gbb.reduces_to_zero(f))

@@ -19,6 +19,7 @@ from cmreg._linalg import rref
 from cmreg.ring import (MAX_EXP, Block, PolyRing, Polynomial, QQ, field_of_characteristic,
                         grevlex_keys_of_degree, transport)
 from cmreg.verify import PRIMED_GRID, UNPRIMED_GRID
+from oracles import first_row_off_the_curve
 
 
 def _curve_ideal_by_elimination(exponents, char):
@@ -385,6 +386,17 @@ def test_graded_piece_basis_equals_the_all_shifts_echelon(m, n, primed, char, mo
     assert fed == [len(basis)]  # one row per monomial of in(I)_d
 
 
+@pytest.mark.parametrize("m, n, primed", sorted({case[:3] for case in TIER1_FAMILIES}))
+@pytest.mark.parametrize("char", [32003, 0])
+def test_extra_form_is_the_first_row_off_the_curve_by_membership(m, n, primed, char):
+    # The parametrization test of extra_form against membership in the
+    # curve's held basis, row by row in the same echelon order.
+    fam = build_family(m, n, primed, char)
+    F = first_row_off_the_curve(fam.residual, fam.curve, fam.extra_degree)
+    assert fam.extra_form == F
+    assert extra_form(fam.residual, fam.exponents, fam.extra_degree) == F
+
+
 @pytest.mark.parametrize("m, n, primed", [(m, n, False) for m, n in UNPRIMED_GRID]
                          + [(m, n, True) for m, n in PRIMED_GRID])
 def test_rational_build_constructs_no_fraction(m, n, primed, monkeypatch, check_rational_form):
@@ -432,7 +444,7 @@ def test_cold_build_leaves_the_aci_and_the_curve_without_a_grevlex_basis(m, n, p
 def test_extra_form_outside_the_residual_is_no_surface_cone(monkeypatch):
     # A power of a variable off the residual: CI + (F) is not inside a, so
     # the dimension argument does not hold and the build must refuse.
-    def off_residual(residual, curve, d):
+    def off_residual(residual, exponents, d):
         gb, ring = residual.groebner(), residual.ring
         return next(ring.gen(i) ** d for i in range(ring.nvars)
                     if not gb.reduces_to_zero(ring.gen(i) ** d))

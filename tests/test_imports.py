@@ -110,18 +110,50 @@ UNCALLED_ON_PURPOSE = {
 }
 
 
-def test_every_public_definition_has_a_caller_in_the_package():
-    trees = [ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+def package_module_names(tree):
+    """The names a module binds to modules of the package (from . import
+    idealops as ops binds ops)."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names}
+
+
+def unread_public_definitions(sources):
+    """The public module-level functions and classes of the given module
+    sources that none of them reads, sorted.  A read is a name, or an
+    attribute read off a name bound to a module of the package (ops.colon,
+    _kernel.buchberger): functools.reduce reads no definition called reduce."""
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for tree in trees:
+        modules = package_module_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                read.add(node.attr)
     defined = {node.name for tree in trees for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")}
-    assert defined >= UNCALLED_ON_PURPOSE.keys()
-    found = sorted(defined - read - UNCALLED_ON_PURPOSE.keys())
+    return sorted(defined - read)
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    found = unread_public_definitions(sources)
+    assert set(found) >= UNCALLED_ON_PURPOSE.keys()
+    found = [name for name in found if name not in UNCALLED_ON_PURPOSE]
     assert not found, f"public definitions no module of the package reads: {found}"
+
+
+def test_an_attribute_of_a_non_package_name_is_no_read():
+    defines = "def reduce(f):\n    return f\n"
+    assert unread_public_definitions(
+        [defines, "import functools\nfunctools.reduce(min, [1])\n"]) == ["reduce"]
+    assert unread_public_definitions(
+        [defines, "from . import ops\nops.reduce(1)\n"]) == []
+    assert unread_public_definitions([defines, "reduce(1)\n"]) == []
 
 
 def test_no_class_is_a_dataclass():

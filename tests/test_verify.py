@@ -210,12 +210,6 @@ def test_run_claim_dispatch_and_unknown():
         run_claim("nonsense", 2, 2, primed=False)
 
 
-@pytest.mark.parametrize("claim,m,n", [("prop32", 2, 2), ("lemma31", 1, 2), ("remark33", 1, 2)])
-def test_run_claim_rejects_a_claim_of_the_other_family(claim, m, n):
-    with pytest.raises(ValueError, match=f"{claim} is not a claim of the primed family"):
-        run_claim(claim, m, n, primed=True)
-
-
 @pytest.mark.parametrize("claim", CLAIM_IDS)
 @pytest.mark.parametrize("m,n,primed", [(2, 2, False), (1, 2, True)],
                          ids=["unprimed-2-2", "primed-1-2"])
