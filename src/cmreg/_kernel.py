@@ -41,7 +41,9 @@ stores a negative residue or a zero term.
 Over Q the Groebner work runs on Python ints.  A Reducer holds the primitive
 integer multiple of its polynomial, and a normal form carries one common
 denominator for all its terms and reduces fraction-free (see _reduce), so
-Buchberger's S-pairs and remainders never leave the integers.  At the
+Buchberger's S-pairs and remainders never leave the integers.  _reduce is
+one loop for both fields: a prime field is the case in which every reducer
+lead is 1, so no step rescales and each sum is reduced mod p.  At the
 boundary, normal_form's results and the monic reduced basis are rationals
 in ring.QQ's form: an int where the common denominator divides the value,
 a Fraction only where one is left.  So a basis of monomials and binomials
@@ -281,23 +283,25 @@ def _ratios(h, den):
 def _reduce(ctx, h, reducers, track=None, den=1):
     """The normal-form loop; returns (rem, den, syz), the remainder rem / den.
 
-    h is consumed.  Over F_p, den stays 1 and the loop is field arithmetic.
-    Over Q, h holds ints and stands for h / den, and each step is a
-    fraction-free pseudo-reduction: for top coefficient c and reducer lead
-    lc, with g = gcd(c, lc) and a = lc / g, the pending terms, the remainder
-    and den are multiplied by a, and (c / g) * x^shift * reducer is
-    subtracted.
+    h is consumed; its ints stand for h / den.  One step body serves both
+    fields, and F_p is the case lc = 1.  For top coefficient c and reducer
+    lead lc != 1, which only Q has (F_p reducers are monic), the step is a
+    fraction-free pseudo-reduction: with g = gcd(c, lc) and a = lc / g, the
+    pending terms, the remainder, den and the track are multiplied by a, and
+    c becomes c / g.  The multiplier is then negated once, p - c over F_p and
+    -c over Q, and each tail term adds multiplier * coefficient at its
+    shifted key, reduced mod p over F_p.  Over F_p every value stays in
+    [1, p) and den stays 1: a new term is the product of two values in
+    [1, p), never 0 mod p, so only a sum can vanish.
 
     track, when given, is (syz, bits, tags): a dict written in place and the
-    layout of its keys.  A step at popped key k with reducer red writes minus
-    its multiple, p - c over F_p and -(c / g) over Q, at key
-    ((k >> cbits) << bits) | tags[red.index]; over Q every rescale by a
-    multiplies syz too.  So syz * reducers - (h + rem) only ever changes by
-    the common scale.  Popped keys strictly decrease, so no step key is
-    written twice; seeded with a vector whose image is h, syz ends as a
-    syzygy when h reduces to zero.  When the tags are the next module's
-    ranks of the reducers, that key is the next module's key of
-    x^shift * e_t.
+    layout of its keys.  A step at popped key k with reducer red writes its
+    negated multiplier at key ((k >> cbits) << bits) | tags[red.index].  So
+    syz * reducers - (h + rem) only ever changes by the common scale.
+    Popped keys strictly decrease, so no step key is written twice; seeded
+    with a vector whose image is h, syz ends as a syzygy when h reduces to
+    zero.  When the tags are the next module's ranks of the reducers, that
+    key is the next module's key of x^shift * e_t.
 
     A ring Context (cmask None) scans the reducer list.  A ModContext takes
     reducers grouped by lead component, {rank: list}, and scans only the
@@ -329,50 +333,33 @@ def _reduce(ctx, h, reducers, track=None, den=1):
             rem[k] = c
             continue
         shift = k - red.leadkey
-        if p is not None:
-            if syz is not None:
-                syz[((k >> cbits) << bits) | tags[red.index]] = p - c
-            for tk, tc in red.tail:
-                nk = tk + shift
-                prev = h.get(nk)
-                if prev is None:
-                    v = -c * tc % p
-                    if v:
-                        h[nk] = v
-                        push(heap, -nk)
+        lc = red.lc
+        if lc != 1:
+            g = gcd(c, lc)
+            a = lc // g
+            if a != 1:
+                h = {t: v * a for t, v in h.items()}
+                rem = {t: v * a for t, v in rem.items()}
+                den *= a
+                if syz is not None:
+                    for t, v in syz.items():
+                        syz[t] = v * a
+            c //= g
+        c = p - c if p is not None else -c
+        if syz is not None:
+            syz[((k >> cbits) << bits) | tags[red.index]] = c
+        for tk, tc in red.tail:
+            nk = tk + shift
+            prev = h.get(nk)
+            if prev is None:
+                h[nk] = c * tc % p if p is not None else c * tc
+                push(heap, -nk)
+            else:
+                v = (prev + c * tc) % p if p is not None else prev + c * tc
+                if v:
+                    h[nk] = v
                 else:
-                    v = (prev - c * tc) % p
-                    if v:
-                        h[nk] = v
-                    else:
-                        del h[nk]
-        else:
-            lc = red.lc
-            if lc != 1:
-                g = gcd(c, lc)
-                a = lc // g
-                if a != 1:
-                    h = {t: v * a for t, v in h.items()}
-                    rem = {t: v * a for t, v in rem.items()}
-                    den *= a
-                    if syz is not None:
-                        for t, v in syz.items():
-                            syz[t] = v * a
-                c //= g
-            if syz is not None:
-                syz[((k >> cbits) << bits) | tags[red.index]] = -c
-            for tk, tc in red.tail:
-                nk = tk + shift
-                prev = h.get(nk)
-                if prev is None:
-                    h[nk] = -c * tc
-                    push(heap, -nk)
-                else:
-                    v = prev - c * tc
-                    if v:
-                        h[nk] = v
-                    else:
-                        del h[nk]
+                    del h[nk]
     return rem, den, syz
 
 

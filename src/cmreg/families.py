@@ -15,13 +15,11 @@ from Hilbert series the builder holds anyway, with no further Groebner
 basis: the curve by its Hilbert function against the semigroup count
 |d Lambda| up to the Gruson-Lazarsfeld-Peskine bound (check_semigroup_count),
 the residual by one generator off the curve and its degree deg CI - deg C
-(residual_ideal).  The memberships in the curve of the forms, the pivot
-and the residual's generators read the X_0-last basis its saturation left
-it holding, and every membership in the residual its grevlex basis, the
-one its colon made: membership gives the same answer in every Groebner
-basis.  The extra form is tested against the curve by its parametrization
+(residual_ideal).  Every membership in the curve, of the forms, the pivot,
+the residual's generators and the extra form, reads the parametrization
 alone: the curve ideal is the kernel of the monomial map, so a form lies on
-the curve exactly when its parametrization_defect is empty (extra_form).
+the curve exactly when its parametrization_defect is empty.  Every
+membership in the residual reads its grevlex basis, the one its colon made.
 The almost complete intersection gets no basis here: it lies between CI
 and the residual, both of dimension 2, so its dimension is 2 as well
 (build_family).  The builder records on the complete and the almost
@@ -177,35 +175,23 @@ def pq_products(m, ring):
 def ci_forms(m, n, ring, primed=False):
     """Generators of the complete intersection inside the curve ideal.
 
-    The power forms X_i^(n+1) - X0 X_{i+1}^n run over i = 2..m+1 (primed) or
-    2..m (unprimed); the remaining generator mixes the alternating product
-    monomials with a parity twist on X0, X1.
+    With k = m and e = 1 (primed) or k = m - 1 and e = n (unprimed), a = X0^e,
+    b = X1^e and (P, Q) = pq_products(k), the first form is a P - b Q when
+    the parity of m matches the flag (m even and primed, or m odd and
+    unprimed) and b P - a Q otherwise; the power forms X_i^(n+1) -
+    X0 X_{i+1}^n follow for i = 2..k+1, in k + 3 variables.
     """
-    if primed:
-        if ring.nvars != m + 3:
-            raise ValueError("primed forms need m + 3 variables")
-        P, Q = pq_products(m, ring)
-        if m % 2 == 0:
-            first = ring.gen(0) * P - ring.gen(1) * Q
-        else:
-            first = ring.gen(1) * P - ring.gen(0) * Q
-        forms = [first]
-        for i in range(2, m + 2):
-            forms.append(ring.gen(i) ** (n + 1) - ring.gen(0) * ring.gen(i + 1) ** n)
-        return forms
-    if m < 2:
+    if not primed and m < 2:
         raise ValueError("the unprimed family needs m >= 2")
-    if ring.nvars != m + 2:
-        raise ValueError("unprimed forms need m + 2 variables")
-    P, Q = pq_products(m - 1, ring)
-    if m % 2 == 0:
-        first = ring.gen(1) ** n * P - ring.gen(0) ** n * Q
-    else:
-        first = ring.gen(0) ** n * P - ring.gen(1) ** n * Q
-    forms = [first]
-    for i in range(2, m + 1):
-        forms.append(ring.gen(i) ** (n + 1) - ring.gen(0) * ring.gen(i + 1) ** n)
-    return forms
+    k, e = (m, 1) if primed else (m - 1, n)
+    if ring.nvars != k + 3:
+        raise ValueError(f"{'primed' if primed else 'unprimed'} forms need "
+                         f"m + {3 if primed else 2} variables")
+    a, b = ring.gen(0) ** e, ring.gen(1) ** e
+    P, Q = pq_products(k, ring)
+    first = a * P - b * Q if (m % 2 == 0) == primed else b * P - a * Q
+    return [first] + [ring.gen(i) ** (n + 1) - ring.gen(0) * ring.gen(i + 1) ** n
+                      for i in range(2, k + 2)]
 
 
 def residual_pivot(ring, m, n):
@@ -219,7 +205,7 @@ def residual_pivot(ring, m, n):
     return ring.monomial(e1) - ring.monomial(e2)
 
 
-def residual_ideal(ci, curve, pivot):
+def residual_ideal(ci, exponents, pivot):
     """a = CI : b for the complete intersection CI inside the curve prime b,
     by one colon by a pivot g in b, certified by degree.
 
@@ -239,18 +225,19 @@ def residual_ideal(ci, curve, pivot):
     inside CI, and a : g = a: were g in some p != b, a_p = CI_p : g would be
     larger than CI_p.
 
-    Membership in b, for g and for (alpha), reads the basis b holds: from
-    curve_ideal, its X_0-last basis.  Membership gives the same answer in
-    every Groebner basis, so b needs no grevlex basis here.
+    b is the curve with the given exponents, and membership in b, for g and
+    for (alpha), reads its parametrization: b is the kernel of the monomial
+    map (curve_ideal), and g and the generators of a are homogeneous, so
+    each lies in b exactly when its parametrization_defect is empty.  deg b
+    is the largest exponent, as curve_ideal asserts.
     """
-    gbb = curve._held_basis()
-    if not gbb.reduces_to_zero(pivot):
+    if parametrization_defect(pivot, exponents):
         raise AssertionError("residual pivot is not a member of the curve ideal")
     a = colon(ci, pivot)
-    if all(gbb.reduces_to_zero(h) for h in a.gens):
+    if not any(parametrization_defect(h, exponents) for h in a.gens):
         raise AssertionError("(alpha) every generator of the residual lies on the curve")
     dim_ci, deg_ci = hilbert.dim_deg(ci)
-    _, deg_curve = hilbert.dim_deg(curve)
+    deg_curve = max(exponents)
     got = hilbert.dim_deg(a)
     if got != (dim_ci, deg_ci - deg_curve):
         raise AssertionError(f"(beta) residual has (dim, deg) = {got}, expected "
@@ -346,11 +333,10 @@ def check_parameters(m, n, primed):
 def build_family(m, n, primed=False, char=32003):
     """Build and validate a family instance; cached per (m, n, primed, char).
 
-    Membership in the curve reads the X_0-last basis curve_ideal leaves it
-    holding, or for F the parametrization (extra_form), and membership in
-    the residual a its grevlex basis, the one the colon made; neither the
-    curve nor the almost complete intersection gets a grevlex basis here.
-    Claims that need one compute it on first use.
+    Membership in the curve reads the parametrization (parametrization_defect),
+    and membership in the residual a its grevlex basis, the one the colon
+    made; neither the curve nor the almost complete intersection gets a
+    grevlex basis here.  Claims that need one compute it on first use.
 
     dim A/ACI = 2 follows with no basis of the ACI.  The ring has two
     variables more than there are forms, and the forms are asserted to be a
@@ -369,12 +355,9 @@ def build_family(m, n, primed=False, char=32003):
     exps = curve_exponents(m, n, primed)
     ring, curve = curve_ideal(exps, char)
     forms = ci_forms(m, n, ring, primed)
-    gb_curve = curve._held_basis()
     for f in forms:
         if parametrization_defect(f, exps):
             raise AssertionError("complete intersection form does not vanish on the curve")
-        if not gb_curve.reduces_to_zero(f):
-            raise AssertionError("complete intersection form escapes the curve ideal")
     ci = Ideal(ring, forms)
     # The forms are a regular sequence exactly when their height is their number.
     dim_ci, _ = hilbert.dim_deg(ci)
@@ -392,7 +375,7 @@ def build_family(m, n, primed=False, char=32003):
         raise AssertionError(
             f"generator degrees {degrees} differ from the expected {expected_degrees}")
     pivot = residual_pivot(ring, m, n)
-    a = residual_ideal(ci, curve, pivot)
+    a = residual_ideal(ci, exps, pivot)
     F = extra_form(a, exps, d)
     gb_a = a._held_basis()
     if not all(gb_a.reduces_to_zero(f) for f in forms + [F]):

@@ -117,35 +117,35 @@ def test_semigroup_count_rejects_the_unsaturated_lattice_ideal():
 
 
 def _twisted_cubic_linkage():
-    """The twisted cubic, CI = (X0X2 - X1^2, X1X3 - X2^2) inside it, and the
-    pivot X0X3 - X1X2; the residual is the line (X1, X2)."""
-    ring, curve = curve_ideal((0, 1, 2, 3))
+    """The twisted cubic's ring and exponents, CI = (X0X2 - X1^2, X1X3 - X2^2)
+    inside it, and the pivot X0X3 - X1X2; the residual is the line (X1, X2)."""
+    ring, _ = curve_ideal((0, 1, 2, 3))
     X0, X1, X2, X3 = ring.gens()
-    return ring, curve, [X0 * X2 - X1 * X1, X1 * X3 - X2 * X2], X0 * X3 - X1 * X2
+    return ring, (0, 1, 2, 3), [X0 * X2 - X1 * X1, X1 * X3 - X2 * X2], X0 * X3 - X1 * X2
 
 
 def test_residual_certificates_accept_the_twisted_cubic_link():
-    ring, curve, forms, pivot = _twisted_cubic_linkage()
-    a = residual_ideal(Ideal(ring, forms), curve, pivot)
+    ring, exponents, forms, pivot = _twisted_cubic_linkage()
+    a = residual_ideal(Ideal(ring, forms), exponents, pivot)
     assert a.groebner().polys == Ideal(ring, [ring.gen(1), ring.gen(2)]).groebner().polys
 
 
 def test_residual_certificate_alpha_rejects_a_doubled_curve_component():
     # With the first form squared, CI has length 2 at the curve, and
     # CI : pivot still contains the curve there: every generator is on it.
-    ring, curve, forms, pivot = _twisted_cubic_linkage()
+    ring, exponents, forms, pivot = _twisted_cubic_linkage()
     doubled = Ideal(ring, [forms[0] ** 2, forms[1]])
     with pytest.raises(AssertionError, match=r"\(alpha\)"):
-        residual_ideal(doubled, curve, pivot)
+        residual_ideal(doubled, exponents, pivot)
 
 
 def test_residual_certificate_beta_rejects_a_doubled_curve_component():
     # The squared pivot clears the length-2 curve component, so (alpha)
     # holds, but the degree is deg CI - 2 deg C, not deg CI - deg C.
-    ring, curve, forms, pivot = _twisted_cubic_linkage()
+    ring, exponents, forms, pivot = _twisted_cubic_linkage()
     doubled = Ideal(ring, [forms[0] ** 2, forms[1]])
     with pytest.raises(AssertionError, match=r"\(beta\) .* \(2, 2\), expected \(2, 5\)"):
-        residual_ideal(doubled, curve, pivot ** 2)
+        residual_ideal(doubled, exponents, pivot ** 2)
 
 
 def test_curve_ideal_input_validation():
@@ -186,10 +186,12 @@ def test_ci_forms_hand_cases():
     assert primed == [X1 * X2 - X0 * X3, X2 ** 3 - X0 * X3 ** 2]
     unprimed = ci_forms(2, 2, R4, primed=False)
     assert unprimed == [X1 ** 2 * X2 - X0 ** 2 * X3, X2 ** 3 - X0 * X3 ** 2]
-    with pytest.raises(ValueError):
-        ci_forms(1, 2, R4, primed=False)  # unprimed needs m >= 2
-    with pytest.raises(ValueError):
-        ci_forms(2, 2, R4, primed=True)  # wrong variable count
+    with pytest.raises(ValueError, match="the unprimed family needs m >= 2"):
+        ci_forms(1, 2, R4, primed=False)
+    with pytest.raises(ValueError, match=r"primed forms need m \+ 3 variables"):
+        ci_forms(2, 2, R4, primed=True)
+    with pytest.raises(ValueError, match=r"unprimed forms need m \+ 2 variables"):
+        ci_forms(3, 2, R4, primed=False)
 
 
 def test_residual_pivot_membership(fam22):

@@ -88,15 +88,27 @@ def test_pdict_addmul_matches_polynomial_arithmetic(char):
 
 @pytest.mark.parametrize("p", [7, 32003])
 def test_prime_field_coefficients_in_range_on_random_ideals(p):
+    # Bases, Schreyer levels, tracked normal forms (remainder and quotients)
+    # and intersection generators: the normal-form loop tests no new term
+    # for zero, so every path must keep its coefficients in [1, p).
     rng = random.Random(20261018 + p)
     R = PolyRing(("a", "b", "c", "d"), PrimeField(p))
     for _ in range(12):
         gens = [_random_form(rng, R, rng.randrange(2, 4), rng.randrange(2, 5))
                 for _ in range(rng.randrange(2, 5))]
+        others = [_random_form(rng, R, rng.randrange(1, 4), rng.randrange(1, 5))
+                  for _ in range(rng.randrange(1, 3))]
         for order in (Block(R.nvars), GREVLEX):
             ctx = _kernel.Context(order.bind(R.nvars), R.field)
             basis, _ = _kernel.buchberger(ctx, [_kernel.to_packed(ctx, g) for g in gens])
             _assert_reduced(basis, p)
+            reducers = [_kernel.Reducer.from_packed(ctx, d, index=i) for i, d in enumerate(basis)]
+            for f in others:
+                rem, quots = _kernel.normal_form(ctx, _kernel.to_packed(ctx, f), reducers, True)
+                _assert_reduced([rem] if rem else [], p)
+                _assert_reduced(quots.values(), p)
+            meet, _ = _kernel.intersection(ctx, basis, [_kernel.to_packed(ctx, f) for f in others])
+            _assert_reduced(meet, p)
         if basis and max(basis[-1]) != 0:  # a proper ideal, in grevlex
             for level in _schreyer_levels(ctx, basis, R.nvars)[0]:
                 _assert_reduced(level, p)
