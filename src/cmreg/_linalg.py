@@ -13,16 +13,18 @@ by its prime ``field.p``.  Over F_p the arithmetic is on ints mod p; over Q
 from __future__ import annotations
 
 
-def echelon(rows, field):
+def echelon(rows, field, pivots=None):
     """Forward elimination of `rows`: {pivot column: pivot row}, so the
     rank is the number of pivots.  Input rows are not mutated.
 
     Each row is reduced on its leading column against the pivots found so
     far until it is zero or starts a new pivot, normalized to 1 there; a
-    row whose lead is already 1 is kept as it is.
+    row whose lead is already 1 is kept as it is.  Given the pivots of an
+    earlier call, the rows extend them in place: the rank of both row lists
+    together grows one batch at a time.
     """
     p = field.p
-    pivots = {}
+    pivots = {} if pivots is None else pivots
     for row in rows:
         row = dict(row)
         while row:

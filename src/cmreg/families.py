@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import islice
 
 from . import hilbert
 from .groebner import Ideal
@@ -59,24 +60,30 @@ def curve_exponents(m, n, primed=False):
     return tuple(exps)
 
 
+def semigroup_sums(exponents):
+    """The sets d Lambda for d = 0, 1, ..., as ints, Lambda the set of exponents.
+
+    Bit e of the int for d Lambda is set when e is a sum of d exponents: it
+    is the OR, over a in Lambda, of the int for (d - 1) Lambda shifted left
+    by a.
+    """
+    sums = 1
+    while True:
+        yield sums
+        nxt = 0
+        for a in exponents:
+            nxt |= sums << a
+        sums = nxt
+
+
 def semigroup_counts(exponents, top):
     """[|d Lambda| for d = 0, ..., top], Lambda the set of exponents.
 
     The monomials of degree d map to s^(dD - e) t^e with e in d Lambda, the
     sums of d exponents, so |d Lambda| is the Hilbert function of the
-    curve's coordinate ring in degree d.  Bit e of the int for d Lambda is
-    set when e is such a sum: it is the OR, over a in Lambda, of the int for
-    (d - 1) Lambda shifted left by a.
+    curve's coordinate ring in degree d.
     """
-    counts = []
-    sums = 1
-    for _ in range(top + 1):
-        counts.append(sums.bit_count())
-        nxt = 0
-        for a in exponents:
-            nxt |= sums << a
-        sums = nxt
-    return counts
+    return [sums.bit_count() for sums in islice(semigroup_sums(exponents), top + 1)]
 
 
 def check_semigroup_count(ideal, exponents):
@@ -150,6 +157,24 @@ def parametrization_defect(poly, exponents):
         else:
             del out[e]
     return out
+
+
+def bihomogeneous(polys, exponents):
+    """Whether every polynomial is bihomogeneous when X_i has the bidegree
+    (1, a_i), a_i = exponents[i]: all its terms share the degree and the
+    weight sum(x_i * a_i).  The curve with these exponents, and every ideal
+    generated by such polynomials, is stable under the torus that scales X_i
+    by u v^(a_i)."""
+    exponents = tuple(exponents)
+    for f in polys:
+        if len(exponents) != f.ring.nvars:
+            raise ValueError(f"{len(exponents)} exponents for {f.ring.nvars} variables")
+        unpack = f.ring.bound.unpack
+        bidegrees = {(sum(x), sum(xi * a for xi, a in zip(x, exponents)))
+                     for x in map(unpack, f.pdict)}
+        if len(bidegrees) > 1:
+            return False
+    return True
 
 
 def pq_products(m, ring):
@@ -387,10 +412,13 @@ def build_family(m, n, primed=False, char=32003):
     # above), and the almost complete intersection is linked to the curve.
     ci._cache["route"] = ("koszul",)
     almost._cache["route"] = ("linkage", ci, curve, a, F)
+    ci_degrees = tuple(sorted((f.degree() for f in forms), reverse=True))
+    # How a general hyperplane section of the residual is read, by
+    # sections.general_section: from its link to the curve by CI.
+    a._cache["linked_curve"] = (exps, ci_degrees)
     inst = FamilyInstance(
         m=m, n=n, primed=bool(primed), char=char, ring=ring, exponents=exps,
-        curve=curve, complete_intersection=ci,
-        ci_degrees=tuple(sorted((f.degree() for f in forms), reverse=True)),
+        curve=curve, complete_intersection=ci, ci_degrees=ci_degrees,
         residual=a, extra_form=F, extra_degree=d,
         almost_complete_intersection=almost)
     _FAMILY_CACHE[key] = inst

@@ -295,11 +295,15 @@ def test_criterion_10_verify_all_digest_beyond_the_grid(args):
     assert _passing_report_digest("all", args) == VERIFY_ALL_BEYOND_GRID_SHA256[args]
 
 
-# sha256 of `cmreg verify thm11 --format json` (seed 2026) beyond the default grid.
+# sha256 of `cmreg verify thm11 --format json` (seed 2026) beyond the default
+# grid.  The (4,3) and primed (4,2) digests are those of the section cut,
+# which the linkage route must reproduce.
 VERIFY_THM11_SHA256 = {
     "--m 3 --n 3": "65ed1b21a8eacebd29d7b3329b44cb40ce46ae3748c675ea7083a311523c7e31",
     "--m 4 --n 2": "6bbc09c8164a75b0a1c18d550f97c451e7665802e564fec7306f4fcd3f4d0c63",
     "--m 3 --n 2 --primed": "b5a5ce4c3c758742c96f1c2b3f26690c1ad9af65e957105c2ec82e28621eafb2",
+    "--m 4 --n 3": "6842af1ecb78faac03a9c13d34a2e28c4fe2cd9809def74cb34fcc0738e1c0a5",
+    "--m 4 --n 2 --primed": "8719e5582293f4852fd6a04a55ee9547d57f6627b198ec356524a242f153f5db",
     "--m 3 --n 3 --char 0": "b2e33a6a86865a8db2d967d1b373a06536d82126a6f76bb94a464128c554f0be",
 }
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from cmreg import families
-from cmreg.families import (build_family, check_parameters, check_semigroup_count, ci_forms,
-                            curve_exponents, curve_ideal, extra_form, graded_piece_basis,
+from cmreg.families import (bihomogeneous, build_family, check_parameters,
+                            check_semigroup_count, ci_forms, curve_exponents, curve_ideal,
+                            extra_form, graded_piece_basis,
                             parametrization_defect, pq_products, residual_ideal,
                             residual_pivot, semigroup_counts)
 from cmreg.groebner import Ideal, member
@@ -375,6 +376,26 @@ def test_semigroup_and_degree_certificates_agree_with_the_colon_checks(m, n, pri
     for i in range(fam.ring.nvars):
         assert colon_by_variable_power(fam.curve, i) is fam.curve
     assert nonzerodivisor(fam.residual, residual_pivot(fam.ring, m, n))
+
+
+@pytest.mark.parametrize("m, n, primed", sorted({case[:3] for case in TIER1_FAMILIES}))
+@pytest.mark.parametrize("char", [32003, 0])
+def test_the_family_ideals_are_bihomogeneous(m, n, primed, char):
+    # X_i has the bidegree (1, a_i).  Adding to a generator the power of X_0
+    # or X_1 of its degree, of weight 0 or its degree, changes the weight of
+    # one of its terms.
+    fam = build_family(m, n, primed, char)
+    ring, exps = fam.ring, fam.exponents
+    for ideal in (fam.curve, fam.complete_intersection, fam.residual,
+                  fam.almost_complete_intersection):
+        gens = list(ideal.gens)
+        assert bihomogeneous(gens, exps)
+        g = gens[0]
+        weight = sum(x * a for x, a in zip(g.terms[0][0], exps))
+        perturbed = g + ring.gen(0 if weight else 1) ** g.degree()
+        assert not bihomogeneous(gens[1:] + [perturbed], exps)
+    with pytest.raises(ValueError):
+        bihomogeneous(fam.residual.gens, exps[:-1])
 
 
 @pytest.mark.parametrize("m, n, primed, char", RESIDUAL_CASES)

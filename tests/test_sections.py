@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from cmreg import idealops
-from cmreg.families import build_family
+from cmreg import idealops, sections
+from cmreg.families import bihomogeneous, build_family
 from cmreg.groebner import Ideal, member
 from cmreg.hilbert import dim_deg
-from cmreg.idealops import saturate_irrelevant
+from cmreg.idealops import linear_coefficients, linear_form, saturate_irrelevant
 from cmreg.ring import PolyRing, PrimeField, QQ
 from cmreg.sections import (GenericityFailure, cor13_rhs, general_section,
                             random_linear_form, section_order, substitute_linear,
@@ -160,18 +160,119 @@ ORACLE_CASES = ([(m, n, primed, char) for m, n, primed in GRID for char in (3200
                 + [(3, 3, False, 32003), (4, 2, False, 32003), (3, 2, True, 32003)])
 
 
+def _invariants(sec):
+    return (sec.seed, sec.attempted_seeds, sec.validation["agreeing_seeds"], sec.deg_section,
+            sec.indeg_section, sec.validation["hilbert_numerator"])
+
+
 @pytest.mark.parametrize("m,n,primed,char", ORACLE_CASES)
 def test_section_of_the_residual_is_the_section_of_the_aci(m, n, primed, char):
     # The residual is the top-dimensional part of the almost complete
     # intersection, so a general cut of either saturates to the same points.
+    # A fresh ideal of the residual's generators is cut; the family's
+    # residual itself is read from its link to the curve where that route
+    # serves, and must give the same numbers.
     fam = build_family(m, n, primed=primed, char=char)
-    aci = fam.almost_complete_intersection
-    res = general_section(fam.residual, DEFAULT_SEED)
+    aci, residual = fam.almost_complete_intersection, fam.residual
+    res = general_section(Ideal(residual.ring, residual.gens), DEFAULT_SEED)
     oracle = general_section(Ideal(aci.ring, aci.gens), DEFAULT_SEED)
     for name in ("seed", "attempted_seeds", "deg_section", "indeg_section"):
         assert getattr(res, name) == getattr(oracle, name), name
     assert res.validation["hilbert_numerator"] == oracle.validation["hilbert_numerator"]
     assert res.lifted_ideal.same_ideal(oracle.lifted_ideal)
+    assert _invariants(general_section(residual, DEFAULT_SEED)) == _invariants(res)
+
+
+LINKED_CASES = [case for case in ORACLE_CASES if case[3] == 32003]
+
+
+@pytest.mark.parametrize("m,n,primed,char", LINKED_CASES)
+def test_linked_section_equals_the_cut(m, n, primed, char):
+    # Over F_p the residual's section is read from its link to the curve:
+    # no section ideal, and the cut's seeds and numbers for every seed.
+    residual = build_family(m, n, primed=primed, char=char).residual
+    for seed in (DEFAULT_SEED, 1, 99991):
+        linked = general_section(residual, seed)
+        assert linked.section_ideal is linked.lifted_ideal is None
+        cut = general_section(Ideal(residual.ring, residual.gens), seed)
+        assert cut.section_ideal is not None
+        assert _invariants(linked) == _invariants(cut), seed
+
+
+@pytest.mark.parametrize("m,n,primed,char", LINKED_CASES)
+def test_linked_section_runs_no_buchberger(count_kernel_work, m, n, primed, char):
+    residual = build_family(m, n, primed=primed, char=char).residual
+    totals = count_kernel_work()
+    general_section(residual, DEFAULT_SEED)
+    assert totals == {"calls": 0, "pairs_processed": 0, "zero_reductions": 0}
+
+
+@pytest.mark.parametrize("m,n,primed", [case[:3] for case in ORACLE_CASES if case[3] == 0])
+def test_the_rationals_cut_the_residual(m, n, primed):
+    sec = general_section(build_family(m, n, primed=primed, char=0).residual, DEFAULT_SEED)
+    assert sec.section_ideal is not None
+
+
+def _linked_copy(fam, gens, record=None):
+    """A fresh ideal of gens carrying the residual's link to the curve, or
+    the given record of (exponents, CI degrees) in its place."""
+    J = Ideal(fam.ring, gens)
+    J._cache["linked_curve"] = record or fam.residual._cache["linked_curve"]
+    return J
+
+
+@pytest.mark.parametrize("which", ["a = 0", "a = D"])
+def test_linked_section_refuses_a_zero_coefficient(fam22, monkeypatch, which):
+    # A form without X_0, or without the variable of the top exponent D,
+    # passes through a coordinate point of the curve.
+    drawn = sections.random_linear_form
+    ex = fam22.exponents
+    zero = ex.index(0 if which == "a = 0" else max(ex))
+
+    def dropped(ring, seed):
+        coeffs = linear_coefficients(drawn(ring, seed))
+        coeffs[zero] = ring.field(0)
+        return linear_form(ring, coeffs)
+
+    monkeypatch.setattr(sections, "random_linear_form", dropped)
+    with pytest.raises(AssertionError, match="zero coefficient"):
+        general_section(fam22.residual, DEFAULT_SEED)
+
+
+@pytest.mark.parametrize("exponents, match", [
+    ((0, 1, 6, 4), "not bihomogeneous"), ((0, 1, 4, 7), "not bihomogeneous"),
+    ((0, 1, 4, 5), "not bihomogeneous"), ((0, 2, 8, 12), r"HF\(4\) = 6, not its degree 12")])
+def test_linked_section_refuses_wrong_exponents(fam22, exponents, match):
+    # Swapped or moved exponents break the bigrading of the residual's
+    # generators; doubled ones keep it but give the curve's section too
+    # small a Hilbert function.
+    assert fam22.exponents == (0, 1, 4, 6)
+    J = _linked_copy(fam22, fam22.residual.gens, (exponents, fam22.ci_degrees))
+    with pytest.raises(AssertionError, match=match):
+        general_section(J, DEFAULT_SEED)
+
+
+@pytest.mark.parametrize("degrees, match", [
+    ((4, 3), "degree 6, but deg"), ((3, 2), "negative h-vector"), ((2, 2), "negative h-vector")])
+def test_linked_section_refuses_wrong_ci_degrees(fam22, degrees, match):
+    assert fam22.ci_degrees == (3, 3)
+    J = _linked_copy(fam22, fam22.residual.gens, (fam22.exponents, degrees))
+    with pytest.raises(AssertionError, match=match):
+        general_section(J, DEFAULT_SEED)
+
+
+def test_linked_section_refuses_a_non_bihomogeneous_generator(fam22):
+    # g + u h, for generators g, h and a monomial u of degree deg g - deg h
+    # of another bidegree, spans the same ideal as g.
+    ring, exps = fam22.ring, fam22.exponents
+    g, *rest = fam22.residual.gens
+    candidates = (g + ring.gen(i) ** (g.degree() - h.degree()) * h
+                  for h in rest if h.degree() <= g.degree() for i in range(ring.nvars))
+    perturbed = next(f for f in candidates if not bihomogeneous([f], exps))
+    J = _linked_copy(fam22, [perturbed] + rest)
+    assert J.same_ideal(fam22.residual)
+    with pytest.raises(AssertionError, match="not bihomogeneous"):
+        general_section(J, DEFAULT_SEED)
 
 
 def test_general_section_requires_dim_two(ring4):
