@@ -24,16 +24,19 @@ and saturate_irrelevant's Hilbert-series certificate still decides.  With no
 such variable the order is the ambient one.  The lifted ideal (I + l)^sat
 follows the hyperplane ring's order back.
 
-The linkage, for a family's residual a = CI : C over F_p, on which
-build_family records the curve's exponents and the degrees of CI: no basis
-is cut.  a and the curve C are linked by the complete intersection CI
-(Peskine-Szpiro, Invent. Math. 26, 1974), and so are their sections Z and
-Z_C by CI + l (Davis-Geramita-Orecchia, Proc. AMS 93, 1985): the h-vector
-of Z is that of CI + l less that of Z_C, reversed.  Z_C is read off the
-parametrization, as ranks of powers of t modulo the pullback of l.  The
-facts this needs are certified on every call (_linked_invariants).  Over
-the rationals those ranks cost more than the cut on the grid's residuals, so
-the rationals keep the cut.
+The linkage, for a family's residual a = CI : C, on which build_family
+records the curve's exponents and the degrees of CI: no basis is cut.  a
+and the curve C are linked by the complete intersection CI (Peskine-Szpiro,
+Invent. Math. 26, 1974), and so are their sections Z and Z_C by CI + l
+(Davis-Geramita-Orecchia, Proc. AMS 93, 1985): the h-vector of Z is that of
+CI + l less that of Z_C, reversed.  Z_C is read off the parametrization, as
+ranks of powers of t modulo the pullback of l.  Over F_p those ranks are
+exact.  Over Q they are read mod the prime 2^31 - 1, which can only lower
+them, and a form is served only when each one reaches its upper bound
+min(D, HF(A/(P_C + l))(d)), read off the curve's semigroup (_section_caps):
+the rational ranks lie between the two.  A form that misses the bound is
+cut.  The facts the route needs are certified on every call
+(_linked_invariants).
 
 Genericity is realized as randomization plus validation: the dimension must
 drop by exactly one and a second, independently seeded form must reproduce
@@ -48,13 +51,18 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from itertools import count, islice
+from itertools import count
 
 from . import families, hilbert
 from ._linalg import echelon
 from .groebner import Ideal
 from .idealops import linear_coefficients, linear_form, saturate_irrelevant, substitute_variable
-from .ring import PolyRing, transport
+from .ring import PolyRing, PrimeField, transport
+
+# The field in which the curve section's ranks over Q are read: its ints
+# stay below 2^31, and mod so large a prime a random form's ranks rarely
+# drop (a drop costs the form a cut, not a wrong number).
+_CERTIFYING_FIELD = PrimeField(2 ** 31 - 1)
 
 
 class GenericityFailure(RuntimeError):
@@ -127,9 +135,10 @@ class SectionData(namedtuple("SectionData", "seed attempted_seeds linear_form hy
     """One validated general section: the form, the saturated section ideal
     (in the hyperplane ring, whose variables may be ordered differently from
     the ambient ring's, see section_order), its lift (I + l)^sat back to the
-    ambient ring through that order, and the two numeric invariants.  The
-    linkage route cuts no basis, and leaves the hyperplane ring, the section
-    and its lift None.  validation defaults to a fresh dict."""
+    ambient ring through that order, and the two numeric invariants.  When
+    the linkage route serves the form, no basis is cut, and the hyperplane
+    ring, the section and its lift are None.  validation defaults to a
+    fresh dict."""
 
     __slots__ = ()
 
@@ -154,9 +163,27 @@ def _section_invariants(I, l, perm):
     return S, Jsat, deg, ideg, numer
 
 
-def _curve_section_values(exponents, coeffs, field, top):
-    """[HF(Z_C)(d) for d = 0, ..., top] over field = F_p, Z_C the section of the
-    curve with the given exponents by l = sum c_i X_i, every c_i nonzero.
+def _section_caps(exponents, top):
+    """[U(d) for d = 0, ..., top], U(d) = min(D, |d Lambda| - |(d - 1) Lambda|)
+    and D = max Lambda: over every field, the most HF(Z_C)(d) can be, Z_C
+    the section of the curve with the given exponents by a form l whose
+    coefficients are all nonzero.
+
+    The pullback of a degree-d form to k[t]/(g) (_curve_section_values)
+    kills P_C and l, so it factors through A/(P_C + l), and k[t]/(g) has
+    dimension D.  l is a nonzerodivisor on the domain A/P_C, whose Hilbert
+    function is |d Lambda| (families.semigroup_counts), so
+    HF(A/(P_C + l))(d) is the difference.
+    """
+    D = max(exponents)
+    counts = families.semigroup_counts(exponents, top)
+    return [min(D, c - b) for c, b in zip(counts, [0] + counts)]
+
+
+def _curve_section_values(exponents, coeffs, field, caps):
+    """[HF(Z_C)(d) for d = 0, ..., len(caps) - 1] over field = F_p, Z_C the
+    section of the curve with the given exponents by l = sum c_i X_i, every
+    c_i nonzero, and caps the bounds U(d) of _section_caps.
 
     l pulls back to g(t) = sum c_i t^(a_i), of degree D = max a_i with
     g(0) != 0, and Z_C is Spec k[t]/(g) in the chart X_0 != 0, where X_j/X_0
@@ -165,9 +192,15 @@ def _curve_section_values(exponents, coeffs, field, top):
     pull back to t^e with e in d Lambda', Lambda' the exponents below D, and
     HF(Z_C)(d) is the rank of {t^e mod g : e in d Lambda'}.  As 0 is in
     Lambda', d Lambda' holds (d - 1) Lambda', and each degree echelonizes
-    only its new exponents, in increasing order, until the rank reaches D.
+    only its new exponents, in increasing order, until the rank reaches
+    U(d): no further row can raise it, so each lies in the span already.
     A residue is the dense row of its coefficients below D, stepped from
     the last by t^D = -sum_(a < D) (c_a / c_D) t^a.
+
+    For rational c_i and a prime q that divides no numerator or
+    denominator of them, the residues have coefficients with denominators
+    prime to q, and reduction mod q is a ring map on those: given the c_i
+    mod q and field = F_q, each value is at most the rank over Q.
     """
     D, p = max(exponents), field.p
     scale = -pow(coeffs[exponents.index(D)], -1, p)
@@ -186,9 +219,9 @@ def _curve_section_values(exponents, coeffs, field, top):
         return {j: c for j, c in enumerate(residues[e]) if c}
 
     values, pivots, seen = [], {}, 0
-    for sums in islice(families.semigroup_sums(rest), top + 1):
+    for sums, cap in zip(families.semigroup_sums(rest), caps):
         new, seen = sums & ~seen, sums
-        while new and len(pivots) < D:
+        while new and len(pivots) < cap:
             low = new & -new
             echelon([row(low.bit_length() - 1)], field, pivots)
             new ^= low
@@ -197,9 +230,11 @@ def _curve_section_values(exponents, coeffs, field, top):
 
 
 def _linked_invariants(I, l, exponents, ci_degrees):
-    """(None, None, deg, indeg, numerator) of the section of I by l over
-    F_p, read from the link of I to the curve with the given exponents by
-    the complete intersection CI of the given degrees: no basis is cut.
+    """(None, None, deg, indeg, numerator) of the section of I by l, read
+    from the link of I to the curve with the given exponents by the
+    complete intersection CI of the given degrees: no basis is cut.  None
+    over Q when the curve section's ranks are not certified; the caller
+    then cuts.
 
     Certified on every call: every coefficient of l is nonzero, and every
     generator of I is bihomogeneous (families.bihomogeneous).  With I =
@@ -210,6 +245,14 @@ def _linked_invariants(I, l, exponents, ci_degrees):
     intersection in the hyperplane, links them.  As 1 is an exponent, the
     parametrization is a closed immersion on the torus, so a form vanishes
     on Z_C exactly when g divides its pullback (_curve_section_values).
+
+    Over F_p the values HF(Z_C)(d) are ranks in the field itself, so they
+    are exact.  Over Q they are ranks mod q = 2^31 - 1, at most the
+    rational ones, which are at most U(d) (_section_caps); the route serves
+    the form only when every value for d <= s equals U(d), which pins the
+    rational rank.  A coefficient of l whose numerator or denominator q
+    divides, or a value below U(d), returns None.
+
     With s = sum(d_i - 1) and h_X the h-vector of CI + l,
     h_Z(t) = h_X(s - t) - Delta HF(Z_C)(s - t).  Asserted besides:
     HF(Z_C)(s) = deg C, every h_Z(t) >= 0, and sum h_Z = deg(A/I) from the
@@ -227,7 +270,18 @@ def _linked_invariants(I, l, exponents, ci_degrees):
                              f"the curve exponents {tuple(exponents)}")
     D = max(exponents)
     s = sum(d - 1 for d in ci_degrees)
-    hf = _curve_section_values(exponents, coeffs, ring.field, s)
+    caps = _section_caps(exponents, s)
+    exact = ring.field.p is not None
+    field = ring.field if exact else _CERTIFYING_FIELD
+    try:
+        coeffs = [field(c) for c in coeffs]
+    except ValueError:  # q divides a denominator
+        return None
+    if not all(coeffs):
+        return None
+    hf = _curve_section_values(exponents, coeffs, field, caps)
+    if not exact and hf != caps:
+        return None
     if hf[s] != D:
         raise AssertionError(f"the curve's section has HF({s}) = {hf[s]}, not its degree {D}")
     h_x = [1]
@@ -262,21 +316,29 @@ def general_section(I, seed):
     Hilbert numerator of the saturated section.  Up to five attempts, then
     GenericityFailure listing every seed tried.
 
-    On a family's residual over F_p, which carries its link to the curve
+    On a family's residual, which carries its link to the curve
     (build_family), each form's invariants come from the linkage
     (_linked_invariants) and no basis is cut: hyperplane_ring, section_ideal
-    and lifted_ideal are then None.  Every other ideal is cut.
+    and lifted_ideal are then None.  That holds on both fields, except for a
+    form over Q whose curve-section ranks the linkage does not certify.
+    That form, and every form on every other ideal, is cut, in the order
+    section_order computes on the first cut.
     """
     dim, _ = hilbert.dim_deg(I)
     if dim != 2:
         raise ValueError(f"general_section needs dim(A/I) = 2, got {dim}")
     ring = I.ring
-    linked = I._cache.get("linked_curve") if ring.field.p is not None else None
-    perm = section_order(I) if linked is None else None
+    linked = I._cache.get("linked_curve")
+    perm = None
 
     def invariants(l):
+        nonlocal perm
         if linked is not None:
-            return _linked_invariants(I, l, *linked)
+            got = _linked_invariants(I, l, *linked)
+            if got is not None:
+                return got
+        if perm is None:
+            perm = section_order(I)
         return _section_invariants(I, l, perm)
 
     attempted = []

@@ -296,8 +296,10 @@ def test_criterion_10_verify_all_digest_beyond_the_grid(args):
 
 
 # sha256 of `cmreg verify thm11 --format json` (seed 2026) beyond the default
-# grid.  The (4,3) and primed (4,2) digests are those of the section cut,
-# which the linkage route must reproduce.
+# grid.  Those of (4,3) and primed (4,2), and at char 0 those of (4,2) and
+# primed (3,2), are the section cut's, which the linkage route must
+# reproduce.  The cut over Q did not finish (4,3) in 600 s, so its char-0
+# digest is the linkage route's own.
 VERIFY_THM11_SHA256 = {
     "--m 3 --n 3": "65ed1b21a8eacebd29d7b3329b44cb40ce46ae3748c675ea7083a311523c7e31",
     "--m 4 --n 2": "6bbc09c8164a75b0a1c18d550f97c451e7665802e564fec7306f4fcd3f4d0c63",
@@ -305,6 +307,10 @@ VERIFY_THM11_SHA256 = {
     "--m 4 --n 3": "6842af1ecb78faac03a9c13d34a2e28c4fe2cd9809def74cb34fcc0738e1c0a5",
     "--m 4 --n 2 --primed": "8719e5582293f4852fd6a04a55ee9547d57f6627b198ec356524a242f153f5db",
     "--m 3 --n 3 --char 0": "b2e33a6a86865a8db2d967d1b373a06536d82126a6f76bb94a464128c554f0be",
+    "--m 4 --n 2 --char 0": "87ba9911eebb3f291c8317ea23f1f89b8eb05252ea9b4aede27725e5dfdb6b20",
+    "--m 3 --n 2 --primed --char 0":
+        "3d59e1c795bf81963147eb0fd209443a2dd8041d28f2a8975bd33fcc52252fd5",
+    "--m 4 --n 3 --char 0": "6d105452269f4bfcd1b4057fe41e38d1f07351bc5cf38fb6d732e1c06947942c",
 }
 
 

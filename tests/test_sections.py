@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from cmreg import idealops, sections
+from cmreg import families, idealops, sections
 from cmreg.families import bihomogeneous, build_family
 from cmreg.groebner import Ideal, member
-from cmreg.hilbert import dim_deg
+from cmreg.hilbert import dim_deg, hilbert_function_values
 from cmreg.idealops import linear_coefficients, linear_form, saturate_irrelevant
 from cmreg.ring import PolyRing, PrimeField, QQ
 from cmreg.sections import (GenericityFailure, cor13_rhs, general_section,
                             random_linear_form, section_order, substitute_linear,
                             thm11_rhs)
-from cmreg.verify import DEFAULT_SEED, PRIMED_GRID, UNPRIMED_GRID
+from cmreg.verify import DEFAULT_SEED, PRIMED_GRID, UNPRIMED_GRID, grid_reports
 
 GRID = [(m, n, False) for m, n in UNPRIMED_GRID] + [(m, n, True) for m, n in PRIMED_GRID]
 
@@ -183,15 +185,17 @@ def test_section_of_the_residual_is_the_section_of_the_aci(m, n, primed, char):
     assert _invariants(general_section(residual, DEFAULT_SEED)) == _invariants(res)
 
 
-LINKED_CASES = [case for case in ORACLE_CASES if case[3] == 32003]
+LINKED_CASES = ORACLE_CASES + [(3, 3, False, 0), (4, 2, False, 0), (3, 2, True, 0)]
 
 
 @pytest.mark.parametrize("m,n,primed,char", LINKED_CASES)
 def test_linked_section_equals_the_cut(m, n, primed, char):
-    # Over F_p the residual's section is read from its link to the curve:
-    # no section ideal, and the cut's seeds and numbers for every seed.
+    # On both fields the residual's section is read from its link to the
+    # curve: no section ideal, and the cut's seeds and numbers for every
+    # seed.  The rational cuts beyond the grid run one seed.
     residual = build_family(m, n, primed=primed, char=char).residual
-    for seed in (DEFAULT_SEED, 1, 99991):
+    seeds = (DEFAULT_SEED, 1, 99991) if (m, n, primed, char) in ORACLE_CASES else (DEFAULT_SEED,)
+    for seed in seeds:
         linked = general_section(residual, seed)
         assert linked.section_ideal is linked.lifted_ideal is None
         cut = general_section(Ideal(residual.ring, residual.gens), seed)
@@ -209,8 +213,125 @@ def test_linked_section_runs_no_buchberger(count_kernel_work, m, n, primed, char
 
 @pytest.mark.parametrize("m,n,primed", [case[:3] for case in ORACLE_CASES if case[3] == 0])
 def test_the_rationals_cut_the_residual(m, n, primed):
-    sec = general_section(build_family(m, n, primed=primed, char=0).residual, DEFAULT_SEED)
-    assert sec.section_ideal is not None
+    # An ideal of the residual's generators without the record of its link
+    # to the curve is cut, over Q as over F_p.
+    residual = build_family(m, n, primed=primed, char=0).residual
+    fresh = Ideal(residual.ring, residual.gens)
+    assert "linked_curve" not in fresh._cache
+    assert general_section(fresh, DEFAULT_SEED).section_ideal is not None
+
+
+@pytest.mark.parametrize("m,n,primed,char", LINKED_CASES)
+def test_section_caps_are_the_hilbert_function_of_the_curve_and_the_form(m, n, primed, char):
+    # U(d), from the semigroup, is min(D, HF(A/(P_C + l))(d)), read here
+    # from the Hilbert series of a basis of P_C + l.
+    fam = build_family(m, n, primed=primed, char=char)
+    l = random_linear_form(fam.ring, DEFAULT_SEED)
+    s = sum(d - 1 for d in fam.ci_degrees)
+    hf = hilbert_function_values(Ideal(fam.ring, fam.curve.gens + (l,)), s)
+    D = max(fam.exponents)
+    assert sections._section_caps(fam.exponents, s) == [min(D, h) for h in hf]
+
+
+def _count_cuts(monkeypatch):
+    """A list that gets each form whose section is cut."""
+    cut = sections._section_invariants
+    forms = []
+
+    def counted(I, l, perm):
+        forms.append(l)
+        return cut(I, l, perm)
+
+    monkeypatch.setattr(sections, "_section_invariants", counted)
+    return forms
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_a_grid_pass_reads_every_section_by_linkage(monkeypatch, char):
+    # A cold `verify all` pass: each of the 7 residual sections is read
+    # from its two forms' linkage, on both fields; no form is cut and none
+    # falls back to the cut.
+    linked = sections._linked_invariants
+    served = []
+
+    def counted(*args):
+        got = linked(*args)
+        served.append(got is not None)
+        return got
+
+    monkeypatch.setattr(sections, "_linked_invariants", counted)
+    cuts = _count_cuts(monkeypatch)
+    monkeypatch.setattr(families, "_FAMILY_CACHE", {})
+    grid_reports(char=char)
+    assert served == [True] * 14
+    assert cuts == []
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_a_raised_bound_sends_every_rational_form_to_the_cut(fam22, monkeypatch, char):
+    # U(1) + 1 is more than any rank in degree 1 can be, so over Q no form
+    # is certified and each is cut; over F_p the ranks are exact, the
+    # bound only stops the echelon, and the linkage still serves.
+    fam = fam22 if char else build_family(2, 2, char=0)
+    expected = general_section(Ideal(fam.ring, fam.residual.gens), DEFAULT_SEED)
+    caps = sections._section_caps
+
+    def raised(exponents, top):
+        out = caps(exponents, top)
+        out[1] += 1
+        return out
+
+    monkeypatch.setattr(sections, "_section_caps", raised)
+    cuts = _count_cuts(monkeypatch)
+    sec = general_section(fam.residual, DEFAULT_SEED)
+    assert _invariants(sec) == _invariants(expected)
+    assert len(cuts) == (0 if char else 2)
+    assert (sec.section_ideal is None) == bool(char)
+
+
+def test_a_rank_that_drops_mod_the_prime_sends_its_form_to_the_cut(monkeypatch):
+    # At (2,4) over Q, mod 47, the first form of the default seed has every
+    # coefficient nonzero but the rank 18 < U(5) = 19 in degree 5, and its
+    # twin is certified: the first is cut, the second read by linkage.
+    fam = build_family(2, 4, char=0)
+    la, lb = (random_linear_form(fam.ring, seed) for seed in (DEFAULT_SEED, DEFAULT_SEED + 52361))
+    field = PrimeField(47)
+    s = sum(d - 1 for d in fam.ci_degrees)
+    caps = sections._section_caps(fam.exponents, s)
+    values = []
+    for l in (la, lb):
+        coeffs = [field(c) for c in linear_coefficients(l)]
+        assert all(coeffs)
+        values.append(sections._curve_section_values(fam.exponents, coeffs, field, caps))
+    assert values[0][5] == caps[5] - 1 and values[1] == caps
+    expected = general_section(Ideal(fam.ring, fam.residual.gens), DEFAULT_SEED)
+    monkeypatch.setattr(sections, "_CERTIFYING_FIELD", field)
+    cuts = _count_cuts(monkeypatch)
+    sec = general_section(fam.residual, DEFAULT_SEED)
+    assert cuts == [la]
+    assert _invariants(sec) == _invariants(expected)
+    assert sec.lifted_ideal.same_ideal(expected.lifted_ideal)
+
+
+@pytest.mark.parametrize("part", ["numerator", "denominator"])
+def test_a_coefficient_that_vanishes_mod_the_prime_sends_its_form_to_the_cut(monkeypatch, part):
+    # X_0's coefficient times q, or over q: each form has no value mod q
+    # to certify, so each is cut.
+    q = sections._CERTIFYING_FIELD.p
+    drawn = sections.random_linear_form
+
+    def scaled(ring, seed):
+        coeffs = linear_coefficients(drawn(ring, seed))
+        coeffs[0] = coeffs[0] * q if part == "numerator" else Fraction(coeffs[0], q)
+        return linear_form(ring, coeffs)
+
+    monkeypatch.setattr(sections, "random_linear_form", scaled)
+    fam = build_family(2, 2, char=0)
+    expected = general_section(Ideal(fam.ring, fam.residual.gens), DEFAULT_SEED)
+    cuts = _count_cuts(monkeypatch)
+    sec = general_section(fam.residual, DEFAULT_SEED)
+    assert len(cuts) == 2
+    assert _invariants(sec) == _invariants(expected)
 
 
 def _linked_copy(fam, gens, record=None):
