@@ -159,24 +159,6 @@ def parametrization_defect(poly, exponents):
     return out
 
 
-def bihomogeneous(polys, exponents):
-    """Whether every polynomial is bihomogeneous when X_i has the bidegree
-    (1, a_i), a_i = exponents[i]: all its terms share the degree and the
-    weight sum(x_i * a_i).  The curve with these exponents, and every ideal
-    generated by such polynomials, is stable under the torus that scales X_i
-    by u v^(a_i)."""
-    exponents = tuple(exponents)
-    for f in polys:
-        if len(exponents) != f.ring.nvars:
-            raise ValueError(f"{len(exponents)} exponents for {f.ring.nvars} variables")
-        unpack = f.ring.bound.unpack
-        bidegrees = {(sum(x), sum(xi * a for xi, a in zip(x, exponents)))
-                     for x in map(unpack, f.pdict)}
-        if len(bidegrees) > 1:
-            return False
-    return True
-
-
 def pq_products(m, ring):
     """The pair of coprime monomials built from alternating binomial powers.
 
@@ -371,6 +353,13 @@ def build_family(m, n, primed=False, char=32003):
     Every form and F are asserted to reduce to zero modulo a, so
     CI <= ACI <= a.  Then V(a) lies in V(ACI), which lies in V(CI), so
     2 = dim A/a <= dim A/ACI <= dim A/CI = 2.
+
+    Three records ride on the ideals, each read and checked where it is
+    used: how the complete and the almost complete intersection are
+    resolved ("route", see resolution), the residual's link to the curve
+    ("linked_curve", see sections.general_section) and the curve exponents
+    that bigrade the almost complete intersection ("bigrading", see
+    idealops.generic_by_bigrading).
     """
     key = (m, n, bool(primed), char)
     cached = _FAMILY_CACHE.get(key)
@@ -412,6 +401,10 @@ def build_family(m, n, primed=False, char=32003):
     # above), and the almost complete intersection is linked to the curve.
     ci._cache["route"] = ("koszul",)
     almost._cache["route"] = ("linkage", ci, curve, a, F)
+    # The bidegrees (1, a_i) that make the almost complete intersection
+    # bigraded, read by idealops.generic_by_bigrading to certify lemma12's
+    # forms with no basis.
+    almost._cache["bigrading"] = exps
     ci_degrees = tuple(sorted((f.degree() for f in forms), reverse=True))
     # How a general hyperplane section of the residual is read, by
     # sections.general_section: from its link to the curve by CI.

@@ -256,6 +256,9 @@ def nonzerodivisor(ideal, f):
     -> 0, with d = deg f and multiplication by f in the middle, shows that
     HS(A/(I + f)) = (1 - t^d) HS(A/I) exactly when I : f = I.  The two
     series share the denominator (1-t)^n, so the numerators are compared.
+    It costs a Groebner basis of I + (f), so lemma12's check
+    (idealops.saturation_exponent_bound_check) calls it only for a form or
+    an ideal the bigrading does not certify.
     """
     if f.ring != ideal.ring or f.is_zero() or not f.is_homogeneous():
         raise ValueError("expected a nonzero homogeneous form of the ideal's ring")

@@ -663,6 +663,24 @@ def transport(poly, target, index_map):
     return target.poly(data)
 
 
+def bihomogeneous(polys, exponents):
+    """Whether every polynomial is bihomogeneous when X_i has the bidegree
+    (1, a_i), a_i = exponents[i]: all its terms share the degree and the
+    weight sum(x_i * a_i).  The curve with these exponents, and every ideal
+    generated by such polynomials, is stable under the torus that scales X_i
+    by u v^(a_i)."""
+    exponents = tuple(exponents)
+    for f in polys:
+        if len(exponents) != f.ring.nvars:
+            raise ValueError(f"{len(exponents)} exponents for {f.ring.nvars} variables")
+        unpack = f.ring.bound.unpack
+        bidegrees = {(sum(x), sum(xi * a for xi, a in zip(x, exponents)))
+                     for x in map(unpack, f.pdict)}
+        if len(bidegrees) > 1:
+            return False
+    return True
+
+
 # --- parsing and printing ---------------------------------------------------
 
 # The grammar of one term: factors, each an integer with an optional /integer

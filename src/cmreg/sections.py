@@ -57,7 +57,7 @@ from . import families, hilbert
 from ._linalg import echelon
 from .groebner import Ideal
 from .idealops import linear_coefficients, linear_form, saturate_irrelevant, substitute_variable
-from .ring import PolyRing, PrimeField, transport
+from .ring import PolyRing, PrimeField, bihomogeneous, transport
 
 # The field in which the curve section's ranks over Q are read: its ints
 # stay below 2^31, and mod so large a prime a random form's ranks rarely
@@ -237,7 +237,7 @@ def _linked_invariants(I, l, exponents, ci_degrees):
     then cuts.
 
     Certified on every call: every coefficient of l is nonzero, and every
-    generator of I is bihomogeneous (families.bihomogeneous).  With I =
+    generator of I is bihomogeneous (ring.bihomogeneous).  With I =
     CI : C and one generator of I off C, as build_family asserts, V(I) is
     stable under the torus of the bigrading, so it meets C only in fixed
     points, the two coordinate points of C, and l misses both.  So the
@@ -265,7 +265,7 @@ def _linked_invariants(I, l, exponents, ci_degrees):
     if any(c == 0 for c in coeffs):
         raise AssertionError("the section form has a zero coefficient, so it may meet "
                              "the curve at a coordinate point")
-    if not families.bihomogeneous(I.gens, exponents):
+    if not bihomogeneous(I.gens, exponents):
         raise AssertionError("a generator of the linked ideal is not bihomogeneous for "
                              f"the curve exponents {tuple(exponents)}")
     D = max(exponents)

@@ -6,13 +6,17 @@ polynomials, S-polynomials and the S-pair certificate of a basis, the
 elimination ideal read off a block-order basis (the reference for
 idealops.intersect), the support word of an exponent word, and the extra
 form found by membership in the curve (the reference for
-families.extra_form).
+families.extra_form), and the holes of a monomial curve's semigroup,
+whose top degree is a1 of the curve (the reference for idealops.a0 on the
+families' almost complete intersections).
 """
 
 from __future__ import annotations
 
+import math
+
 from cmreg import _kernel
-from cmreg.families import graded_piece_basis
+from cmreg.families import graded_piece_basis, semigroup_sums
 from cmreg.groebner import Ideal
 from cmreg.ring import EXP_BITS, GREVLEX, Block
 
@@ -125,3 +129,43 @@ def first_row_off_the_curve(residual, curve, d):
     test, where families.extra_form reads the curve's parametrization."""
     gbb = curve._held_basis()
     return next(f for f in graded_piece_basis(residual, d) if not gbb.reduces_to_zero(f))
+
+
+# --- The curve's local cohomology --------------------------------------------
+
+def _numerical_semigroup(gens, top):
+    """[e in <gens> for e = 0, ..., top], <gens> the sums of the gens."""
+    steps = [g for g in gens if g > 0]
+    inside = [True] + [False] * top
+    for e in range(1, top + 1):
+        inside[e] = any(g <= e and inside[e - g] for g in steps)
+    return inside
+
+
+def curve_holes(exponents):
+    """{k: [e, ...]}, the holes (k, e) of the monomial curve with the given
+    exponents Lambda, D the largest, by degree k up to the
+    Gruson-Lazarsfeld-Peskine bound D - codim + 1.
+
+    (k, e) is a hole when 0 <= e <= kD, e lies in <Lambda> and kD - e in
+    <D - Lambda>, the semigroups of the curve's two affine charts, and e is
+    not in k Lambda (families.semigroup_sums).  The holes of degree k are a
+    basis of H^1_m(A/P_C)_k (Trung and Hoa, Trans. AMS 298, 1986), so the
+    largest k with a hole is a1(A/P_C).
+    """
+    D = max(exponents)
+    top = D - (len(exponents) - 2) + 1
+    chart = _numerical_semigroup(exponents, top * D)
+    cochart = _numerical_semigroup([D - a for a in exponents], top * D)
+    holes = {}
+    for k, sums in zip(range(top + 1), semigroup_sums(exponents)):
+        found = [e for e in range(k * D + 1)
+                 if chart[e] and cochart[k * D - e] and not sums >> e & 1]
+        if found:
+            holes[k] = found
+    return holes
+
+
+def a1_of_holes(holes):
+    """The largest degree with a hole; -inf when there is none."""
+    return max(holes, default=-math.inf)

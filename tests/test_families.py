@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cmreg import families
-from cmreg.families import (bihomogeneous, build_family, check_parameters,
+from cmreg.families import (build_family, check_parameters,
                             check_semigroup_count, ci_forms, curve_exponents, curve_ideal,
                             extra_form, graded_piece_basis,
                             parametrization_defect, pq_products, residual_ideal,
@@ -17,8 +17,8 @@ from cmreg.hilbert import dim_deg, hilbert_function, nonzerodivisor
 from cmreg.idealops import _variable_last, colon, colon_by_variable_power
 from cmreg.resolution import betti, regularity_ideal
 from cmreg._linalg import rref
-from cmreg.ring import (MAX_EXP, Block, PolyRing, Polynomial, QQ, field_of_characteristic,
-                        grevlex_keys_of_degree, transport)
+from cmreg.ring import (MAX_EXP, Block, PolyRing, Polynomial, QQ, bihomogeneous,
+                        field_of_characteristic, grevlex_keys_of_degree, transport)
 from cmreg.verify import PRIMED_GRID, UNPRIMED_GRID
 from oracles import first_row_off_the_curve
 

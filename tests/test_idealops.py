@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cmreg import _kernel, idealops
+from cmreg import _kernel, hilbert, idealops
 from cmreg._kernel import BudgetExceeded
 from cmreg.groebner import Ideal, member
 from cmreg.hilbert import (hilbert_function, hilbert_series, indeg, nonzerodivisor,
@@ -22,7 +23,7 @@ from cmreg.ring import (PolyRing, Polynomial, PrimeField, QQ, field_of_character
                         pdict_addmul, transport)
 from cmreg.verify import DEFAULT_SEED, LEMMA12_ROUNDS, PRIMED_GRID, UNPRIMED_GRID
 from cmreg._linalg import rref
-from oracles import eliminate, reduce, spair_certificate
+from oracles import a1_of_holes, curve_holes, eliminate, reduce, spair_certificate
 
 
 def _monomials_of_degree(ring, d):
@@ -622,6 +623,31 @@ def test_capped_scan_matches_the_full_scan(m, n, primed, char):
         assert all(e <= a0 - g.degree() + 1 for g, e in exps.items())
 
 
+@pytest.mark.parametrize("m,n,primed,char", CAPPED_SCAN_CASES + [
+    (3, 3, False, 0), (4, 2, False, 0), (3, 2, True, 0)])
+def test_a0_is_a1_of_the_curve_plus_d(m, n, primed, char):
+    """The linkage sequence 0 -> A/P_C(-d) -> A/CI -> A/I -> 0, with A/CI
+    Cohen-Macaulay of dimension 2, gives a0(A/I) = a1(A/P_C) + d, and a1 is
+    the top degree of the curve's semigroup holes.  The cached a0 is the
+    one a fresh ideal computes.  Wherever there is a hole, the top degree
+    has one, so dropping it disagrees too."""
+    from cmreg.families import build_family
+
+    fam = build_family(m, n, primed=primed, char=char)
+    aci = fam.almost_complete_intersection
+    d = fam.extra_degree
+    holes = curve_holes(fam.exponents)
+    a0 = idealops.a0(aci)
+    assert a0 == a1_of_holes(holes) + d
+    assert aci._cache["a0"] == a0 == idealops.a0(_fresh(aci))
+    if not holes:
+        assert a0 == -math.inf
+        return
+    top = max(holes)
+    assert len(holes[top]) == 1
+    assert a1_of_holes({k: es for k, es in holes.items() if k != top}) + d != a0
+
+
 def test_capped_scan_raises_on_an_exponent_past_its_cap(monkeypatch):
     R = PolyRing(("x", "y"), PrimeField(32003))
     x, y = R.gens()
@@ -705,6 +731,108 @@ def test_bound_check_certifies_by_the_form_not_the_ring(field):
         rep = saturation_exponent_bound_check(I, l)
         assert (rep.status, rep.method, rep.precondition_certified) == ("ok", "chain", True)
         assert rep.q == 1 and rep.holds
+
+
+def _count_nonzerodivisor_calls(monkeypatch):
+    """A list that grows by one entry per hilbert.nonzerodivisor call."""
+    calls, certify = [], hilbert.nonzerodivisor
+
+    def traced(I, f):
+        calls.append(True)
+        return certify(I, f)
+
+    monkeypatch.setattr(hilbert, "nonzerodivisor", traced)
+    return calls
+
+
+def _lemma12_forms(ring):
+    """The first draw of each lemma12 round at the default seed."""
+    from cmreg.sections import random_linear_form
+
+    return [random_linear_form(ring, DEFAULT_SEED + 9973 * k) for k in range(LEMMA12_ROUNDS)]
+
+
+# Where the colon chain by a dense form is cheap enough to be the oracle
+# (under 0.15 s for the three forms).  It takes 0.3-0.4 s at (2,4) and (3,2)
+# over F_32003, 3-21 s at (3,3), (4,2) and primed (3,2), and 0.5-23 s over Q
+# at (2,3), (2,4) and (3,2).
+SATURATE_ORACLE_CASES = {(m, n, primed, char) for char in (32003, 0)
+                         for m, n, primed in ((2, 2, False), (1, 2, True), (1, 3, True),
+                                              (2, 2, True))}
+SATURATE_ORACLE_CASES.add((2, 3, False, 32003))
+
+
+@pytest.mark.parametrize("m,n,primed,char", CAPPED_SCAN_CASES)
+def test_bigrading_certifies_every_lemma12_form_as_the_series_and_the_colon_chain_do(
+        m, n, primed, char):
+    """Every form lemma12 draws is certified by the family's bigrading, and
+    the basis routes agree: HS(A/(S + l)) = (1 - t) HS(A/S), and where it is
+    cheap, I : l^inf = S by the colon chain."""
+    from cmreg.families import build_family
+
+    aci = build_family(m, n, primed=primed, char=char).almost_complete_intersection
+    S = saturate_irrelevant(aci)
+    for l in _lemma12_forms(aci.ring):
+        assert idealops.generic_by_bigrading(aci, l)
+        assert nonzerodivisor(S, l)
+        if (m, n, primed, char) in SATURATE_ORACLE_CASES:
+            assert saturate(aci, l)[0].same_ideal(S)
+
+
+@pytest.mark.parametrize("m,n,primed,char", CAPPED_SCAN_CASES)
+def test_bigrading_refuses_a_zero_coefficient_a_wrong_record_and_no_record(m, n, primed, char):
+    """X0 lies in an associated prime of A/S, and the bigrading does not
+    certify it; nor a form on an ideal whose record has one exponent moved,
+    or whose exponents do not separate the variables, or that has no record."""
+    from cmreg.families import build_family
+
+    fam = build_family(m, n, primed=primed, char=char)
+    aci = fam.almost_complete_intersection
+    X0 = aci.ring.gen(0)
+    assert not idealops.generic_by_bigrading(aci, X0)
+    assert not nonzerodivisor(saturate_irrelevant(aci), X0)
+    l = _lemma12_forms(aci.ring)[0]
+    exps = fam.exponents
+    records = [exps[:i] + (a + 1,) + exps[i + 1:] for i, a in enumerate(exps)]
+    records.append((0,) * len(exps))  # every generator is bihomogeneous for it
+    for record in records:
+        J = _fresh(aci)
+        J._cache["bigrading"] = record
+        assert not idealops.generic_by_bigrading(J, l), record
+    assert not idealops.generic_by_bigrading(_fresh(aci), l)
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+@pytest.mark.parametrize("mnp", [(2, 2, False), (1, 3, True)], ids=["22", "primed-13"])
+def test_bound_check_falls_back_to_the_series_off_the_bigrading(mnp, char, monkeypatch):
+    """On a chain instance X0 comes out not_generic through
+    hilbert.nonzerodivisor, and the lemma12 forms on the same generators
+    without the record are certified through it."""
+    from cmreg.families import build_family
+
+    m, n, primed = mnp
+    aci = build_family(m, n, primed=primed, char=char).almost_complete_intersection
+    calls = _count_nonzerodivisor_calls(monkeypatch)
+    rep = saturation_exponent_bound_check(aci, aci.ring.gen(0))
+    assert (rep.status, rep.method, rep.precondition_certified) == ("not_generic", "chain", False)
+    assert len(calls) == 1
+    bare = _fresh(aci)
+    for l in _lemma12_forms(aci.ring):
+        rep = saturation_exponent_bound_check(bare, l)
+        assert (rep.status, rep.method, rep.precondition_certified) == ("ok", "chain", True)
+    assert len(calls) == 1 + LEMMA12_ROUNDS
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_a_cold_grid_pass_calls_no_nonzerodivisor(char, monkeypatch):
+    from cmreg import families
+    from cmreg.verify import grid_reports
+
+    monkeypatch.setattr(families, "_FAMILY_CACHE", {})
+    calls = _count_nonzerodivisor_calls(monkeypatch)
+    reports = grid_reports(char=char)
+    assert all(r.verdict in ("pass", "skip") for r in reports)
+    assert not calls
 
 
 @pytest.mark.parametrize("char", [32003, 0])

@@ -17,7 +17,7 @@ from cmreg.resolution import _schreyer_levels, regularity_ideal
 from cmreg.ring import (GREVLEX, Block, PermutedGrevlex, PolyRing, PrimeField, QQ,
                         field_of_characteristic, pdict_addmul)
 from cmreg.sections import general_section
-from cmreg.verify import DEFAULT_SEED, PRIMED_GRID, UNPRIMED_GRID
+from cmreg.verify import DEFAULT_SEED, PRIMED_GRID, UNPRIMED_GRID, grid_reports
 from oracles import reduce
 
 
@@ -155,6 +155,15 @@ SECTION_22_WORK = {"calls": 6, "pairs_processed": 44, "zero_reductions": 28}
 # change back.  Both fields give the same counts.
 ACI_SATURATION_GRID_WORK = {"calls": 14, "pairs_processed": 222, "zero_reductions": 162}
 
+# Calls, pairs and zero reductions of a cold lemma12 pass over the default
+# grid (verify.grid_reports(claims=["lemma12"]), family cache empty): the
+# builds, each ACI's grevlex basis, saturation and resolution, and the
+# membership scans.  The chain rounds' forms are certified by the bigrading,
+# with no basis of I^sat + (l); that took 6 more runs and 72 more pairs.
+# Both fields give the same counts.
+LEMMA12_GRID_WORK = {32003: {"calls": 56, "pairs_processed": 662, "zero_reductions": 494},
+                     0: {"calls": 56, "pairs_processed": 662, "zero_reductions": 494}}
+
 # Calls, pairs and zero reductions of general_section's cut of the (2,2)
 # residual at F_32003, on a fresh ideal of its generators that holds its
 # grevlex basis, as the residual does.  The family's residual itself is read
@@ -228,6 +237,16 @@ def test_saturation_work_of_the_grid_acis_does_not_grow(count_kernel_work, char)
         hilbert.hilbert_series(S)
         assert S.contains_ideal(I)
     for name, recorded in ACI_SATURATION_GRID_WORK.items():
+        assert totals[name] <= recorded, (name, totals[name])
+
+
+@pytest.mark.parametrize("char", sorted(LEMMA12_GRID_WORK))
+def test_lemma12_work_of_a_cold_grid_pass_does_not_grow(monkeypatch, count_kernel_work, char):
+    monkeypatch.setattr(families, "_FAMILY_CACHE", {})
+    totals = count_kernel_work()
+    reports = grid_reports(claims=["lemma12"], char=char)
+    assert all(r.verdict in ("pass", "skip") for r in reports)
+    for name, recorded in LEMMA12_GRID_WORK[char].items():
         assert totals[name] <= recorded, (name, totals[name])
 
 

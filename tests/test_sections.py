@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from cmreg import families, idealops, sections
-from cmreg.families import bihomogeneous, build_family
+from cmreg.families import build_family
 from cmreg.groebner import Ideal, member
 from cmreg.hilbert import dim_deg, hilbert_function_values
 from cmreg.idealops import linear_coefficients, linear_form, saturate_irrelevant
-from cmreg.ring import PolyRing, PrimeField, QQ
+from cmreg.ring import PolyRing, PrimeField, QQ, bihomogeneous
 from cmreg.sections import (GenericityFailure, cor13_rhs, general_section,
                             random_linear_form, section_order, substitute_linear,
                             thm11_rhs)
