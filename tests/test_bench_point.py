@@ -1,15 +1,20 @@
 """bench_point.py reads the output of ``cmbench/run.py --workload all``.
 
 The script keeps the final JSON line of each run and the ``env`` and ``run``
-lines of each workload; this test feeds it the shape run.py prints, so a
+lines of each workload; these tests feed it the shape run.py prints, so a
 change to that shape fails here rather than in a half-written BENCH file.
+They also check that a point is refused, before any bench runs, when its
+checkout has uncommitted changes or its file already exists.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "bench_point.py"
 
@@ -35,3 +40,32 @@ def test_parse_run_keeps_the_final_line_and_each_workloads_environment():
     assert got == rows
     assert env == {w: {"python": "3.11", "nproc": 2} for w in rows}
     assert run == {w: {"passes": 3} for w in rows}
+
+
+def _checkout(tmp_path):
+    repo = tmp_path / "checkout"
+    repo.mkdir()
+    (repo / "run.py").write_text("")
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.org"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "run.py"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "seed"], check=True)
+    return repo
+
+
+def test_a_modified_checkout_is_refused(tmp_path):
+    repo = _checkout(tmp_path)
+    (repo / "run.py").write_text("changed = True\n")
+    out = tmp_path / "point.json"
+    with pytest.raises(SystemExit, match="changes not in"):
+        _load().main(["--checkout", str(repo), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_an_existing_point_is_not_overwritten(tmp_path):
+    repo = _checkout(tmp_path)
+    out = tmp_path / "point.json"
+    out.write_text("kept")
+    with pytest.raises(SystemExit, match="exists"):
+        _load().main(["--checkout", str(repo), "--out", str(out)])
+    assert out.read_text() == "kept"
